@@ -17,7 +17,10 @@ import (
 // per node. Results are bit-identical to the straightforward allocating
 // loop because every numeric kernel (mat.MulInto, mat.TwoNormScratch,
 // mat.SpectralRadiusScratch) shares its computational core with the
-// allocating variant.
+// allocating variant. The spectral radius is skipped (recorded as 0)
+// when mat.SpectralRadiusBound shows the child cannot raise the
+// level-start lower bound: the merge folds ρ into Lower with a strict
+// >, so such a child never changes Lower, the witness, or the frontier.
 
 // serialCutoverNodes is the frontier size at or below which a level is
 // expanded on the calling goroutine regardless of the Workers option:
@@ -66,6 +69,7 @@ type gripSearch struct {
 	// worker read.
 	frontier []gripNode
 	exp      float64
+	lower    float64
 	pool     *matPool
 
 	// fn is the per-range worker body, built once at construction so
@@ -112,7 +116,10 @@ func (g *gripSearch) scratchFor(slot int) *mat.Scratch {
 // expand·k), sharded across the worker pool with the serial cutover
 // applied. The returned slice aliases g.children and is valid until the
 // next expandLevel call; child products live in the depth-parity pool.
-func (g *gripSearch) expandLevel(ctx context.Context, frontier []gripNode, expand, depth, workers int) ([]gripChild, error) {
+// lower is the search's lower bound at the start of the level: a child
+// whose spectral-radius bound rate cannot exceed it gets rho = 0 without
+// an eigenvalue solve. Pass -Inf to compute every rho.
+func (g *gripSearch) expandLevel(ctx context.Context, frontier []gripNode, expand, depth, workers int, lower float64) ([]gripChild, error) {
 	need := expand * g.k
 	if cap(g.children) < need {
 		g.children = make([]gripChild, need)
@@ -122,6 +129,7 @@ func (g *gripSearch) expandLevel(ctx context.Context, frontier []gripNode, expan
 	pool.ensure(need)
 	g.frontier = frontier
 	g.exp = 1 / float64(depth)
+	g.lower = lower
 	g.pool = pool
 	if expand <= serialCutoverNodes {
 		workers = 1
@@ -150,9 +158,12 @@ func (g *gripSearch) expandNodeGuarded(fi int, ms *mat.Scratch) (err error) {
 	for ai, a := range g.set {
 		p := bufs[ai]
 		mat.MulInto(p, a, nd.prod)
-		rho, rerr := mat.SpectralRadiusScratch(p, ms)
-		if rerr != nil {
-			return rerr
+		rho := 0.0
+		if math.Pow(mat.SpectralRadiusBound(p), g.exp) > g.lower {
+			var rerr error
+			if rho, rerr = mat.SpectralRadiusScratch(p, ms); rerr != nil {
+				return rerr
+			}
 		}
 		out[ai] = gripChild{prod: p, rho: rho, cert: math.Min(nd.cert, math.Pow(mat.TwoNormScratch(p, ms), g.exp))}
 	}

@@ -184,7 +184,9 @@ func ConstrainedBounds(set []*mat.Dense, g *Graph, maxLen int) (Bounds, error) {
 			}
 			// Cycles: only products along closed walks bound the
 			// constrained JSR from below (they can be repeated forever).
-			if closes(g, w.node, w.start) {
+			// Closed walks whose spectral-radius bound cannot beat lower
+			// skip the eigenvalue solve: they would lose the strict > anyway.
+			if closes(g, w.node, w.start) && math.Pow(mat.SpectralRadiusBound(w.prod), exp) > lower {
 				rho, err := mat.SpectralRadius(w.prod)
 				if err != nil {
 					return Bounds{}, err
@@ -247,7 +249,9 @@ type cgripNode struct {
 
 // cgripChild is one expanded successor; rho is meaningful only when cyc
 // is set (spectral radii of non-closable walks never bound the
-// constrained JSR from below, so they are not computed).
+// constrained JSR from below, so they are not computed). Like
+// Gripenberg's children, a closable child whose spectral-radius bound
+// cannot raise the level-start lower bound carries rho = 0.
 type cgripChild struct {
 	at   int
 	prod *mat.Dense
@@ -273,8 +277,9 @@ func cgripCutBounds(lower, delta float64, witness []int, frontier []cgripNode) B
 }
 
 // expandCGripNode computes the out-degree children of one constrained
-// frontier node into out, in successor order.
-func expandCGripNode(set []*mat.Dense, g *Graph, nd cgripNode, exp float64, out []cgripChild) error {
+// frontier node into out, in successor order. lower is the level-start
+// lower bound that gates the eigenvalue solve.
+func expandCGripNode(set []*mat.Dense, g *Graph, nd cgripNode, exp, lower float64, out []cgripChild) error {
 	for j, nxt := range g.Next[nd.at] {
 		p := mat.Mul(set[g.Nodes[nxt]], nd.prod)
 		c := cgripChild{
@@ -283,11 +288,14 @@ func expandCGripNode(set []*mat.Dense, g *Graph, nd cgripNode, exp float64, out 
 			cert: math.Min(nd.cert, math.Pow(norm(p), exp)),
 		}
 		if closes(g, nxt, nd.start) {
-			rho, err := mat.SpectralRadius(p)
-			if err != nil {
-				return err
+			c.cyc = true
+			if math.Pow(mat.SpectralRadiusBound(p), exp) > lower {
+				rho, err := mat.SpectralRadius(p)
+				if err != nil {
+					return err
+				}
+				c.rho = rho
 			}
-			c.rho, c.cyc = rho, true
 		}
 		out[j] = c
 	}
@@ -403,7 +411,7 @@ func ConstrainedGripenbergCtx(ctx context.Context, set []*mat.Dense, g *Graph, o
 				}
 				nd := frontier[fi]
 				if gerr := expandGuard(nd.word, func() error {
-					return expandCGripNode(set, g, nd, exp, children[offs[fi]:offs[fi+1]])
+					return expandCGripNode(set, g, nd, exp, lower, children[offs[fi]:offs[fi+1]])
 				}); gerr != nil {
 					return gerr
 				}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"adaptivertc/internal/mat"
@@ -153,6 +154,32 @@ func refGripenberg(t *testing.T, set []*mat.Dense, delta float64, maxDepth, maxN
 	return Bounds{Lower: lower, Upper: math.Max(lower+delta, refFrontierMax(frontier)), WitnessWord: witness}
 }
 
+// The boundary sets below are families whose spectral radii equal one
+// of the cheap norms in exact arithmetic, so every product's norm bound
+// sits right at the engine's skip threshold. Their second matrix is
+// scaled up by grade: with a grade of a few ulps, later words beat
+// earlier ones by a few ulps, and a skip rule that cut into its rounding
+// margin would drop exactly those winners.
+
+// normalBoundarySet holds two scaled permutation matrices. Every product
+// is a scaled permutation, whose spectral radius equals its 1- and
+// ∞-norms.
+func normalBoundarySet(grade float64) []*mat.Dense {
+	return []*mat.Dense{
+		mat.FromRows([][]float64{{0, 0.9, 0}, {0, 0, 0.9}, {0.9, 0, 0}}),
+		mat.Scale(1+grade, mat.FromRows([][]float64{{0, 0.9, 0}, {0.9, 0, 0}, {0, 0, 0.9}})),
+	}
+}
+
+// rankOneBoundarySet holds two multiples of one symmetric rank-one
+// matrix u·uᵀ. Every product is again such a multiple, whose spectral
+// radius equals its Frobenius norm.
+func rankOneBoundarySet(grade float64) []*mat.Dense {
+	u := mat.ColVec(1.0/3, 2.0/3, 2.0/3)
+	uu := mat.Mul(u, u.T())
+	return []*mat.Dense{mat.Scale(0.95, uu), mat.Scale(-0.95*(1+grade), uu)}
+}
+
 func TestEngineMatchesReferenceByteForByte(t *testing.T) {
 	cases := []struct {
 		name     string
@@ -163,6 +190,10 @@ func TestEngineMatchesReferenceByteForByte(t *testing.T) {
 	}{
 		{"pmsm", pmsmLikeSet(), 0.02, 12, 500_000},
 		{"golden", goldenPair(), 0.05, 10, 500_000},
+		// δ below an ulp keeps the branches whose certificates beat
+		// Lower by rounding alone, so the search runs at the boundary.
+		{"normal", normalBoundarySet(1e-15), 1e-17, 10, 500_000},
+		{"rank-one", rankOneBoundarySet(0), 1e-17, 10, 500_000},
 		// Tiny budget: exercises the partial-level ErrBudget path.
 		{"pmsm-budget", pmsmLikeSet(), 0.005, 14, 40},
 		{"golden-budget", goldenPair(), 1e-4, 12, 4},
@@ -171,16 +202,109 @@ func TestEngineMatchesReferenceByteForByte(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			want := refGripenberg(t, tc.set, tc.delta, tc.maxDepth, tc.maxNodes)
 			for _, w := range workerSweep() {
-				got, err := Gripenberg(tc.set, GripenbergOptions{
+				opt := GripenbergOptions{
 					Delta: tc.delta, MaxDepth: tc.maxDepth, MaxNodes: tc.maxNodes,
 					Workers: w, DisableEllipsoid: true,
-				})
+				}
+				got, err := Gripenberg(tc.set, opt)
 				if err != nil && !errors.Is(err, ErrBudget) {
 					t.Fatalf("w=%d: %v", w, err)
 				}
 				if !sameBounds(got, want) {
 					t.Fatalf("w=%d: engine %+v != reference %+v", w, got, want)
 				}
+				// On the complete graph the constrained search visits the
+				// same children in the same order.
+				con, err := ConstrainedGripenberg(tc.set, CompleteGraph(len(tc.set)), opt)
+				if err != nil && !errors.Is(err, ErrBudget) {
+					t.Fatalf("w=%d constrained: %v", w, err)
+				}
+				if !sameBounds(con, want) {
+					t.Fatalf("w=%d: constrained engine %+v != reference %+v", w, con, want)
+				}
+			}
+		})
+	}
+}
+
+// refBruteForce is a deliberately naive Eq. 12 sandwich: breadth-first
+// levels of fresh mat.Mul products, a fresh mat.SpectralRadius and
+// mat.TwoNorm for every product, nothing skipped, no workers. Within a
+// level the first maximizer in lexicographic word order is the witness.
+func refBruteForce(t *testing.T, set []*mat.Dense, maxLen int) Bounds {
+	t.Helper()
+	level := append([]*mat.Dense(nil), set...)
+	words := make([][]int, len(set))
+	for i := range set {
+		words[i] = []int{i}
+	}
+	lower, upper := 0.0, math.Inf(1)
+	var witness []int
+	for l := 1; l <= maxLen; l++ {
+		bestRho, maxNorm := 0.0, 0.0
+		var bestWord []int
+		for pi, p := range level {
+			rho, err := mat.SpectralRadius(p)
+			if err != nil {
+				t.Fatalf("rho of %v: %v", words[pi], err)
+			}
+			if rho > bestRho {
+				bestRho, bestWord = rho, words[pi]
+			}
+			maxNorm = math.Max(maxNorm, mat.TwoNorm(p))
+		}
+		exp := 1 / float64(l)
+		if lb := math.Pow(bestRho, exp); lb > lower {
+			lower, witness = lb, bestWord
+		}
+		upper = math.Min(upper, math.Pow(maxNorm, exp))
+		var next []*mat.Dense
+		var nextWords [][]int
+		for pi, p := range level {
+			for ai, a := range set {
+				next = append(next, mat.Mul(a, p))
+				nextWords = append(nextWords, childWord(words[pi], ai))
+			}
+		}
+		level, words = next, nextWords
+	}
+	if upper < lower {
+		upper = lower
+	}
+	return Bounds{Lower: lower, Upper: upper, WitnessWord: witness}
+}
+
+func TestBruteForceMatchesReferenceByteForByte(t *testing.T) {
+	cases := []struct {
+		name   string
+		set    []*mat.Dense
+		maxLen int
+	}{
+		{"pmsm", pmsmLikeSet(), 9},
+		{"golden", goldenPair(), 9},
+		{"normal", normalBoundarySet(1e-15), 8},
+		{"rank-one", rankOneBoundarySet(1e-15), 8},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			want := refBruteForce(t, tc.set, tc.maxLen)
+			for _, w := range workerSweep() {
+				got, err := BruteForceBoundsOpt(tc.set, tc.maxLen, BruteForceOptions{Workers: w})
+				if err != nil {
+					t.Fatalf("w=%d: %v", w, err)
+				}
+				if !sameBounds(got, want) {
+					t.Fatalf("w=%d: engine %+v != reference %+v", w, got, want)
+				}
+			}
+			// On the complete graph every walk closes and the levels hold
+			// the same products in the same order.
+			con, err := ConstrainedBounds(tc.set, CompleteGraph(len(tc.set)), tc.maxLen)
+			if err != nil {
+				t.Fatalf("constrained: %v", err)
+			}
+			if !sameBounds(con, want) {
+				t.Fatalf("constrained engine %+v != reference %+v", con, want)
 			}
 		})
 	}
@@ -331,7 +455,7 @@ func TestResumeEllipsoidMismatchRejected(t *testing.T) {
 
 func TestExpandLevelZeroAllocsWarm(t *testing.T) {
 	set := pmsmLikeSet()
-	frontier, _, _, err := seedFrontier(set, set)
+	frontier, seedLower, _, err := seedFrontier(set, set)
 	if err != nil {
 		t.Fatalf("seed: %v", err)
 	}
@@ -339,17 +463,69 @@ func TestExpandLevelZeroAllocsWarm(t *testing.T) {
 	ctx := context.Background()
 	// Warm both parity pools and the slot-0 scratch.
 	for _, depth := range []int{2, 3} {
-		if _, err := g.expandLevel(ctx, frontier, len(frontier), depth, 1); err != nil {
+		if _, err := g.expandLevel(ctx, frontier, len(frontier), depth, 1, math.Inf(-1)); err != nil {
 			t.Fatalf("warmup depth %d: %v", depth, err)
 		}
 	}
-	allocs := testing.AllocsPerRun(50, func() {
-		if _, err := g.expandLevel(ctx, frontier, len(frontier), 2, 1); err != nil {
-			panic(err)
+	// -Inf solves every child; the seed lower bound skips some.
+	for _, lower := range []float64{math.Inf(-1), seedLower} {
+		allocs := testing.AllocsPerRun(50, func() {
+			if _, err := g.expandLevel(ctx, frontier, len(frontier), 2, 1, lower); err != nil {
+				panic(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("lower=%v: warm expandLevel allocates %.1f per level, want 0", lower, allocs)
 		}
-	})
-	if allocs != 0 {
-		t.Errorf("warm expandLevel allocates %.1f per level, want 0", allocs)
+	}
+}
+
+// TestExpandLevelSkipsOnlyLosingChildren pins both sides of the skip
+// rule: with lower = -Inf every child carries its solved spectral
+// radius, with lower = +Inf none is solved, and at a lower bound between
+// the children's bound rates a child is solved exactly when its rate
+// exceeds that bound.
+func TestExpandLevelSkipsOnlyLosingChildren(t *testing.T) {
+	set := pmsmLikeSet()
+	frontier, _, _, err := seedFrontier(set, set)
+	if err != nil {
+		t.Fatalf("seed: %v", err)
+	}
+	g := newGripSearch(set, 1)
+	ctx := context.Background()
+	const depth = 2
+	children, err := g.expandLevel(ctx, frontier, len(frontier), depth, 1, math.Inf(-1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rates := make([]float64, len(children))
+	for ci, c := range children {
+		rates[ci] = math.Pow(mat.SpectralRadiusBound(c.prod), 1.0/depth)
+	}
+	sort.Float64s(rates)
+	mid := rates[len(rates)/2-1]
+	for _, lower := range []float64{math.Inf(-1), mid, math.Inf(1)} {
+		children, err := g.expandLevel(ctx, frontier, len(frontier), depth, 1, lower)
+		if err != nil {
+			t.Fatalf("lower=%v: %v", lower, err)
+		}
+		solved := 0
+		for ci, c := range children {
+			want := 0.0
+			if math.Pow(mat.SpectralRadiusBound(c.prod), 1.0/depth) > lower {
+				solved++
+				if want, err = mat.SpectralRadius(c.prod); err != nil {
+					t.Fatalf("child %d: %v", ci, err)
+				}
+			}
+			if math.Float64bits(c.rho) != math.Float64bits(want) {
+				t.Errorf("lower=%v child %d: rho = %v, want %v", lower, ci, c.rho, want)
+			}
+		}
+		//lint:ignore floatcompare mid is one of the rates, picked exactly
+		if lower == mid && (solved == 0 || solved == len(children)) {
+			t.Errorf("lower=%v solved %d of %d children, want a mix", lower, solved, len(children))
+		}
 	}
 }
 
@@ -383,7 +559,7 @@ func benchmarkExpand(b *testing.B, n int) {
 	g := newGripSearch(set, 1)
 	ctx := context.Background()
 	for depth := 2; depth <= 3; depth++ {
-		children, err := g.expandLevel(ctx, frontier, len(frontier), depth, 1)
+		children, err := g.expandLevel(ctx, frontier, len(frontier), depth, 1, math.Inf(-1))
 		if err != nil {
 			b.Fatalf("build depth %d: %v", depth, err)
 		}
@@ -397,13 +573,13 @@ func benchmarkExpand(b *testing.B, n int) {
 		}
 		frontier = next
 	}
-	if _, err := g.expandLevel(ctx, frontier, len(frontier), 4, 1); err != nil {
+	if _, err := g.expandLevel(ctx, frontier, len(frontier), 4, 1, math.Inf(-1)); err != nil {
 		b.Fatalf("warmup: %v", err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := g.expandLevel(ctx, frontier, len(frontier), 4, 1); err != nil {
+		if _, err := g.expandLevel(ctx, frontier, len(frontier), 4, 1, math.Inf(-1)); err != nil {
 			b.Fatalf("expand: %v", err)
 		}
 	}

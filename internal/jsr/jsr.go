@@ -198,12 +198,18 @@ func (lb *levelBest) fold(rho float64, word []int, nv float64) {
 }
 
 // foldLevel folds one fully materialized breadth-first level into its
-// accumulator, in enumeration order.
+// accumulator, in enumeration order. A product whose spectral-radius
+// bound cannot beat the running maximum is folded with rho = 0 and no
+// eigenvalue solve: fold keeps strictly greater candidates only, so it
+// would not have won with its true rho either.
 func foldLevel(lb *levelBest, level []*mat.Dense, words [][]int) error {
 	for pi, p := range level {
-		rho, err := mat.SpectralRadius(p)
-		if err != nil {
-			return err
+		rho := 0.0
+		if mat.SpectralRadiusBound(p) > lb.rho {
+			var err error
+			if rho, err = mat.SpectralRadius(p); err != nil {
+				return err
+			}
 		}
 		lb.fold(rho, words[pi], norm(p))
 	}
@@ -361,11 +367,15 @@ func BruteForceBoundsCtx(ctx context.Context, set []*mat.Dense, maxLen int, opt 
 						p := ds.prods[length+1]
 						mat.MulInto(p, set[ai], prod)
 						ds.path[length] = ai
-						rho, err := mat.SpectralRadiusScratch(p, ds.ms)
-						if err != nil {
-							return err
+						lb := &part[length+1]
+						rho := 0.0
+						if mat.SpectralRadiusBound(p) > lb.rho {
+							var err error
+							if rho, err = mat.SpectralRadiusScratch(p, ds.ms); err != nil {
+								return err
+							}
 						}
-						part[length+1].fold(rho, ds.path[:length+1], mat.TwoNormScratch(p, ds.ms))
+						lb.fold(rho, ds.path[:length+1], mat.TwoNormScratch(p, ds.ms))
 						if length+1 < maxLen {
 							if err := dfs(p, length+1); err != nil {
 								return err
@@ -772,7 +782,7 @@ func GripenbergCtx(ctx context.Context, set []*mat.Dense, opt GripenbergOptions)
 		if opt.Expand != nil {
 			children, err = expandViaHook(ctx, opt.Expand, frontier, expand, depth, k)
 		} else {
-			children, err = g.expandLevel(ctx, frontier, expand, depth, opt.Workers)
+			children, err = g.expandLevel(ctx, frontier, expand, depth, opt.Workers, lower)
 		}
 		if err != nil {
 			if isCtxErr(err) {

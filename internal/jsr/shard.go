@@ -3,6 +3,7 @@ package jsr
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"adaptivertc/internal/mat"
 )
@@ -104,7 +105,9 @@ func ExpandShard(ctx context.Context, work []*mat.Dense, req ExpandRequest, work
 	}
 	workers = resolveWorkers(workers)
 	g := newGripSearch(work, workers)
-	children, err := g.expandLevel(ctx, frontier, len(frontier), req.Depth, workers)
+	// A request carries no lower bound, so every rho is computed; the
+	// caller's merge reaches the same bracket either way.
+	children, err := g.expandLevel(ctx, frontier, len(frontier), req.Depth, workers, math.Inf(-1))
 	if err != nil {
 		return ExpandResult{}, err
 	}

@@ -241,6 +241,7 @@ func hqrInPlace(hm *Dense, wr, wi []float64) error {
 		return nil
 	}
 
+	maxIts := maxInt(60, 30*n)
 	nn := n - 1
 	t := 0.0
 	for nn >= 0 {
@@ -299,12 +300,14 @@ func hqrInPlace(hm *Dense, wr, wi []float64) error {
 				nn -= 2
 				break
 			}
-			// No root yet: perform a double QR step.
-			if its == 60 {
+			// No root yet: perform a double QR step, within LAPACK's
+			// per-eigenvalue budget of 30·n steps (at least 60).
+			if its == maxIts {
 				return ErrEigNotConverged
 			}
-			if its == 10 || its == 20 || its == 30 || its == 40 || its == 50 {
-				// Exceptional shift to break symmetry cycles.
+			if its > 0 && its%10 == 0 {
+				// Exceptional shift, every 10th step, to break the cycles
+				// that structured (e.g. checkerboard) matrices fall into.
 				t += x
 				for i := 0; i <= nn; i++ {
 					set(i, i, at(i, i)-x)
@@ -426,6 +429,38 @@ func SpectralRadius(a *Dense) (float64, error) {
 		}
 	}
 	return r, nil
+}
+
+// Rounding allowance and trusted range of SpectralRadiusBound. The
+// margin is four to five orders of magnitude above the backward error
+// of the balance + Hessenberg + QR solve (≈ n·eps·‖A‖ for n ≤ 64) and the
+// n-term rounding of the norm sums. Inside [radiusBoundMin,
+// radiusBoundMax] no intermediate of that solve over- or underflows:
+// balancing only shrinks the off-diagonal mass and the Hessenberg and QR
+// steps are orthogonal, so every entry they see stays within a factor n
+// of the bound, and squares of such entries stay normal.
+const (
+	radiusBoundMargin = 1e-10
+	radiusBoundMin    = 0x1p-450
+	radiusBoundMax    = 0x1p450
+)
+
+// SpectralRadiusBound returns a cheap upper bound on the value
+// SpectralRadius and SpectralRadiusScratch compute for a: the smallest
+// of ‖a‖_F, ‖a‖₁ and ‖a‖∞, each of which bounds every |λ|, inflated by a
+// relative margin of 1e-10 that covers the eigenvalue solve's rounding.
+// Callers that fold spectral radii into a running maximum may skip the
+// O(n³) solve whenever this O(n²) bound cannot beat the maximum. Outside
+// the range where that margin is trusted (and for non-finite entries)
+// it returns +Inf, which never allows a skip; the zero matrix gets 0.
+// It allocates nothing.
+func SpectralRadiusBound(a *Dense) float64 {
+	mustSquare("SpectralRadiusBound", a)
+	b := math.Min(FroNorm(a), math.Min(OneNorm(a), InfNorm(a)))
+	if !(b <= radiusBoundMax) || b < radiusBoundMin && b > 0 {
+		return math.Inf(1)
+	}
+	return b * (1 + radiusBoundMargin)
 }
 
 // IsSchurStable reports whether every eigenvalue lies strictly inside

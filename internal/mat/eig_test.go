@@ -288,3 +288,113 @@ func BenchmarkEigenvalues12(b *testing.B) {
 		}
 	}
 }
+
+// checkerboardProduct is a 9×9 Lyapunov-preconditioned closed-loop
+// matrix of the lifted PMSM design (3 modes, Ns = 2, entries scaled by
+// 1 + 1e-9·u). Its checkerboard-like sparsity made the double-shift QR
+// iteration cycle past the old fixed budget of 60 iterations on the
+// first attempt and on every retry of the ladder.
+var checkerboardProduct = [][]float64{
+	{0.5165791596498518, 0, 0, -0.5140682407722807, 0, 0.19902175506886677, 0, 0.007532322070358921, 0},
+	{0, 0.341892431870661, -0.31722862963680987, 0, -0.669256332920246, 0, 0.13483436570888996, 0, -0.0308959458040714},
+	{0, 0.415821270378471, 0.6141055883577136, 0, -0.057363835174085165, 0, 0.08103181956065647, 0, 0.11096080778051198},
+	{-0.2259886191888384, 0, 0, -0.1445675452987602, 0, 0.035858411721619195, 0, -0.009160778409834036, 0},
+	{0, -0.16081156635687552, 0.06605330358338118, 0, -0.10820364545963723, 0, 0.06460373905780743, 0, 0.028609818389756514},
+	{-0.6203647205179676, 0, 0, -0.39685451929901217, 0, 0.12565606829594397, 0, -0.02597263439319375, 0},
+	{0, -0.6310363809402718, 0.2591980078715521, 0, -0.4245990408666547, 0, 0.08921458697852439, 0, 0.10066303756960293},
+	{0, 0, 0, 0, 0, 0.5890730183954976, 0, -0.017858885578137675, 0},
+	{0, 0, 0, 0, 0, 0, 0.618957829191603, 0, 0.043716300248903786},
+}
+
+func TestEigenvaluesConvergeOnCheckerboardProduct(t *testing.T) {
+	a := FromRows(checkerboardProduct)
+	// The first attempt must converge on its own now, not via a retry.
+	eigs, err := eigOnce(a)
+	if err != nil {
+		t.Fatalf("eigOnce: %v", err)
+	}
+	var sum complex128
+	for _, e := range eigs {
+		sum += e
+	}
+	if math.Abs(real(sum)-a.Trace()) > 1e-12 || math.Abs(imag(sum)) > 1e-12 {
+		t.Fatalf("eigenvalue sum %v, trace %v", sum, a.Trace())
+	}
+	rho, err := SpectralRadius(a)
+	if err != nil {
+		t.Fatalf("SpectralRadius: %v", err)
+	}
+	rs, err := SpectralRadiusScratch(a, NewScratch(9))
+	if err != nil {
+		t.Fatalf("SpectralRadiusScratch: %v", err)
+	}
+	if math.Float64bits(rs) != math.Float64bits(rho) {
+		t.Fatalf("scratch rho %v != allocating rho %v", rs, rho)
+	}
+	if rho > SpectralRadiusBound(a) {
+		t.Fatalf("rho %v above its norm bound %v", rho, SpectralRadiusBound(a))
+	}
+}
+
+// radiusBoundCase is one matrix the spectral-radius bound is checked
+// on. tight marks families whose bound equals the spectral radius in
+// exact arithmetic, so the computed ρ sits right at the bound; huge
+// marks entries scaled outside the bound's trusted range.
+type radiusBoundCase struct {
+	name        string
+	a           *Dense
+	tight, huge bool
+}
+
+func radiusBoundCases(rng *rand.Rand, n int) []radiusBoundCase {
+	perm := New(n, n) // cyclic shift: orthogonal with ‖·‖₁ = ‖·‖∞ = ρ
+	for i := 0; i < n; i++ {
+		perm.Set(i, (i+1)%n, 0.93)
+	}
+	u, v := randomDense(rng, n, 1), randomDense(rng, n, 1)
+	jordan := Scale(0.9, Eye(n))
+	for i := 0; i+1 < n; i++ {
+		jordan.Set(i, i+1, 1)
+	}
+	jordan.Set(n-1, 0, jordan.At(n-1, 0)+1e-14)
+	return []radiusBoundCase{
+		{name: "random", a: randomDense(rng, n, n)},
+		{name: "orthogonal", a: Scale(1.7, FactorQR(randomDense(rng, n, n)).Q())},
+		{name: "permutation", a: perm, tight: true},
+		{name: "rank-one-symmetric", a: Mul(u, u.T()), tight: true},
+		{name: "rank-one", a: Mul(u, v.T())},
+		{name: "jordan", a: jordan},
+		{name: "scaled-1e120", a: Scale(1e120, randomDense(rng, n, n))},
+		{name: "scaled-1e-120", a: Scale(1e-120, randomDense(rng, n, n))},
+		{name: "scaled-1e150", a: Scale(1e150, randomDense(rng, n, n)), huge: true},
+		{name: "scaled-1e-150", a: Scale(1e-150, randomDense(rng, n, n)), huge: true},
+		{name: "zero", a: New(n, n)},
+	}
+}
+
+func TestSpectralRadiusBoundCoversComputedRadius(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, n := range []int{1, 2, 3, 9, 64} {
+		ms := NewScratch(n)
+		for _, c := range radiusBoundCases(rng, n) {
+			bound := SpectralRadiusBound(c.a)
+			rho, err := SpectralRadius(c.a)
+			if err != nil {
+				t.Fatalf("n=%d %s: SpectralRadius: %v", n, c.name, err)
+			}
+			rs, err := SpectralRadiusScratch(c.a, ms)
+			if err != nil {
+				t.Fatalf("n=%d %s: SpectralRadiusScratch: %v", n, c.name, err)
+			}
+			if !(rho <= bound) || !(rs <= bound) {
+				t.Errorf("n=%d %s: rho %v / scratch %v above bound %v", n, c.name, rho, rs, bound)
+			}
+			if c.huge != math.IsInf(bound, 1) {
+				t.Errorf("n=%d %s: bound %v, want +Inf exactly when outside the trusted range", n, c.name, bound)
+			}
+			if c.tight && bound > rho*(1+1e-9) {
+				t.Errorf("n=%d %s: bound %v not tight against rho %v", n, c.name, bound, rho)
+			}
+		}
+	}
+}

@@ -48,6 +48,9 @@ go test -race ./internal/jsr/ ./internal/sim/ ./internal/guard/ ./internal/fault
 echo "== go test -race ./..."
 go test -race ./...
 
+echo "== bench self-test (bench/ is its own module, so go test ./... never reaches it)"
+(cd bench && go test -short ./...)
+
 echo "== faultsim smoke: one fault-injected sequence through the certified ladder"
 go run ./cmd/adactl faultsim -sequences 1 -jobs 20 -workers 1 -nodes 20000 -brute 3 >/dev/null
 
