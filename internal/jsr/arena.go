@@ -2,7 +2,6 @@ package jsr
 
 import (
 	"context"
-	"math"
 	"runtime/debug"
 
 	"adaptivertc/internal/mat"
@@ -12,15 +11,23 @@ import (
 // GripenbergCtx. The expand loop is the hot path of every certification
 // job: each node costs exactly one small matrix multiply (the child is
 // Ω(h)·parent, with the parent product cached on the frontier entry),
-// one spectral radius, and one norm — all through preallocated
-// per-worker scratch, so a warm level performs zero heap allocations
-// per node. Results are bit-identical to the straightforward allocating
-// loop because every numeric kernel (mat.MulInto, mat.TwoNormScratch,
-// mat.SpectralRadiusScratch) shares its computational core with the
-// allocating variant. The spectral radius is skipped (recorded as 0)
-// when mat.SpectralRadiusBound shows the child cannot raise the
-// level-start lower bound: the merge folds ρ into Lower with a strict
-// >, so such a child never changes Lower, the witness, or the frontier.
+// at most one spectral radius, and at most one norm — all through
+// preallocated per-worker scratch, so a warm level performs zero heap
+// allocations per node. Results are bit-identical to the straightforward
+// allocating loop because every numeric kernel (mat.MulInto,
+// mat.TwoNormScratch, mat.SpectralRadiusScratch) shares its
+// computational core with the allocating variant.
+//
+// Two gates skip the O(n³) kernels on children that provably cannot
+// matter, both read from one O(n²) sweep (mat.NormBoundsScratch). The
+// spectral radius is skipped (recorded as 0) when the norm or Gelfand
+// bound shows the child cannot raise the level-start lower bound: the
+// merge folds ρ into Lower with a strict >, so such a child never
+// changes Lower or the witness. The norm is skipped (the bound's rate is
+// recorded as the certificate) when the bound already puts the
+// certificate at or below the level-start prune threshold: the merge
+// prunes against a threshold at least as high, and a pruned child's
+// certificate is read nowhere.
 
 // serialCutoverNodes is the frontier size at or below which a level is
 // expanded on the calling goroutine regardless of the Workers option:
@@ -70,6 +77,7 @@ type gripSearch struct {
 	frontier []gripNode
 	exp      float64
 	lower    float64
+	prune    float64
 	pool     *matPool
 
 	// fn is the per-range worker body, built once at construction so
@@ -118,8 +126,11 @@ func (g *gripSearch) scratchFor(slot int) *mat.Scratch {
 // next expandLevel call; child products live in the depth-parity pool.
 // lower is the search's lower bound at the start of the level: a child
 // whose spectral-radius bound rate cannot exceed it gets rho = 0 without
-// an eigenvalue solve. Pass -Inf to compute every rho.
-func (g *gripSearch) expandLevel(ctx context.Context, frontier []gripNode, expand, depth, workers int, lower float64) ([]gripChild, error) {
+// an eigenvalue solve. prune is the level-start prune threshold
+// lower + δ: a child whose certificate bound cannot exceed it carries
+// that bound as its certificate, without a norm computation. Pass -Inf
+// for both to compute every rho and every norm.
+func (g *gripSearch) expandLevel(ctx context.Context, frontier []gripNode, expand, depth, workers int, lower, prune float64) ([]gripChild, error) {
 	need := expand * g.k
 	if cap(g.children) < need {
 		g.children = make([]gripChild, need)
@@ -130,6 +141,7 @@ func (g *gripSearch) expandLevel(ctx context.Context, frontier []gripNode, expan
 	g.frontier = frontier
 	g.exp = 1 / float64(depth)
 	g.lower = lower
+	g.prune = prune
 	g.pool = pool
 	if expand <= serialCutoverNodes {
 		workers = 1
@@ -158,14 +170,12 @@ func (g *gripSearch) expandNodeGuarded(fi int, ms *mat.Scratch) (err error) {
 	for ai, a := range g.set {
 		p := bufs[ai]
 		mat.MulInto(p, a, nd.prod)
-		rho := 0.0
-		if math.Pow(mat.SpectralRadiusBound(p), g.exp) > g.lower {
-			var rerr error
-			if rho, rerr = mat.SpectralRadiusScratch(p, ms); rerr != nil {
-				return rerr
-			}
+		nb := mat.NormBoundsScratch(p, ms)
+		rho, rerr := gatedRadius(p, nb, ms, g.exp, g.lower)
+		if rerr != nil {
+			return rerr
 		}
-		out[ai] = gripChild{prod: p, rho: rho, cert: math.Min(nd.cert, math.Pow(mat.TwoNormScratch(p, ms), g.exp))}
+		out[ai] = gripChild{prod: p, rho: rho, cert: gatedCert(p, nb, ms, nd.cert, g.exp, g.prune)}
 	}
 	return nil
 }

@@ -250,8 +250,10 @@ type cgripNode struct {
 // cgripChild is one expanded successor; rho is meaningful only when cyc
 // is set (spectral radii of non-closable walks never bound the
 // constrained JSR from below, so they are not computed). Like
-// Gripenberg's children, a closable child whose spectral-radius bound
-// cannot raise the level-start lower bound carries rho = 0.
+// Gripenberg's children, a closable child whose spectral-radius bounds
+// cannot raise the level-start lower bound carries rho = 0, and a child
+// whose certificate bound cannot exceed the level-start prune threshold
+// carries that bound as its certificate.
 type cgripChild struct {
 	at   int
 	prod *mat.Dense
@@ -277,25 +279,22 @@ func cgripCutBounds(lower, delta float64, witness []int, frontier []cgripNode) B
 }
 
 // expandCGripNode computes the out-degree children of one constrained
-// frontier node into out, in successor order. lower is the level-start
-// lower bound that gates the eigenvalue solve.
-func expandCGripNode(set []*mat.Dense, g *Graph, nd cgripNode, exp, lower float64, out []cgripChild) error {
+// frontier node into out, in successor order, with the same gates as
+// Gripenberg's expandNodeGuarded: lower is the level-start lower bound
+// that gates the eigenvalue solve, prune the level-start prune
+// threshold that gates the norm.
+func expandCGripNode(set []*mat.Dense, g *Graph, nd cgripNode, exp, lower, prune float64, ms *mat.Scratch, out []cgripChild) error {
 	for j, nxt := range g.Next[nd.at] {
 		p := mat.Mul(set[g.Nodes[nxt]], nd.prod)
-		c := cgripChild{
-			at:   nxt,
-			prod: p,
-			cert: math.Min(nd.cert, math.Pow(norm(p), exp)),
-		}
+		nb := mat.NormBoundsScratch(p, ms)
+		c := cgripChild{at: nxt, prod: p, cert: gatedCert(p, nb, ms, nd.cert, exp, prune)}
 		if closes(g, nxt, nd.start) {
 			c.cyc = true
-			if math.Pow(mat.SpectralRadiusBound(p), exp) > lower {
-				rho, err := mat.SpectralRadius(p)
-				if err != nil {
-					return err
-				}
-				c.rho = rho
+			rho, err := gatedRadius(p, nb, ms, exp, lower)
+			if err != nil {
+				return err
 			}
+			c.rho = rho
 		}
 		out[j] = c
 	}
@@ -367,6 +366,8 @@ func ConstrainedGripenbergCtx(ctx context.Context, set []*mat.Dense, g *Graph, o
 		nodes++
 	}
 	depth := 1
+	n := set[0].Rows()
+	scratch := make([]*mat.Scratch, opt.Workers)
 	for len(frontier) > 0 && depth < opt.MaxDepth {
 		if cerr := ctx.Err(); cerr != nil {
 			return cgripCutBounds(lower, opt.Delta, witness, frontier), deadlineErr(ctx, cerr)
@@ -404,14 +405,20 @@ func ConstrainedGripenbergCtx(ctx context.Context, set []*mat.Dense, g *Graph, o
 		depth++
 		exp := 1 / float64(depth)
 		children := make([]cgripChild, offs[expand])
-		err := parallelRanges(ctx, expand, opt.Workers, func(ctx context.Context, lo, hi int) error {
+		err := parallelSlots(ctx, expand, opt.Workers, func(ctx context.Context, slot, lo, hi int) error {
+			// Lazy per-slot scratch, race-free for the same reason as
+			// gripSearch.scratchFor.
+			if scratch[slot] == nil {
+				scratch[slot] = mat.NewScratch(n)
+			}
+			ms := scratch[slot]
 			for fi := lo; fi < hi; fi++ {
 				if cerr := ctx.Err(); cerr != nil {
 					return cerr
 				}
 				nd := frontier[fi]
 				if gerr := expandGuard(nd.word, func() error {
-					return expandCGripNode(set, g, nd, exp, lower, children[offs[fi]:offs[fi+1]])
+					return expandCGripNode(set, g, nd, exp, lower, lower+opt.Delta, ms, children[offs[fi]:offs[fi+1]])
 				}); gerr != nil {
 					return gerr
 				}

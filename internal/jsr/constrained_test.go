@@ -221,3 +221,149 @@ func TestConstrainedGripenbergValidation(t *testing.T) {
 		t.Fatal("negative delta accepted")
 	}
 }
+
+// refConstrainedGripenberg is a deliberately naive sequential
+// constrained search: every child is a fresh mat.Mul, every closing
+// child gets a fresh mat.SpectralRadius and every child a fresh
+// mat.TwoNorm, nothing is skipped and no workers run. It mirrors the
+// engine's merge and budget semantics exactly.
+func refConstrainedGripenberg(t *testing.T, set []*mat.Dense, g *Graph, delta float64, maxDepth, maxNodes int) Bounds {
+	t.Helper()
+	frMax := func(fr []cgripNode) float64 {
+		m := 0.0
+		for _, nd := range fr {
+			m = math.Max(m, nd.cert)
+		}
+		return m
+	}
+	lower := 0.0
+	var witness []int
+	var frontier []cgripNode
+	for i, lbl := range g.Nodes {
+		p := set[lbl]
+		if closes(g, i, i) {
+			rho, err := mat.SpectralRadius(p)
+			if err != nil {
+				t.Fatalf("seed rho: %v", err)
+			}
+			if rho > lower {
+				lower, witness = rho, []int{lbl}
+			}
+		}
+		frontier = append(frontier, cgripNode{at: i, start: i, prod: p, word: []int{lbl}, cert: mat.TwoNorm(p)})
+	}
+	depth, nodes := 1, len(frontier)
+	for len(frontier) > 0 && depth < maxDepth {
+		var kept []cgripNode
+		for _, nd := range frontier {
+			if nd.cert > lower+delta {
+				kept = append(kept, nd)
+			}
+		}
+		frontier = kept
+		if len(frontier) == 0 {
+			break
+		}
+		expand, grown := 0, 0
+		for expand < len(frontier) && grown+len(g.Next[frontier[expand].at]) <= maxNodes-nodes {
+			grown += len(g.Next[frontier[expand].at])
+			expand++
+		}
+		if expand == 0 {
+			return Bounds{Lower: lower, Upper: math.Max(lower+delta, frMax(frontier)), WitnessWord: witness}
+		}
+		depth++
+		exp := 1 / float64(depth)
+		type refChild struct {
+			node      cgripNode
+			rho       float64
+			cyc       bool
+			parentIdx int
+		}
+		var children []refChild
+		for fi, nd := range frontier[:expand] {
+			for _, nxt := range g.Next[nd.at] {
+				p := mat.Mul(set[g.Nodes[nxt]], nd.prod)
+				c := refChild{parentIdx: fi, node: cgripNode{
+					at: nxt, start: nd.start, prod: p,
+					word: childWord(nd.word, g.Nodes[nxt]),
+					cert: math.Min(nd.cert, math.Pow(mat.TwoNorm(p), exp)),
+				}}
+				if closes(g, nxt, nd.start) {
+					rho, err := mat.SpectralRadius(p)
+					if err != nil {
+						t.Fatalf("child rho: %v", err)
+					}
+					c.rho, c.cyc = rho, true
+				}
+				children = append(children, c)
+			}
+		}
+		nodes += len(children)
+		for _, c := range children {
+			if lb := math.Pow(c.rho, exp); c.cyc && lb > lower {
+				lower, witness = lb, c.node.word
+			}
+		}
+		var next []cgripNode
+		for _, c := range children {
+			if c.node.cert > lower+delta {
+				next = append(next, c.node)
+			}
+		}
+		if expand < len(frontier) {
+			upper := math.Max(lower+delta, math.Max(frMax(next), frMax(frontier[expand:])))
+			return Bounds{Lower: lower, Upper: upper, WitnessWord: witness}
+		}
+		frontier = next
+	}
+	if len(frontier) == 0 {
+		return Bounds{Lower: lower, Upper: lower + delta, WitnessWord: witness}
+	}
+	return Bounds{Lower: lower, Upper: math.Max(lower+delta, frMax(frontier)), WitnessWord: witness}
+}
+
+// TestConstrainedEngineMatchesReferenceByteForByte pins the constrained
+// engine, gates and all, to the naive reference on weakly-hard graphs at
+// every worker count. The boundary sets put every product's norm bound
+// on the skip threshold (see TestEngineMatchesReferenceByteForByte).
+func TestConstrainedEngineMatchesReferenceByteForByte(t *testing.T) {
+	cases := []struct {
+		name     string
+		set      []*mat.Dense
+		m, k     int
+		delta    float64
+		maxDepth int
+		maxNodes int
+	}{
+		{"pmsm-1of3", pmsmLikeSet(), 1, 3, 0.005, 14, 500_000},
+		{"pmsm-2of5", pmsmLikeSet(), 2, 5, 0.005, 12, 500_000},
+		{"golden-1of3", goldenPair(), 1, 3, 0.01, 12, 500_000},
+		{"nonnormal-2of4", nonNormalPair(), 2, 4, 1e-3, 12, 500_000},
+		{"normal-1of2", normalBoundarySet(1e-15), 1, 2, 1e-17, 10, 500_000},
+		{"rank-one-2of4", rankOneBoundarySet(1e-15), 2, 4, 1e-17, 10, 500_000},
+		{"dominant-1of3", dominantBoundarySet(1e-15), 1, 3, 1e-17, 10, 500_000},
+		// Tiny budget: exercises the partial-level ErrBudget path.
+		{"pmsm-budget", pmsmLikeSet(), 1, 3, 0.005, 14, 60},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			g, err := WeaklyHardGraph(tc.m, tc.k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := refConstrainedGripenberg(t, tc.set, g, tc.delta, tc.maxDepth, tc.maxNodes)
+			for _, w := range workerSweep() {
+				got, err := ConstrainedGripenberg(tc.set, g, GripenbergOptions{
+					Delta: tc.delta, MaxDepth: tc.maxDepth, MaxNodes: tc.maxNodes, Workers: w,
+				})
+				if err != nil && !errors.Is(err, ErrBudget) {
+					t.Fatalf("w=%d: %v", w, err)
+				}
+				if !sameBounds(got, want) {
+					t.Fatalf("w=%d: engine %+v != reference %+v", w, got, want)
+				}
+			}
+		})
+	}
+}

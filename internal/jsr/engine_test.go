@@ -180,6 +180,22 @@ func rankOneBoundarySet(grade float64) []*mat.Dense {
 	return []*mat.Dense{mat.Scale(0.95, uu), mat.Scale(-0.95*(1+grade), uu)}
 }
 
+// dominantBoundarySet holds two multiples of one symmetric matrix
+// Q·diag(1, 1e-6, 0)·Qᵀ with Q a rotation. Every product is again such a
+// multiple: its Frobenius norm exceeds its spectral radius by ≈ 5e-13
+// relative, past the Frobenius bound's margin, but its square's
+// Frobenius norm equals ρ² to within rounding, so it is the Gelfand
+// bound that sits on the skip threshold.
+func dominantBoundarySet(grade float64) []*mat.Dense {
+	c, s := math.Cos(0.3), math.Sin(0.3)
+	q := mat.Mul(
+		mat.FromRows([][]float64{{c, -s, 0}, {s, c, 0}, {0, 0, 1}}),
+		mat.FromRows([][]float64{{1, 0, 0}, {0, c, -s}, {0, s, c}}),
+	)
+	m := mat.MulMany(q, mat.Diag(1, 1e-6, 0), q.T())
+	return []*mat.Dense{mat.Scale(0.95, m), mat.Scale(-0.95*(1+grade), m)}
+}
+
 func TestEngineMatchesReferenceByteForByte(t *testing.T) {
 	cases := []struct {
 		name     string
@@ -194,6 +210,7 @@ func TestEngineMatchesReferenceByteForByte(t *testing.T) {
 		// Lower by rounding alone, so the search runs at the boundary.
 		{"normal", normalBoundarySet(1e-15), 1e-17, 10, 500_000},
 		{"rank-one", rankOneBoundarySet(0), 1e-17, 10, 500_000},
+		{"dominant", dominantBoundarySet(1e-15), 1e-17, 10, 500_000},
 		// Tiny budget: exercises the partial-level ErrBudget path.
 		{"pmsm-budget", pmsmLikeSet(), 0.005, 14, 40},
 		{"golden-budget", goldenPair(), 1e-4, 12, 4},
@@ -284,6 +301,7 @@ func TestBruteForceMatchesReferenceByteForByte(t *testing.T) {
 		{"golden", goldenPair(), 9},
 		{"normal", normalBoundarySet(1e-15), 8},
 		{"rank-one", rankOneBoundarySet(1e-15), 8},
+		{"dominant", dominantBoundarySet(1e-15), 8},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -461,30 +479,37 @@ func TestExpandLevelZeroAllocsWarm(t *testing.T) {
 	}
 	g := newGripSearch(set, 1)
 	ctx := context.Background()
+	inf := math.Inf(-1)
 	// Warm both parity pools and the slot-0 scratch.
 	for _, depth := range []int{2, 3} {
-		if _, err := g.expandLevel(ctx, frontier, len(frontier), depth, 1, math.Inf(-1)); err != nil {
+		if _, err := g.expandLevel(ctx, frontier, len(frontier), depth, 1, inf, inf); err != nil {
 			t.Fatalf("warmup depth %d: %v", depth, err)
 		}
 	}
-	// -Inf solves every child; the seed lower bound skips some.
-	for _, lower := range []float64{math.Inf(-1), seedLower} {
+	// -Inf solves every child and computes every norm; the seed lower
+	// bound and its prune threshold run both gates, including the
+	// Gelfand product in the scratch's square buffer.
+	for _, lp := range [][2]float64{{inf, inf}, {seedLower, seedLower + 1e-3}} {
 		allocs := testing.AllocsPerRun(50, func() {
-			if _, err := g.expandLevel(ctx, frontier, len(frontier), 2, 1, lower); err != nil {
+			if _, err := g.expandLevel(ctx, frontier, len(frontier), 2, 1, lp[0], lp[1]); err != nil {
 				panic(err)
 			}
 		})
 		if allocs != 0 {
-			t.Errorf("lower=%v: warm expandLevel allocates %.1f per level, want 0", lower, allocs)
+			t.Errorf("lower=%v prune=%v: warm expandLevel allocates %.1f per level, want 0", lp[0], lp[1], allocs)
 		}
 	}
 }
 
-// TestExpandLevelSkipsOnlyLosingChildren pins both sides of the skip
-// rule: with lower = -Inf every child carries its solved spectral
-// radius, with lower = +Inf none is solved, and at a lower bound between
-// the children's bound rates a child is solved exactly when its rate
-// exceeds that bound.
+// TestExpandLevelSkipsOnlyLosingChildren pins both gates on both sides.
+// A child's spectral radius is solved exactly when both its norm bound
+// and its Gelfand bound, taken to the 1/depth power, exceed lower;
+// otherwise it carries rho = 0. Its norm is computed exactly when
+// min(parent cert, T^{1/depth}) exceeds prune, T being the 2-norm bound;
+// otherwise that minimum is its certificate. lower = prune = -Inf
+// computes everything, +Inf nothing, and thresholds between the
+// children's bound rates give a mix, including children that only the
+// Gelfand bound skips.
 func TestExpandLevelSkipsOnlyLosingChildren(t *testing.T) {
 	set := pmsmLikeSet()
 	frontier, _, _, err := seedFrontier(set, set)
@@ -492,39 +517,82 @@ func TestExpandLevelSkipsOnlyLosingChildren(t *testing.T) {
 		t.Fatalf("seed: %v", err)
 	}
 	g := newGripSearch(set, 1)
+	ms := mat.NewScratch(set[0].Rows())
 	ctx := context.Background()
 	const depth = 2
-	children, err := g.expandLevel(ctx, frontier, len(frontier), depth, 1, math.Inf(-1))
+	exp := 1.0 / depth
+	k := len(set)
+	inf := math.Inf(1)
+	children, err := g.expandLevel(ctx, frontier, len(frontier), depth, 1, -inf, -inf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rates := make([]float64, len(children))
+	// Per child: the rate of each spectral-radius bound, and the
+	// certificate bound.
+	radius := make([]float64, len(children))
+	square := make([]float64, len(children))
+	certBound := make([]float64, len(children))
 	for ci, c := range children {
-		rates[ci] = math.Pow(mat.SpectralRadiusBound(c.prod), 1.0/depth)
+		nb := mat.NormBoundsScratch(c.prod, ms)
+		radius[ci] = math.Pow(nb.Radius, exp)
+		square[ci] = math.Pow(mat.SquareRadiusBoundScratch(c.prod, nb, ms), exp)
+		certBound[ci] = math.Min(frontier[ci/k].cert, math.Pow(nb.TwoNorm, exp))
 	}
-	sort.Float64s(rates)
-	mid := rates[len(rates)/2-1]
-	for _, lower := range []float64{math.Inf(-1), mid, math.Inf(1)} {
-		children, err := g.expandLevel(ctx, frontier, len(frontier), depth, 1, lower)
+	median := func(xs []float64) float64 {
+		ys := append([]float64(nil), xs...)
+		sort.Float64s(ys)
+		return ys[len(ys)/2-1]
+	}
+	rhoRates := make([]float64, len(children))
+	for ci := range children {
+		rhoRates[ci] = math.Min(radius[ci], square[ci])
+	}
+	midLower, midPrune := median(rhoRates), median(certBound)
+	for _, lp := range [][2]float64{{-inf, -inf}, {midLower, midPrune}, {inf, inf}} {
+		lower, prune := lp[0], lp[1]
+		children, err := g.expandLevel(ctx, frontier, len(frontier), depth, 1, lower, prune)
 		if err != nil {
 			t.Fatalf("lower=%v: %v", lower, err)
 		}
-		solved := 0
+		solved, squareOnly, normed := 0, 0, 0
 		for ci, c := range children {
 			want := 0.0
-			if math.Pow(mat.SpectralRadiusBound(c.prod), 1.0/depth) > lower {
+			if radius[ci] > lower && square[ci] > lower {
 				solved++
 				if want, err = mat.SpectralRadius(c.prod); err != nil {
 					t.Fatalf("child %d: %v", ci, err)
 				}
+			} else if radius[ci] > lower {
+				squareOnly++
 			}
 			if math.Float64bits(c.rho) != math.Float64bits(want) {
 				t.Errorf("lower=%v child %d: rho = %v, want %v", lower, ci, c.rho, want)
 			}
+			wantCert := certBound[ci]
+			if wantCert > prune {
+				normed++
+				wantCert = math.Min(frontier[ci/k].cert, math.Pow(mat.TwoNorm(c.prod), exp))
+			}
+			if math.Float64bits(c.cert) != math.Float64bits(wantCert) {
+				t.Errorf("prune=%v child %d: cert = %v, want %v", prune, ci, c.cert, wantCert)
+			}
 		}
-		//lint:ignore floatcompare mid is one of the rates, picked exactly
-		if lower == mid && (solved == 0 || solved == len(children)) {
-			t.Errorf("lower=%v solved %d of %d children, want a mix", lower, solved, len(children))
+		switch lower {
+		case -inf:
+			if solved != len(children) || normed != len(children) {
+				t.Errorf("lower=-Inf solved %d and normed %d of %d children, want all", solved, normed, len(children))
+			}
+		case inf:
+			if solved != 0 || normed != 0 {
+				t.Errorf("lower=+Inf solved %d and normed %d children, want none", solved, normed)
+			}
+		default:
+			if solved == 0 || solved == len(children) || squareOnly == 0 {
+				t.Errorf("lower=%v solved %d of %d children (%d skipped by the Gelfand bound alone), want a mix", lower, solved, len(children), squareOnly)
+			}
+			if normed == 0 || normed == len(children) {
+				t.Errorf("prune=%v normed %d of %d children, want a mix", prune, normed, len(children))
+			}
 		}
 	}
 }
@@ -548,18 +616,27 @@ func benchExpandSet(n, k int, seed int64) []*mat.Dense {
 	return set
 }
 
-func benchmarkExpand(b *testing.B, n int) {
+// benchmarkExpand times one warm depth-4 level. Ungated, it passes -Inf
+// and pays every kernel. Gated, it expands at the seed lower bound and
+// its prune threshold. On this random set nearly every depth-4 child
+// beats the seed bound, so the gated run prices the gates' overhead:
+// the bounds sweep and a Gelfand product that rarely skips anything.
+func benchmarkExpand(b *testing.B, n int, gated bool) {
 	set := benchExpandSet(n, 4, 42)
 	// Build a depth-3 frontier outside the pools so expansion never
 	// clobbers its own parents across benchmark iterations.
-	frontier, _, _, err := seedFrontier(set, set)
+	frontier, seedLower, _, err := seedFrontier(set, set)
 	if err != nil {
 		b.Fatalf("seed: %v", err)
+	}
+	lower, prune := math.Inf(-1), math.Inf(-1)
+	if gated {
+		lower, prune = seedLower, seedLower+1e-3
 	}
 	g := newGripSearch(set, 1)
 	ctx := context.Background()
 	for depth := 2; depth <= 3; depth++ {
-		children, err := g.expandLevel(ctx, frontier, len(frontier), depth, 1, math.Inf(-1))
+		children, err := g.expandLevel(ctx, frontier, len(frontier), depth, 1, math.Inf(-1), math.Inf(-1))
 		if err != nil {
 			b.Fatalf("build depth %d: %v", depth, err)
 		}
@@ -573,19 +650,20 @@ func benchmarkExpand(b *testing.B, n int) {
 		}
 		frontier = next
 	}
-	if _, err := g.expandLevel(ctx, frontier, len(frontier), 4, 1, math.Inf(-1)); err != nil {
+	if _, err := g.expandLevel(ctx, frontier, len(frontier), 4, 1, lower, prune); err != nil {
 		b.Fatalf("warmup: %v", err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := g.expandLevel(ctx, frontier, len(frontier), 4, 1, math.Inf(-1)); err != nil {
+		if _, err := g.expandLevel(ctx, frontier, len(frontier), 4, 1, lower, prune); err != nil {
 			b.Fatalf("expand: %v", err)
 		}
 	}
 }
 
 func BenchmarkJSRExpand(b *testing.B) {
-	b.Run("n6", func(b *testing.B) { benchmarkExpand(b, 6) })
-	b.Run("n9", func(b *testing.B) { benchmarkExpand(b, 9) })
+	b.Run("n6", func(b *testing.B) { benchmarkExpand(b, 6, false) })
+	b.Run("n9", func(b *testing.B) { benchmarkExpand(b, 9, false) })
+	b.Run("n9-gated", func(b *testing.B) { benchmarkExpand(b, 9, true) })
 }

@@ -131,6 +131,37 @@ func validateSet(set []*mat.Dense) (int, error) {
 // gives the tightest one-step certificates among the cheap norms.
 func norm(m *mat.Dense) float64 { return mat.TwoNorm(m) }
 
+// gatedRadius returns the spectral radius of p, or 0 without the
+// eigenvalue solve when p's rate ρ^exp provably cannot exceed lower.
+// Every caller folds the result into a running maximum with a strict >
+// against a value no smaller than lower, so a skipped product loses that
+// comparison with either value. Two bounds gate the solve: nb.Radius,
+// and, when it fails against a finite lower, the Gelfand bound, which
+// costs one product. nb must be mat.NormBoundsScratch(p, ms).
+func gatedRadius(p *mat.Dense, nb mat.NormBounds, ms *mat.Scratch, exp, lower float64) (float64, error) {
+	if !(math.Pow(nb.Radius, exp) > lower) {
+		return 0, nil
+	}
+	if !math.IsInf(lower, -1) && !(math.Pow(mat.SquareRadiusBoundScratch(p, nb, ms), exp) > lower) {
+		return 0, nil
+	}
+	return mat.SpectralRadiusScratch(p, ms)
+}
+
+// gatedCert returns a child's branch certificate min(parent, ‖p‖^exp).
+// When the 2-norm bound nb.TwoNorm already puts that minimum at or below
+// prune, it returns the minimum over the bound instead, without the
+// power iteration. Callers prune children against a threshold no lower
+// than prune, so such a child is pruned with either value, and a pruned
+// child's certificate is read nowhere. nb must be
+// mat.NormBoundsScratch(p, ms).
+func gatedCert(p *mat.Dense, nb mat.NormBounds, ms *mat.Scratch, parent, exp, prune float64) float64 {
+	if c := math.Min(parent, math.Pow(nb.TwoNorm, exp)); c <= prune {
+		return c
+	}
+	return math.Min(parent, math.Pow(mat.TwoNormScratch(p, ms), exp))
+}
+
 // WitnessRate replays a witness word against a matrix set and returns
 // the averaged spectral radius ρ(P_w)^{1/len(w)} it attains — the
 // lower-bound certificate the word encodes. The product is assembled in
@@ -197,21 +228,33 @@ func (lb *levelBest) fold(rho float64, word []int, nv float64) {
 	}
 }
 
+// foldProduct folds one product into its level's accumulator. A
+// product whose bounds cannot beat the running maxima is folded with
+// rho = 0 (no eigenvalue solve) or nv = 0 (no power iteration): fold
+// keeps strictly greater candidates only, so it would not have won with
+// its true value either. The scratch kernels are bit-identical to the
+// allocating ones.
+func foldProduct(lb *levelBest, p *mat.Dense, word []int, ms *mat.Scratch) error {
+	nb := mat.NormBoundsScratch(p, ms)
+	rho, err := gatedRadius(p, nb, ms, 1, lb.rho)
+	if err != nil {
+		return err
+	}
+	nv := 0.0
+	if nb.TwoNorm > lb.norm {
+		nv = mat.TwoNormScratch(p, ms)
+	}
+	lb.fold(rho, word, nv)
+	return nil
+}
+
 // foldLevel folds one fully materialized breadth-first level into its
-// accumulator, in enumeration order. A product whose spectral-radius
-// bound cannot beat the running maximum is folded with rho = 0 and no
-// eigenvalue solve: fold keeps strictly greater candidates only, so it
-// would not have won with its true rho either.
-func foldLevel(lb *levelBest, level []*mat.Dense, words [][]int) error {
+// accumulator, in enumeration order.
+func foldLevel(lb *levelBest, level []*mat.Dense, words [][]int, ms *mat.Scratch) error {
 	for pi, p := range level {
-		rho := 0.0
-		if mat.SpectralRadiusBound(p) > lb.rho {
-			var err error
-			if rho, err = mat.SpectralRadius(p); err != nil {
-				return err
-			}
+		if err := foldProduct(lb, p, words[pi], ms); err != nil {
+			return err
 		}
-		lb.fold(rho, words[pi], norm(p))
 	}
 	return nil
 }
@@ -301,9 +344,11 @@ func BruteForceBoundsCtx(ctx context.Context, set []*mat.Dense, maxLen int, opt 
 	}
 
 	acc := make([]levelBest, maxLen+1)
+	n := set[0].Rows()
 
 	// Shallow phase: levels 1..splitDepth, breadth-first in
 	// lexicographic word order; the last level seeds the chunks.
+	ms := mat.NewScratch(n)
 	level := make([]*mat.Dense, k)
 	words := make([][]int, k)
 	for i := range set {
@@ -314,7 +359,7 @@ func BruteForceBoundsCtx(ctx context.Context, set []*mat.Dense, maxLen int, opt 
 		if err := ctx.Err(); err != nil {
 			return bruteFinalize(acc, l-1), deadlineErr(ctx, err)
 		}
-		if err := foldLevel(&acc[l], level, words); err != nil {
+		if err := foldLevel(&acc[l], level, words, ms); err != nil {
 			return Bounds{}, err
 		}
 		if l == splitDepth || l == maxLen {
@@ -335,7 +380,6 @@ func BruteForceBoundsCtx(ctx context.Context, set []*mat.Dense, maxLen int, opt 
 		// children are computed, and children use the next level's
 		// buffer. The scratch kernels are bit-identical to the
 		// allocating ones, so bounds are unchanged.
-		n := set[0].Rows()
 		type deepScratch struct {
 			ms    *mat.Scratch
 			prods []*mat.Dense
@@ -367,15 +411,9 @@ func BruteForceBoundsCtx(ctx context.Context, set []*mat.Dense, maxLen int, opt 
 						p := ds.prods[length+1]
 						mat.MulInto(p, set[ai], prod)
 						ds.path[length] = ai
-						lb := &part[length+1]
-						rho := 0.0
-						if mat.SpectralRadiusBound(p) > lb.rho {
-							var err error
-							if rho, err = mat.SpectralRadiusScratch(p, ds.ms); err != nil {
-								return err
-							}
+						if err := foldProduct(&part[length+1], p, ds.path[:length+1], ds.ms); err != nil {
+							return err
 						}
-						lb.fold(rho, ds.path[:length+1], mat.TwoNormScratch(p, ds.ms))
 						if length+1 < maxLen {
 							if err := dfs(p, length+1); err != nil {
 								return err
@@ -782,7 +820,7 @@ func GripenbergCtx(ctx context.Context, set []*mat.Dense, opt GripenbergOptions)
 		if opt.Expand != nil {
 			children, err = expandViaHook(ctx, opt.Expand, frontier, expand, depth, k)
 		} else {
-			children, err = g.expandLevel(ctx, frontier, expand, depth, opt.Workers, lower)
+			children, err = g.expandLevel(ctx, frontier, expand, depth, opt.Workers, lower, lower+opt.Delta)
 		}
 		if err != nil {
 			if isCtxErr(err) {

@@ -157,11 +157,3 @@ func parallelSlots(ctx context.Context, n, workers int, fn func(ctx context.Cont
 	}
 	return ctxErr
 }
-
-// parallelRanges is parallelSlots for callers that do not need the
-// per-worker slot index.
-func parallelRanges(ctx context.Context, n, workers int, fn func(ctx context.Context, lo, hi int) error) error {
-	return parallelSlots(ctx, n, workers, func(ctx context.Context, _, lo, hi int) error {
-		return fn(ctx, lo, hi)
-	})
-}

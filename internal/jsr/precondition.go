@@ -74,21 +74,49 @@ func Precondition(set []*mat.Dense) (transformed []*mat.Dense, m *mat.Dense, ok 
 }
 
 // averagedLyapunov iterates P ← I + (1/(k·scale²)) Σ AᵢᵀPAᵢ to a fixed
-// point.
+// point. The loop runs on buffers allocated once, with the operation
+// order of the straightforward form (AᵢᵀP then ·Aᵢ, a scaled copy added
+// to the running sum, symmetrize, max-abs of the difference), so P is
+// the same bit for bit.
 func averagedLyapunov(set []*mat.Dense, scale float64) (*mat.Dense, bool) {
 	n := set[0].Rows()
 	k := float64(len(set))
-	p := mat.Eye(n)
 	inv := 1 / (k * scale * scale)
+	ts := make([]*mat.Dense, len(set))
+	for i, a := range set {
+		ts[i] = a.T()
+	}
+	p, next, sum := mat.Eye(n), mat.New(n, n), mat.New(n, n)
+	tp, tpa := mat.New(n, n), mat.New(n, n)
 	for iter := 0; iter < 500; iter++ {
-		next := mat.Eye(n)
-		for _, a := range set {
-			mat.AddInPlace(next, mat.Scale(inv, mat.MulMany(a.T(), p, a)))
+		sd := sum.Raw()
+		for j := range sd {
+			sd[j] = 0
 		}
-		next = mat.Symmetrize(next)
-		diff := mat.MaxAbs(mat.Sub(next, p))
-		norm := mat.MaxAbs(next)
-		p = next
+		for j := 0; j < n; j++ {
+			sd[j*n+j] = 1
+		}
+		for i, a := range set {
+			mat.MulInto(tp, ts[i], p)
+			mat.MulInto(tpa, tp, a)
+			for j, v := range tpa.Raw() {
+				// Scale, then add: the conversion rounds the product, so
+				// it is never fused into one multiply-add.
+				sd[j] += float64(inv * v)
+			}
+		}
+		mat.SymmetrizeInto(next, sum)
+		diff, norm := 0.0, 0.0
+		pd := p.Raw()
+		for j, v := range next.Raw() {
+			if d := math.Abs(v - pd[j]); d > diff {
+				diff = d
+			}
+			if w := math.Abs(v); w > norm {
+				norm = w
+			}
+		}
+		p, next = next, p
 		if math.IsInf(norm, 0) || math.IsNaN(norm) || norm > 1e12 {
 			return nil, false
 		}

@@ -3,6 +3,7 @@ package jsr
 import (
 	"errors"
 	"math"
+	"math/rand"
 	"testing"
 
 	"adaptivertc/internal/mat"
@@ -88,5 +89,76 @@ func TestPreconditionHandlesDegenerateInputs(t *testing.T) {
 	work, _, _ := Precondition(set)
 	if len(work) != 1 {
 		t.Fatal("set size changed")
+	}
+}
+
+// refAveragedLyapunov is the allocating fixed-point loop averagedLyapunov
+// replaced, kept verbatim as the bit-for-bit reference.
+func refAveragedLyapunov(set []*mat.Dense, scale float64) (*mat.Dense, bool) {
+	n := set[0].Rows()
+	k := float64(len(set))
+	p := mat.Eye(n)
+	inv := 1 / (k * scale * scale)
+	for iter := 0; iter < 500; iter++ {
+		next := mat.Eye(n)
+		for _, a := range set {
+			mat.AddInPlace(next, mat.Scale(inv, mat.MulMany(a.T(), p, a)))
+		}
+		next = mat.Symmetrize(next)
+		diff := mat.MaxAbs(mat.Sub(next, p))
+		norm := mat.MaxAbs(next)
+		p = next
+		if math.IsInf(norm, 0) || math.IsNaN(norm) || norm > 1e12 {
+			return nil, false
+		}
+		if diff <= 1e-11*(1+norm) {
+			return p, true
+		}
+	}
+	return nil, false
+}
+
+func TestAveragedLyapunovMatchesAllocatingLoop(t *testing.T) {
+	sets := map[string][]*mat.Dense{
+		"pmsm":      pmsmLikeSet(),
+		"nonnormal": nonNormalPair(),
+		"golden":    goldenPair(),
+		"random9x4": benchExpandSet(9, 4, 3),
+		"random6x3": benchExpandSet(6, 3, 5),
+	}
+	rng := rand.New(rand.NewSource(1))
+	converged, diverged := 0, 0
+	for name, set := range sets {
+		// Scales below the JSR diverge, scales near it converge slowly.
+		for _, scale := range []float64{0.5, 1.05, 1.3, 2, 1 + rng.Float64()} {
+			got, gok := averagedLyapunov(set, scale)
+			want, wok := refAveragedLyapunov(set, scale)
+			if gok != wok {
+				t.Fatalf("%s scale %v: converged %v, reference %v", name, scale, gok, wok)
+			}
+			if !gok {
+				diverged++
+				continue
+			}
+			converged++
+			for i, v := range got.Raw() {
+				if math.Float64bits(v) != math.Float64bits(want.Raw()[i]) {
+					t.Fatalf("%s scale %v: P[%d] = %v, reference %v", name, scale, i, v, want.Raw()[i])
+				}
+			}
+		}
+	}
+	if converged == 0 || diverged == 0 {
+		t.Fatalf("%d scales converged and %d diverged, want both paths covered", converged, diverged)
+	}
+}
+
+func TestAveragedLyapunovAllocatesOnlyItsBuffers(t *testing.T) {
+	set := benchExpandSet(9, 4, 3)
+	allocs := testing.AllocsPerRun(5, func() { averagedLyapunov(set, 1.3) })
+	// The transposes, their slice, and five n×n buffers, each a header
+	// plus backing array: independent of the iteration count.
+	if allocs > float64(2*(len(set)+5)+1) {
+		t.Fatalf("averagedLyapunov allocates %.0f times, want buffers only", allocs)
 	}
 }

@@ -279,7 +279,7 @@ func TestExpandGuardConvertsPanic(t *testing.T) {
 // reported panic must be the lowest-indexed one for every worker count.
 func TestParallelRangesPanicIsolation(t *testing.T) {
 	for _, w := range []int{1, 2, 3, 4, 7, 16} {
-		err := parallelRanges(context.Background(), 16, w, func(ctx context.Context, lo, hi int) error {
+		err := parallelSlots(context.Background(), 16, w, func(ctx context.Context, _, lo, hi int) error {
 			for i := lo; i < hi; i++ {
 				if err := expandGuard([]int{i}, func() error {
 					if i == 5 || i == 11 {
@@ -308,7 +308,7 @@ func TestParallelRangesPanicIsolation(t *testing.T) {
 func TestParallelRangesRealErrorBeatsCancellation(t *testing.T) {
 	sentinel := errors.New("range failure")
 	for _, w := range []int{2, 4, 8} {
-		err := parallelRanges(context.Background(), 64, w, func(ctx context.Context, lo, hi int) error {
+		err := parallelSlots(context.Background(), 64, w, func(ctx context.Context, _, lo, hi int) error {
 			for i := lo; i < hi; i++ {
 				if cerr := ctx.Err(); cerr != nil {
 					return cerr

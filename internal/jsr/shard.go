@@ -105,9 +105,9 @@ func ExpandShard(ctx context.Context, work []*mat.Dense, req ExpandRequest, work
 	}
 	workers = resolveWorkers(workers)
 	g := newGripSearch(work, workers)
-	// A request carries no lower bound, so every rho is computed; the
-	// caller's merge reaches the same bracket either way.
-	children, err := g.expandLevel(ctx, frontier, len(frontier), req.Depth, workers, math.Inf(-1))
+	// A request carries no lower bound, so every rho and every norm is
+	// computed; the caller's merge reaches the same bracket either way.
+	children, err := g.expandLevel(ctx, frontier, len(frontier), req.Depth, workers, math.Inf(-1), math.Inf(-1))
 	if err != nil {
 		return ExpandResult{}, err
 	}

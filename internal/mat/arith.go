@@ -159,12 +159,24 @@ func (m *Dense) Trace() float64 {
 func Symmetrize(m *Dense) *Dense {
 	mustSquare("Symmetrize", m)
 	s := New(m.rows, m.cols)
+	SymmetrizeInto(s, m)
+	return s
+}
+
+// SymmetrizeInto writes (m + mᵀ)/2 into dst without allocating. dst must
+// have m's dimensions and must not alias it.
+func SymmetrizeInto(dst, m *Dense) {
+	mustSquare("SymmetrizeInto", m)
+	sameDims("SymmetrizeInto", dst, m)
+	if sharesData(dst, m) {
+		//lint:ignore nakedpanic the aliasing condition has no dynamic values beyond identity
+		panic("mat: SymmetrizeInto destination aliases its source")
+	}
 	for i := 0; i < m.rows; i++ {
 		for j := 0; j < m.cols; j++ {
-			s.data[i*m.cols+j] = 0.5 * (m.data[i*m.cols+j] + m.data[j*m.cols+i])
+			dst.data[i*m.cols+j] = 0.5 * (m.data[i*m.cols+j] + m.data[j*m.cols+i])
 		}
 	}
-	return s
 }
 
 // Dot returns the Euclidean inner product of two equal-length vectors.

@@ -431,36 +431,71 @@ func SpectralRadius(a *Dense) (float64, error) {
 	return r, nil
 }
 
-// Rounding allowance and trusted range of SpectralRadiusBound. The
-// margin is four to five orders of magnitude above the backward error
-// of the balance + Hessenberg + QR solve (≈ n·eps·‖A‖ for n ≤ 64) and the
-// n-term rounding of the norm sums. Inside [radiusBoundMin,
-// radiusBoundMax] no intermediate of that solve over- or underflows:
-// balancing only shrinks the off-diagonal mass and the Hessenberg and QR
-// steps are orthogonal, so every entry they see stays within a factor n
-// of the bound, and squares of such entries stay normal.
+// Rounding allowances and trusted range of the cheap bounds below. The
+// relative margin is four to five orders of magnitude above the
+// backward error of the balance + Hessenberg + QR solve (≈ n·eps·‖A‖ for
+// n ≤ 64) and the n-term rounding of the norm sums. Inside
+// [radiusBoundMin, radiusBoundMax] no intermediate of that solve over-
+// or underflows: balancing only shrinks the off-diagonal mass and the
+// Hessenberg and QR steps are orthogonal, so every entry they see stays
+// within a factor n of the bound, and squares of such entries stay
+// normal. The Gelfand bound (SquareRadiusBoundScratch) has a wider
+// margin, because its absolute term must also absorb the rounding of
+// the extra product, and a narrower range on ‖A‖_F, because it squares
+// the entries of A² and so takes fourth powers of A's scale.
 const (
 	radiusBoundMargin = 1e-10
 	radiusBoundMin    = 0x1p-450
 	radiusBoundMax    = 0x1p450
+	squareBoundMargin = 1e-8
+	squareBoundMin    = 0x1p-220
+	squareBoundMax    = 0x1p220
 )
 
-// SpectralRadiusBound returns a cheap upper bound on the value
-// SpectralRadius and SpectralRadiusScratch compute for a: the smallest
-// of ‖a‖_F, ‖a‖₁ and ‖a‖∞, each of which bounds every |λ|, inflated by a
-// relative margin of 1e-10 that covers the eigenvalue solve's rounding.
-// Callers that fold spectral radii into a running maximum may skip the
-// O(n³) solve whenever this O(n²) bound cannot beat the maximum. Outside
-// the range where that margin is trusted (and for non-finite entries)
-// it returns +Inf, which never allows a skip; the zero matrix gets 0.
-// It allocates nothing.
-func SpectralRadiusBound(a *Dense) float64 {
-	mustSquare("SpectralRadiusBound", a)
-	b := math.Min(FroNorm(a), math.Min(OneNorm(a), InfNorm(a)))
+// trustedBound inflates b by the rounding margin, or returns +Inf when b
+// lies outside the trusted range or is not a number, which never allows
+// a skip. The zero matrix keeps its exact bound 0.
+func trustedBound(b float64) float64 {
 	if !(b <= radiusBoundMax) || b < radiusBoundMin && b > 0 {
 		return math.Inf(1)
 	}
 	return b * (1 + radiusBoundMargin)
+}
+
+// radiusBound is SpectralRadiusBound on already computed norms of a.
+// For n ≤ 2 it returns the closed-form radius itself: it costs less
+// than the norms, and the 2×2 formula is not within the relative
+// margin of the norms when two eigenvalues nearly coincide (the
+// discriminant cancels, so a computed radius can exceed ‖a‖₁ by
+// ≈ √eps relative).
+func radiusBound(a *Dense, fro, one, inf float64) float64 {
+	b := trustedBound(math.Min(fro, math.Min(one, inf)))
+	if math.IsInf(b, 1) {
+		return b
+	}
+	switch a.rows {
+	case 1:
+		return math.Abs(a.data[0])
+	case 2:
+		return radius2x2(a.data[0], a.data[1], a.data[2], a.data[3])
+	}
+	return b
+}
+
+// SpectralRadiusBound returns a cheap upper bound on the value
+// SpectralRadius and SpectralRadiusScratch compute for a: the smallest
+// of ‖a‖_F, ‖a‖₁ and ‖a‖∞, each of which bounds every |λ|, inflated by a
+// relative margin of 1e-10 that covers the eigenvalue solve's rounding
+// (for n ≤ 2, the closed-form radius itself). Callers that fold
+// spectral radii into a running maximum may skip the O(n³) solve
+// whenever this O(n²) bound cannot beat the maximum. Outside the range
+// where that margin is trusted (and for non-finite entries) it returns
+// +Inf, which never allows a skip; the zero matrix gets 0. It allocates
+// nothing. NormBoundsScratch returns the same value from a single
+// sweep together with a bound on the 2-norm.
+func SpectralRadiusBound(a *Dense) float64 {
+	mustSquare("SpectralRadiusBound", a)
+	return radiusBound(a, FroNorm(a), OneNorm(a), InfNorm(a))
 }
 
 // IsSchurStable reports whether every eigenvalue lies strictly inside

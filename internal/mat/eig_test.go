@@ -339,11 +339,12 @@ func TestEigenvaluesConvergeOnCheckerboardProduct(t *testing.T) {
 // radiusBoundCase is one matrix the spectral-radius bound is checked
 // on. tight marks families whose bound equals the spectral radius in
 // exact arithmetic, so the computed ρ sits right at the bound; huge
-// marks entries scaled outside the bound's trusted range.
+// marks entries scaled outside the bound's trusted range, and far marks
+// those outside the narrower range of the Gelfand bound.
 type radiusBoundCase struct {
-	name        string
-	a           *Dense
-	tight, huge bool
+	name             string
+	a                *Dense
+	tight, huge, far bool
 }
 
 func radiusBoundCases(rng *rand.Rand, n int) []radiusBoundCase {
@@ -357,6 +358,10 @@ func radiusBoundCases(rng *rand.Rand, n int) []radiusBoundCase {
 		jordan.Set(i, i+1, 1)
 	}
 	jordan.Set(n-1, 0, jordan.At(n-1, 0)+1e-14)
+	// Two eigenvalues 3e-13 apart: the 2×2 closed form loses half its
+	// digits to cancellation here, ≈ 1.5e-8 relative.
+	nearDouble := Eye(n)
+	nearDouble.Set(0, 0, 1+3e-13)
 	return []radiusBoundCase{
 		{name: "random", a: randomDense(rng, n, n)},
 		{name: "orthogonal", a: Scale(1.7, FactorQR(randomDense(rng, n, n)).Q())},
@@ -364,12 +369,66 @@ func radiusBoundCases(rng *rand.Rand, n int) []radiusBoundCase {
 		{name: "rank-one-symmetric", a: Mul(u, u.T()), tight: true},
 		{name: "rank-one", a: Mul(u, v.T())},
 		{name: "jordan", a: jordan},
-		{name: "scaled-1e120", a: Scale(1e120, randomDense(rng, n, n))},
-		{name: "scaled-1e-120", a: Scale(1e-120, randomDense(rng, n, n))},
-		{name: "scaled-1e150", a: Scale(1e150, randomDense(rng, n, n)), huge: true},
-		{name: "scaled-1e-150", a: Scale(1e-150, randomDense(rng, n, n)), huge: true},
+		{name: "scaled-1e60", a: Scale(1e60, randomDense(rng, n, n))},
+		{name: "scaled-1e-60", a: Scale(1e-60, randomDense(rng, n, n))},
+		{name: "scaled-1e120", a: Scale(1e120, randomDense(rng, n, n)), far: true},
+		{name: "scaled-1e-120", a: Scale(1e-120, randomDense(rng, n, n)), far: true},
+		{name: "scaled-1e150", a: Scale(1e150, randomDense(rng, n, n)), huge: true, far: true},
+		{name: "scaled-1e-150", a: Scale(1e-150, randomDense(rng, n, n)), huge: true, far: true},
+		{name: "near-double", a: nearDouble, tight: true},
+		{name: "graded-up", a: gradedDense(rng, n, 20)},
+		{name: "graded-down", a: gradedDense(rng, n, -20)},
+		{name: "nilpotent", a: nilpotentDense(rng, n)},
+		{name: "start-orthogonal", a: startOrthogonalDense(n)},
 		{name: "zero", a: New(n, n)},
 	}
+}
+
+// gradedDense returns D·A·D⁻¹ for a random A and D = diag(2^{step·i}),
+// with i taken mod 8 so the entries stay inside the trusted range: a
+// heavily graded matrix that balancing rescales before the QR solve.
+func gradedDense(rng *rand.Rand, n, step int) *Dense {
+	a := randomDense(rng, n, n)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			a.Set(i, j, math.Ldexp(a.At(i, j), step*(i%8-j%8)))
+		}
+	}
+	return a
+}
+
+// nilpotentDense returns u·wᵀ with w orthogonal to u, so a² = 0 in exact
+// arithmetic and the Gelfand bound rests on its absolute term alone.
+func nilpotentDense(rng *rand.Rand, n int) *Dense {
+	u, w := randomDense(rng, n, 1), randomDense(rng, n, 1)
+	c := Dot(u.Raw(), w.Raw()) / Dot(u.Raw(), u.Raw())
+	for i := range w.Raw() {
+		w.Raw()[i] -= c * u.Raw()[i]
+	}
+	return Mul(u, w.T())
+}
+
+// startOrthogonalDense returns 2·v·vᵀ + x·xᵀ with x the power
+// iteration's start direction and v a unit vector orthogonal to it: the
+// iteration never sees the dominant eigenvalue 2 and converges to 1.
+func startOrthogonalDense(n int) *Dense {
+	x := make([]float64, n)
+	for i := range x {
+		x[i] = 1 / math.Sqrt(float64(n)+float64(i))
+	}
+	normalize(x)
+	v := make([]float64, n)
+	if n > 1 {
+		v[0], v[1] = x[1], -x[0]
+		normalize(v)
+	}
+	a := New(n, n)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			a.Set(i, j, 2*v[i]*v[j]+x[i]*x[j])
+		}
+	}
+	return a
 }
 
 func TestSpectralRadiusBoundCoversComputedRadius(t *testing.T) {
@@ -396,5 +455,67 @@ func TestSpectralRadiusBoundCoversComputedRadius(t *testing.T) {
 				t.Errorf("n=%d %s: bound %v not tight against rho %v", n, c.name, bound, rho)
 			}
 		}
+	}
+}
+
+// TestNormBoundsCoverComputedKernels checks the bounds the JSR engine
+// gates its O(n³) kernels on: NormBoundsScratch's Radius is
+// SpectralRadiusBound bit for bit, its TwoNorm is never below the
+// computed 2-norm, and the Gelfand bound is never below the computed
+// spectral radius. Outside the trusted range every bound is +Inf.
+func TestNormBoundsCoverComputedKernels(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, n := range []int{1, 2, 3, 9, 64} {
+		ms := NewScratch(n)
+		for _, c := range radiusBoundCases(rng, n) {
+			nb := NormBoundsScratch(c.a, ms)
+			if want := SpectralRadiusBound(c.a); math.Float64bits(nb.Radius) != math.Float64bits(want) {
+				t.Errorf("n=%d %s: fused Radius %v != SpectralRadiusBound %v", n, c.name, nb.Radius, want)
+			}
+			if alloc := NormBoundsScratch(c.a, NewScratch(n+1)); alloc != nb {
+				t.Errorf("n=%d %s: mismatched-scratch bounds %+v != %+v", n, c.name, alloc, nb)
+			}
+			two, twoS := TwoNorm(c.a), TwoNormScratch(c.a, ms)
+			if !(two <= nb.TwoNorm) || !(twoS <= nb.TwoNorm) {
+				t.Errorf("n=%d %s: 2-norm %v / scratch %v above bound %v", n, c.name, two, twoS, nb.TwoNorm)
+			}
+			sq := SquareRadiusBoundScratch(c.a, nb, ms)
+			rho, err := SpectralRadius(c.a)
+			if err != nil {
+				t.Fatalf("n=%d %s: SpectralRadius: %v", n, c.name, err)
+			}
+			rs, err := SpectralRadiusScratch(c.a, ms)
+			if err != nil {
+				t.Fatalf("n=%d %s: SpectralRadiusScratch: %v", n, c.name, err)
+			}
+			if !(rho <= sq) || !(rs <= sq) {
+				t.Errorf("n=%d %s: rho %v / scratch %v above Gelfand bound %v", n, c.name, rho, rs, sq)
+			}
+			for name, b := range map[string]float64{"Radius": nb.Radius, "TwoNorm": nb.TwoNorm} {
+				if c.huge != math.IsInf(b, 1) {
+					t.Errorf("n=%d %s: %s bound %v, want +Inf exactly when outside the trusted range", n, c.name, name, b)
+				}
+			}
+			if c.far != math.IsInf(sq, 1) {
+				t.Errorf("n=%d %s: Gelfand bound %v, want +Inf exactly when outside its trusted range", n, c.name, sq)
+			}
+		}
+	}
+}
+
+// TestSquareRadiusBoundTightensNonNormal pins why the Gelfand bound
+// exists: on a non-normal product its square is small, so the bound
+// sits far below every norm of the matrix itself.
+func TestSquareRadiusBoundTightensNonNormal(t *testing.T) {
+	// a² = 0.01·I: the off-diagonal 4 cancels in the square.
+	a := FromRows([][]float64{{0.1, 4, 0}, {0, -0.1, 0}, {0, 0, 0.1}})
+	ms := NewScratch(3)
+	nb := NormBoundsScratch(a, ms)
+	sq := SquareRadiusBoundScratch(a, nb, ms)
+	if !(sq < nb.Radius/10) {
+		t.Fatalf("Gelfand bound %v not below a tenth of the norm bound %v", sq, nb.Radius)
+	}
+	if rho, _ := SpectralRadius(a); !(rho <= sq) {
+		t.Fatalf("rho %v above Gelfand bound %v", rho, sq)
 	}
 }

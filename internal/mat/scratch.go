@@ -11,12 +11,14 @@ import (
 // worker. The scratch variants produce bit-identical results to their
 // allocating counterparts (TwoNorm, SpectralRadius) because they share
 // the same computational cores (twoNormPower, hessenbergInPlace,
-// hqrInPlace) — only the buffer lifetimes differ.
+// hqrInPlace) — only the buffer lifetimes differ. The same workspace
+// serves the cheap bounds that let callers skip those kernels
+// (NormBoundsScratch, SquareRadiusBoundScratch).
 type Scratch struct {
-	n            int
-	at, ata, eig *Dense
-	x, y, z, v   []float64
-	wr, wi       []float64
+	n                int
+	at, ata, eig, sq *Dense
+	x, y, z, v       []float64
+	wr, wi           []float64
 }
 
 // NewScratch returns a workspace for n×n operands.
@@ -26,6 +28,7 @@ func NewScratch(n int) *Scratch {
 		at:  New(n, n),
 		ata: New(n, n),
 		eig: New(n, n),
+		sq:  New(n, n),
 		x:   make([]float64, n),
 		y:   make([]float64, n),
 		z:   make([]float64, n),
@@ -59,6 +62,101 @@ func TwoNormScratch(a *Dense, s *Scratch) float64 {
 	transposeInto(s.at, a)
 	MulInto(s.ata, s.at, a)
 	return twoNormPower(a, s.ata, s.x, s.y, s.z)
+}
+
+// NormBounds holds the cheap upper bounds NormBoundsScratch derives from
+// one sweep over a square matrix a. Each bound is +Inf outside the
+// trusted range of SpectralRadiusBound (and for non-finite entries), so
+// a caller comparing against it never skips a kernel there.
+type NormBounds struct {
+	// Radius is SpectralRadiusBound(a), bit for bit: it is never below
+	// the value SpectralRadius and SpectralRadiusScratch compute for a.
+	Radius float64
+	// TwoNorm is min(‖a‖_F, √(‖a‖₁‖a‖∞))·(1 + 1e-10): it is never below
+	// the value TwoNorm and TwoNormScratch compute for a.
+	TwoNorm float64
+	// fro is ‖a‖_F as computed, the scale of the rounding allowance in
+	// SquareRadiusBoundScratch.
+	fro float64
+}
+
+// NormBoundsScratch computes ‖a‖_F, ‖a‖₁ and ‖a‖∞ of a square matrix in
+// a single O(n²) sweep, keeping the column sums in s, and returns the
+// bounds derived from them. Each norm is summed in the same order as
+// FroNorm, OneNorm and InfNorm, so Radius equals SpectralRadiusBound(a)
+// bit for bit. It allocates nothing when s fits a.
+//
+// TwoNorm bounds the power iteration of TwoNorm and TwoNormScratch: it
+// returns the square root of a Rayleigh quotient of fl(aᵀa), which is at
+// most ‖a‖₂² plus the n-term rounding of that product, and ‖a‖₂ is at
+// most both ‖a‖_F and √(‖a‖₁‖a‖∞); on stagnation it returns a value
+// no larger than the computed ‖a‖_F.
+func NormBoundsScratch(a *Dense, s *Scratch) NormBounds {
+	mustSquare("NormBoundsScratch", a)
+	if a.rows != s.n {
+		return normBounds(a, FroNorm(a), OneNorm(a), InfNorm(a))
+	}
+	n := a.rows
+	col := s.v
+	for j := range col {
+		col[j] = 0
+	}
+	fro2, inf := 0.0, 0.0
+	for i := 0; i < n; i++ {
+		row := a.data[i*n : (i+1)*n : (i+1)*n]
+		r := 0.0
+		for j, v := range row {
+			fro2 += v * v
+			w := math.Abs(v)
+			r += w
+			col[j] += w
+		}
+		if r > inf {
+			inf = r
+		}
+	}
+	one := 0.0
+	for _, c := range col {
+		if c > one {
+			one = c
+		}
+	}
+	return normBounds(a, math.Sqrt(fro2), one, inf)
+}
+
+func normBounds(a *Dense, fro, one, inf float64) NormBounds {
+	return NormBounds{
+		Radius:  radiusBound(a, fro, one, inf),
+		TwoNorm: trustedBound(math.Min(fro, math.Sqrt(one*inf))),
+		fro:     fro,
+	}
+}
+
+// SquareRadiusBoundScratch returns an upper bound on the value
+// SpectralRadius and SpectralRadiusScratch compute for a, from the
+// Gelfand inequality ρ(a)² = ρ(a²) ≤ ‖a²‖_F. nb must be
+// NormBoundsScratch(a, s). With Q = fl(a·a) formed in s and m = 1e-8 the
+// bound is
+//
+//	S = √(‖Q‖_F·(1+m) + m·‖a‖_F²)·(1+m).
+//
+// The absolute term covers both the rounding of Q (at most n·eps·‖a‖_F²
+// in the Frobenius norm) and the eigenvalue solve's backward error E:
+// a computed eigenvalue λ̂ of a + E satisfies |λ̂|² ≤ ‖(a+E)²‖ ≤ ‖a²‖ +
+// 2‖a‖‖E‖ + ‖E‖², with ‖E‖ ≈ n·eps·‖a‖. The bound costs one n×n product
+// and is much tighter than Radius on products whose square is small,
+// such as non-normal ones. It is +Inf wherever Radius is and whenever
+// ‖a‖_F lies outside [2^-220, 2^220]: inside that range the entries of
+// Q square without overflow, and whatever underflows is far below the
+// absolute term. It allocates nothing when s fits a.
+func SquareRadiusBoundScratch(a *Dense, nb NormBounds, s *Scratch) float64 {
+	if math.IsInf(nb.Radius, 1) || !(nb.fro <= squareBoundMax) || nb.fro < squareBoundMin && nb.fro > 0 ||
+		a.rows != s.n || a.cols != s.n {
+		return math.Inf(1)
+	}
+	MulInto(s.sq, a, a)
+	const m = squareBoundMargin
+	return math.Sqrt(FroNorm(s.sq)*(1+m)+m*nb.fro*nb.fro) * (1 + m)
 }
 
 // SpectralRadiusScratch returns max |λᵢ| for a square matrix using s's

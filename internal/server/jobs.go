@@ -81,10 +81,16 @@ func (j *job) setState(st string) {
 	j.mu.Unlock()
 }
 
+// finish publishes the job's certificate. A done job serves only its
+// body, so the request and any resume frontier are dropped: the
+// registry keeps every job the server has run, and the matrices would
+// otherwise stay resident for each of them.
 func (j *job) finish(body []byte) {
 	j.mu.Lock()
 	j.state = api.JobDone
 	j.body = body
+	j.req = api.CertifyRequest{}
+	j.resume = nil
 	j.notifyLocked()
 	j.mu.Unlock()
 }
@@ -274,11 +280,11 @@ func (s *Server) runJob(j *job) {
 	}
 	if s.jobLog != nil {
 		id, key, req := j.id, j.key, j.req
-		opt.Snapshot = func(st jsr.GripenbergState) error {
+		opt.Snapshot = paceSnapshots(jobSnapshotInterval, time.Now, func(st jsr.GripenbergState) error {
 			return s.putJobCkpt(jobCkpt{
 				ID: id, Key: key, Req: req, HasState: true, State: st,
 			})
-		}
+		})
 	}
 	// A client-requested deadline bounds this job's context on top of
 	// the per-job server timeout certify applies.
@@ -311,6 +317,35 @@ func (s *Server) runJob(j *job) {
 	default:
 		s.removeJobCkpt(j.id)
 		j.fail(err)
+	}
+}
+
+// jobSnapshotInterval is the least search time between two persisted
+// frontier snapshots of one job. Every persisted snapshot is an fsynced
+// append of the request and the frontier (several KB), while a
+// Gripenberg level takes about a millisecond: persisting every level
+// would make the job log the bulk of a short job's cost, and its write
+// volume would force segment rotations, whose compaction stalls every
+// fsync on the filesystem while the dead segment's blocks are freed. A
+// crash loses at most this much search plus one level; the resumed
+// search is bit-identical either way.
+const jobSnapshotInterval = time.Second
+
+// paceSnapshots wraps the Snapshot hook persist so that a level is
+// persisted only when at least every has elapsed on the clock now since
+// the search started or since the last persisted level; the levels in
+// between are skipped. A failed persist leaves the clock where it was.
+func paceSnapshots(every time.Duration, now func() time.Time, persist func(jsr.GripenbergState) error) func(jsr.GripenbergState) error {
+	last := now()
+	return func(st jsr.GripenbergState) error {
+		if now().Sub(last) < every {
+			return nil
+		}
+		if err := persist(st); err != nil {
+			return err
+		}
+		last = now()
+		return nil
 	}
 }
 
