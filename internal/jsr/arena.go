@@ -23,11 +23,14 @@ import (
 // spectral radius is skipped (recorded as 0) when the norm or Gelfand
 // bound shows the child cannot raise the level-start lower bound: the
 // merge folds ρ into Lower with a strict >, so such a child never
-// changes Lower or the witness. The norm is skipped (the bound's rate is
-// recorded as the certificate) when the bound already puts the
-// certificate at or below the level-start prune threshold: the merge
-// prunes against a threshold at least as high, and a pruned child's
-// certificate is read nowhere.
+// changes Lower or the witness. The norm is skipped (the prune
+// threshold is recorded as the certificate) when the bound already puts
+// the certificate at or below the level-start prune threshold: the
+// merge prunes against a threshold at least as high, and a pruned
+// child's certificate is read nowhere. Both thresholds become a
+// rateGate once per level, so a bound is compared with lower^depth
+// rather than raised to the 1/depth power, with the same decision
+// (DESIGN §11).
 
 // serialCutoverNodes is the frontier size at or below which a level is
 // expanded on the calling goroutine regardless of the Workers option:
@@ -75,9 +78,8 @@ type gripSearch struct {
 	// parallel call; the worker WaitGroup orders these writes before any
 	// worker read.
 	frontier []gripNode
-	exp      float64
-	lower    float64
-	prune    float64
+	lower    rateGate
+	prune    rateGate
 	pool     *matPool
 
 	// fn is the per-range worker body, built once at construction so
@@ -128,8 +130,8 @@ func (g *gripSearch) scratchFor(slot int) *mat.Scratch {
 // whose spectral-radius bound rate cannot exceed it gets rho = 0 without
 // an eigenvalue solve. prune is the level-start prune threshold
 // lower + δ: a child whose certificate bound cannot exceed it carries
-// that bound as its certificate, without a norm computation. Pass -Inf
-// for both to compute every rho and every norm.
+// prune as its certificate, without a norm computation. Pass -Inf for
+// both to compute every rho and every norm.
 func (g *gripSearch) expandLevel(ctx context.Context, frontier []gripNode, expand, depth, workers int, lower, prune float64) ([]gripChild, error) {
 	need := expand * g.k
 	if cap(g.children) < need {
@@ -139,9 +141,8 @@ func (g *gripSearch) expandLevel(ctx context.Context, frontier []gripNode, expan
 	pool := &g.pools[depth%2]
 	pool.ensure(need)
 	g.frontier = frontier
-	g.exp = 1 / float64(depth)
-	g.lower = lower
-	g.prune = prune
+	g.lower = newRateGate(lower, depth)
+	g.prune = newRateGate(prune, depth)
 	g.pool = pool
 	if expand <= serialCutoverNodes {
 		workers = 1
@@ -171,11 +172,11 @@ func (g *gripSearch) expandNodeGuarded(fi int, ms *mat.Scratch) (err error) {
 		p := bufs[ai]
 		mat.MulInto(p, a, nd.prod)
 		nb := mat.NormBoundsScratch(p, ms)
-		rho, rerr := gatedRadius(p, nb, ms, g.exp, g.lower)
+		rho, rerr := gatedRadius(p, nb, ms, g.lower)
 		if rerr != nil {
 			return rerr
 		}
-		out[ai] = gripChild{prod: p, rho: rho, cert: gatedCert(p, nb, ms, nd.cert, g.exp, g.prune)}
+		out[ai] = gripChild{prod: p, rho: rho, cert: gatedCert(p, nb, ms, nd.cert, g.prune)}
 	}
 	return nil
 }

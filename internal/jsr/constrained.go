@@ -178,6 +178,7 @@ func ConstrainedBounds(set []*mat.Dense, g *Graph, maxLen int) (Bounds, error) {
 	for l := 1; l <= maxLen; l++ {
 		maxNorm := 0.0
 		exp := 1 / float64(l)
+		gate := newRateGate(lower, l)
 		for _, w := range level {
 			if nv := norm(w.prod); nv > maxNorm {
 				maxNorm = nv
@@ -186,7 +187,7 @@ func ConstrainedBounds(set []*mat.Dense, g *Graph, maxLen int) (Bounds, error) {
 			// constrained JSR from below (they can be repeated forever).
 			// Closed walks whose spectral-radius bound cannot beat lower
 			// skip the eigenvalue solve: they would lose the strict > anyway.
-			if closes(g, w.node, w.start) && math.Pow(mat.SpectralRadiusBound(w.prod), exp) > lower {
+			if closes(g, w.node, w.start) && gate.above(mat.SpectralRadiusBound(w.prod)) {
 				rho, err := mat.SpectralRadius(w.prod)
 				if err != nil {
 					return Bounds{}, err
@@ -194,6 +195,7 @@ func ConstrainedBounds(set []*mat.Dense, g *Graph, maxLen int) (Bounds, error) {
 				if lb := math.Pow(rho, exp); lb > lower {
 					lower = lb
 					witness = w.word
+					gate = newRateGate(lower, l)
 				}
 			}
 		}
@@ -253,7 +255,7 @@ type cgripNode struct {
 // Gripenberg's children, a closable child whose spectral-radius bounds
 // cannot raise the level-start lower bound carries rho = 0, and a child
 // whose certificate bound cannot exceed the level-start prune threshold
-// carries that bound as its certificate.
+// carries that threshold as its certificate.
 type cgripChild struct {
 	at   int
 	prod *mat.Dense
@@ -280,17 +282,17 @@ func cgripCutBounds(lower, delta float64, witness []int, frontier []cgripNode) B
 
 // expandCGripNode computes the out-degree children of one constrained
 // frontier node into out, in successor order, with the same gates as
-// Gripenberg's expandNodeGuarded: lower is the level-start lower bound
-// that gates the eigenvalue solve, prune the level-start prune
+// Gripenberg's expandNodeGuarded: lower holds the level-start lower
+// bound that gates the eigenvalue solve, prune the level-start prune
 // threshold that gates the norm.
-func expandCGripNode(set []*mat.Dense, g *Graph, nd cgripNode, exp, lower, prune float64, ms *mat.Scratch, out []cgripChild) error {
+func expandCGripNode(set []*mat.Dense, g *Graph, nd cgripNode, lower, prune rateGate, ms *mat.Scratch, out []cgripChild) error {
 	for j, nxt := range g.Next[nd.at] {
 		p := mat.Mul(set[g.Nodes[nxt]], nd.prod)
 		nb := mat.NormBoundsScratch(p, ms)
-		c := cgripChild{at: nxt, prod: p, cert: gatedCert(p, nb, ms, nd.cert, exp, prune)}
+		c := cgripChild{at: nxt, prod: p, cert: gatedCert(p, nb, ms, nd.cert, prune)}
 		if closes(g, nxt, nd.start) {
 			c.cyc = true
-			rho, err := gatedRadius(p, nb, ms, exp, lower)
+			rho, err := gatedRadius(p, nb, ms, lower)
 			if err != nil {
 				return err
 			}
@@ -404,6 +406,7 @@ func ConstrainedGripenbergCtx(ctx context.Context, set []*mat.Dense, g *Graph, o
 
 		depth++
 		exp := 1 / float64(depth)
+		lowerGate, pruneGate := newRateGate(lower, depth), newRateGate(lower+opt.Delta, depth)
 		children := make([]cgripChild, offs[expand])
 		err := parallelSlots(ctx, expand, opt.Workers, func(ctx context.Context, slot, lo, hi int) error {
 			// Lazy per-slot scratch, race-free for the same reason as
@@ -418,7 +421,7 @@ func ConstrainedGripenbergCtx(ctx context.Context, set []*mat.Dense, g *Graph, o
 				}
 				nd := frontier[fi]
 				if gerr := expandGuard(nd.word, func() error {
-					return expandCGripNode(set, g, nd, exp, lower, lower+opt.Delta, ms, children[offs[fi]:offs[fi+1]])
+					return expandCGripNode(set, g, nd, lowerGate, pruneGate, ms, children[offs[fi]:offs[fi+1]])
 				}); gerr != nil {
 					return gerr
 				}

@@ -2,9 +2,11 @@ package jsr
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"math"
 	"math/rand"
+	"os"
 	"sort"
 	"testing"
 
@@ -506,23 +508,53 @@ func TestExpandLevelZeroAllocsWarm(t *testing.T) {
 // and its Gelfand bound, taken to the 1/depth power, exceed lower;
 // otherwise it carries rho = 0. Its norm is computed exactly when
 // min(parent cert, T^{1/depth}) exceeds prune, T being the 2-norm bound;
-// otherwise that minimum is its certificate. lower = prune = -Inf
-// computes everything, +Inf nothing, and thresholds between the
-// children's bound rates give a mix, including children that only the
-// Gelfand bound skips.
+// otherwise it records prune as its certificate, which the merge
+// prunes. lower = prune = -Inf computes everything, +Inf nothing, and
+// thresholds between the children's bound rates give a mix, including
+// children that only the Gelfand bound skips. On the 3×3 set at depth
+// 2 every bound rate is above its parent's certificate, so the norm
+// skips there follow from the parent alone; the lifted 9×9 PMSM set,
+// preconditioned as EstimateCtx runs it, is taken deep enough that
+// some children are skipped on their bound rate below the parent's.
 func TestExpandLevelSkipsOnlyLosingChildren(t *testing.T) {
-	set := pmsmLikeSet()
-	frontier, _, _, err := seedFrontier(set, set)
+	t.Run("pmsm-like-3x3", func(t *testing.T) {
+		set := pmsmLikeSet()
+		checkExpandGates(t, set, set, 2, false)
+	})
+	t.Run("pmsm-lifted-9x9", func(t *testing.T) {
+		raw := pmsmLiftedSet(t)
+		work, _, ok := Precondition(raw)
+		if !ok {
+			t.Fatal("Precondition found no common quadratic Lyapunov function for the PMSM set")
+		}
+		checkExpandGates(t, work, raw, pmsmGateDepth, true)
+	})
+}
+
+// pmsmGateDepth is the level at which the 9×9 case checks the gates:
+// deep enough that some children's 2-norm bound rate falls below
+// their parent's certificate.
+const pmsmGateDepth = 5
+
+// checkExpandGates expands the full (unpruned) tree of work to depth-1
+// and checks both gates on the children of the next level.
+// boundBranch demands that some norm skips come from the bound rate
+// alone, below the parent's certificate.
+func checkExpandGates(t *testing.T, work, raw []*mat.Dense, depth int, boundBranch bool) {
+	t.Helper()
+	frontier, _, _, err := seedFrontier(work, raw)
 	if err != nil {
 		t.Fatalf("seed: %v", err)
 	}
-	g := newGripSearch(set, 1)
-	ms := mat.NewScratch(set[0].Rows())
+	k := len(work)
+	g := newGripSearch(work, 1)
+	ms := mat.NewScratch(work[0].Rows())
 	ctx := context.Background()
-	const depth = 2
-	exp := 1.0 / depth
-	k := len(set)
 	inf := math.Inf(1)
+	for d := 2; d < depth; d++ {
+		frontier = cloneChildren(t, g, frontier, d)
+	}
+	exp := 1 / float64(depth)
 	children, err := g.expandLevel(ctx, frontier, len(frontier), depth, 1, -inf, -inf)
 	if err != nil {
 		t.Fatal(err)
@@ -554,7 +586,7 @@ func TestExpandLevelSkipsOnlyLosingChildren(t *testing.T) {
 		if err != nil {
 			t.Fatalf("lower=%v: %v", lower, err)
 		}
-		solved, squareOnly, normed := 0, 0, 0
+		solved, squareOnly, normed, byBound := 0, 0, 0, 0
 		for ci, c := range children {
 			want := 0.0
 			if radius[ci] > lower && square[ci] > lower {
@@ -568,13 +600,21 @@ func TestExpandLevelSkipsOnlyLosingChildren(t *testing.T) {
 			if math.Float64bits(c.rho) != math.Float64bits(want) {
 				t.Errorf("lower=%v child %d: rho = %v, want %v", lower, ci, c.rho, want)
 			}
-			wantCert := certBound[ci]
-			if wantCert > prune {
+			if certBound[ci] > prune {
 				normed++
-				wantCert = math.Min(frontier[ci/k].cert, math.Pow(mat.TwoNorm(c.prod), exp))
+				wantCert := math.Min(frontier[ci/k].cert, math.Pow(mat.TwoNorm(c.prod), exp))
+				if math.Float64bits(c.cert) != math.Float64bits(wantCert) {
+					t.Errorf("prune=%v child %d: cert = %v, want %v", prune, ci, c.cert, wantCert)
+				}
+				continue
 			}
-			if math.Float64bits(c.cert) != math.Float64bits(wantCert) {
-				t.Errorf("prune=%v child %d: cert = %v, want %v", prune, ci, c.cert, wantCert)
+			// A skipped norm records prune itself: at most prune, as
+			// the merge needs, and never a computed certificate.
+			if math.Float64bits(c.cert) != math.Float64bits(prune) {
+				t.Errorf("prune=%v child %d: cert = %v, want prune for a skipped norm", prune, ci, c.cert)
+			}
+			if certBound[ci] < frontier[ci/k].cert {
+				byBound++
 			}
 		}
 		switch lower {
@@ -593,8 +633,53 @@ func TestExpandLevelSkipsOnlyLosingChildren(t *testing.T) {
 			if normed == 0 || normed == len(children) {
 				t.Errorf("prune=%v normed %d of %d children, want a mix", prune, normed, len(children))
 			}
+			if boundBranch && byBound == 0 {
+				t.Errorf("prune=%v: no child skipped its norm on a bound rate below its parent's certificate", prune)
+			}
 		}
 	}
+}
+
+// cloneChildren expands every node of frontier at depth with both gates
+// off and returns all children as the next frontier, with products
+// copied out of the search's pools.
+func cloneChildren(t testing.TB, g *gripSearch, frontier []gripNode, depth int) []gripNode {
+	t.Helper()
+	k := len(g.set)
+	children, err := g.expandLevel(context.Background(), frontier, len(frontier), depth, 1, math.Inf(-1), math.Inf(-1))
+	if err != nil {
+		t.Fatalf("build depth %d: %v", depth, err)
+	}
+	next := make([]gripNode, len(children))
+	for ci := range children {
+		next[ci] = gripNode{
+			prod: children[ci].prod.Clone(),
+			word: childWord(frontier[ci/k].word, ci%k),
+			cert: children[ci].cert,
+		}
+	}
+	return next
+}
+
+// pmsmLiftedSet loads testdata/pmsm_ns5.json: the closed-loop set
+// {Ω(h)} of the lifted PMSM design at Ns = 5 and Rmax = 1.6·T, four 9×9
+// modes, as api.BuildScenario("pmsm", 1.6, 5) builds it (the api tests
+// check that the file still matches).
+func pmsmLiftedSet(t testing.TB) []*mat.Dense {
+	t.Helper()
+	data, err := os.ReadFile("testdata/pmsm_ns5.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ms [][][]float64
+	if err := json.Unmarshal(data, &ms); err != nil {
+		t.Fatal(err)
+	}
+	set := make([]*mat.Dense, len(ms))
+	for i, m := range ms {
+		set[i] = mat.FromRows(m)
+	}
+	return set
 }
 
 // ---------------------------------------------------------------------------
@@ -636,19 +721,7 @@ func benchmarkExpand(b *testing.B, n int, gated bool) {
 	g := newGripSearch(set, 1)
 	ctx := context.Background()
 	for depth := 2; depth <= 3; depth++ {
-		children, err := g.expandLevel(ctx, frontier, len(frontier), depth, 1, math.Inf(-1), math.Inf(-1))
-		if err != nil {
-			b.Fatalf("build depth %d: %v", depth, err)
-		}
-		next := make([]gripNode, len(children))
-		for ci := range children {
-			next[ci] = gripNode{
-				prod: children[ci].prod.Clone(),
-				word: childWord(frontier[ci/len(set)].word, ci%len(set)),
-				cert: children[ci].cert,
-			}
-		}
-		frontier = next
+		frontier = cloneChildren(b, g, frontier, depth)
 	}
 	if _, err := g.expandLevel(ctx, frontier, len(frontier), 4, 1, lower, prune); err != nil {
 		b.Fatalf("warmup: %v", err)

@@ -131,35 +131,106 @@ func validateSet(set []*mat.Dense) (int, error) {
 // gives the tightest one-step certificates among the cheap norms.
 func norm(m *mat.Dense) float64 { return mat.TwoNorm(m) }
 
+// rateGate decides, for one exponent 1/depth and one threshold v,
+// whether a bound's rate x^{1/depth} exceeds v, with exactly the result
+// of math.Pow(x, 1/depth) > v but without calling Pow for almost every
+// x. It compares x against lo = v^depth·(1−m) and hi = v^depth·(1+m),
+// computed once per level: x ≤ lo is "not above", x > hi is "above",
+// and only an x inside the band between them pays the Pow comparison.
+// The margin m = 1e-9 dwarfs the combined rounding of v^depth, of the
+// exponent 1/depth and of Pow itself (below 1e-12 relative in the
+// depth-th power for depth ≤ rateGateMaxDepth and v^depth inside
+// 2^±1000), so outside the band the Pow comparison cannot come out the
+// other way (DESIGN §11). Outside that range, for v ≤ 0 or NaN, and for
+// deeper levels, lo and hi are NaN, every comparison with them is
+// false, and every x takes the Pow path. At depth 1, Pow(x, 1) is x, so
+// lo = hi = v and the gate is exact with no band.
+type rateGate struct {
+	v, exp, lo, hi float64
+}
+
+const (
+	// rateGateMargin is the relative half-width m of the band around
+	// v^depth in which a rateGate falls back to Pow.
+	rateGateMargin = 1e-9
+	// rateGateMaxDepth is the deepest level at which the rounding
+	// argument behind the band is made; deeper levels always use Pow.
+	rateGateMaxDepth = 1024
+)
+
+// newRateGate builds the gate for threshold v at depth (exponent
+// 1/depth, computed exactly as the search computes it).
+func newRateGate(v float64, depth int) rateGate {
+	g := rateGate{v: v, exp: 1 / float64(depth), lo: math.NaN(), hi: math.NaN()}
+	if depth == 1 {
+		g.lo, g.hi = v, v
+		return g
+	}
+	if depth > rateGateMaxDepth || !(v > 0) {
+		return g
+	}
+	if p := math.Pow(v, float64(depth)); p >= 0x1p-1000 && p <= 0x1p1000 {
+		g.lo, g.hi = p*(1-rateGateMargin), p*(1+rateGateMargin)
+	}
+	return g
+}
+
+// above reports math.Pow(x, 1/depth) > v.
+func (g rateGate) above(x float64) bool {
+	if x <= g.lo {
+		return false
+	}
+	if x > g.hi {
+		return true
+	}
+	return math.Pow(x, g.exp) > g.v
+}
+
+// atMost reports math.Pow(x, 1/depth) <= v. It is !above(x) except
+// where the Pow comparison meets a NaN, which makes both false.
+func (g rateGate) atMost(x float64) bool {
+	if x <= g.lo {
+		return true
+	}
+	if x > g.hi {
+		return false
+	}
+	return math.Pow(x, g.exp) <= g.v
+}
+
 // gatedRadius returns the spectral radius of p, or 0 without the
-// eigenvalue solve when p's rate ρ^exp provably cannot exceed lower.
-// Every caller folds the result into a running maximum with a strict >
-// against a value no smaller than lower, so a skipped product loses that
+// eigenvalue solve when p's rate ρ^exp provably cannot exceed the
+// threshold of lower, a gate at the caller's depth. Every caller folds
+// the result into a running maximum with a strict > against a value no
+// smaller than that threshold, so a skipped product loses that
 // comparison with either value. Two bounds gate the solve: nb.Radius,
-// and, when it fails against a finite lower, the Gelfand bound, which
-// costs one product. nb must be mat.NormBoundsScratch(p, ms).
-func gatedRadius(p *mat.Dense, nb mat.NormBounds, ms *mat.Scratch, exp, lower float64) (float64, error) {
-	if !(math.Pow(nb.Radius, exp) > lower) {
+// and, when it fails against a finite threshold, the Gelfand bound,
+// which costs one product. nb must be mat.NormBoundsScratch(p, ms).
+func gatedRadius(p *mat.Dense, nb mat.NormBounds, ms *mat.Scratch, lower rateGate) (float64, error) {
+	if !lower.above(nb.Radius) {
 		return 0, nil
 	}
-	if !math.IsInf(lower, -1) && !(math.Pow(mat.SquareRadiusBoundScratch(p, nb, ms), exp) > lower) {
+	if !math.IsInf(lower.v, -1) && !lower.above(mat.SquareRadiusBoundScratch(p, nb, ms)) {
 		return 0, nil
 	}
 	return mat.SpectralRadiusScratch(p, ms)
 }
 
-// gatedCert returns a child's branch certificate min(parent, ‖p‖^exp).
-// When the 2-norm bound nb.TwoNorm already puts that minimum at or below
-// prune, it returns the minimum over the bound instead, without the
-// power iteration. Callers prune children against a threshold no lower
-// than prune, so such a child is pruned with either value, and a pruned
-// child's certificate is read nowhere. nb must be
+// gatedCert returns a child's branch certificate min(parent, ‖p‖^exp),
+// for the exponent and the prune threshold of the gate prune. When the
+// 2-norm bound nb.TwoNorm already puts that minimum at or below the
+// threshold, it returns the threshold instead, without the power
+// iteration. Callers prune children against a threshold no lower than
+// prune's, so such a child is pruned with either value, and a pruned
+// child's certificate is read nowhere. nb.TwoNorm is never NaN, so the
+// skip happens exactly when math.Min(parent, nb.TwoNorm^exp) ≤ the
+// threshold, NaN parent and NaN threshold included. nb must be
 // mat.NormBoundsScratch(p, ms).
-func gatedCert(p *mat.Dense, nb mat.NormBounds, ms *mat.Scratch, parent, exp, prune float64) float64 {
-	if c := math.Min(parent, math.Pow(nb.TwoNorm, exp)); c <= prune {
-		return c
+func gatedCert(p *mat.Dense, nb mat.NormBounds, ms *mat.Scratch, parent float64, prune rateGate) float64 {
+	if parent <= prune.v || !math.IsNaN(parent) && prune.atMost(nb.TwoNorm) {
+		return prune.v
 	}
-	return math.Min(parent, math.Pow(mat.TwoNormScratch(p, ms), exp))
+	return math.Min(parent, math.Pow(mat.TwoNormScratch(p, ms), prune.exp))
 }
 
 // WitnessRate replays a witness word against a matrix set and returns
@@ -236,7 +307,7 @@ func (lb *levelBest) fold(rho float64, word []int, nv float64) {
 // allocating ones.
 func foldProduct(lb *levelBest, p *mat.Dense, word []int, ms *mat.Scratch) error {
 	nb := mat.NormBoundsScratch(p, ms)
-	rho, err := gatedRadius(p, nb, ms, 1, lb.rho)
+	rho, err := gatedRadius(p, nb, ms, newRateGate(lb.rho, 1))
 	if err != nil {
 		return err
 	}
