@@ -3,8 +3,7 @@
 //
 //	adaserved [-addr :8080] [-workers N] [-cache-dir DIR] [-queue N]
 //	          [-timeout 5m] [-rate R] [-burst N] [-max-inflight N]
-//	          [-cache-probe 30s] [-role standalone|coordinator|worker]
-//	          [-join URL] [-advertise URL] [-version]
+//	          [-cache-probe 30s] [-store-segment BYTES] [-version]
 //
 // Endpoints:
 //
@@ -18,23 +17,14 @@
 //	GET  /healthz           liveness, build version, queue/job counters
 //	GET  /metrics           Prometheus text exposition
 //
-// Distributed roles (-role): a coordinator splits each asynchronous
-// job's level expansions into shards and dispatches them to registered
-// workers under leases, re-dispatching on expiry and falling back to
-// local evaluation, so the certified bracket is byte-identical to a
-// single-node run at any worker count. A worker (-role worker -join
-// COORD -advertise SELF) serves shard evaluations on /v1/internal/,
-// keeps itself registered via heartbeats, and consults the
-// coordinator's certificate store before computing locally. The
-// /v1/internal/ surface is unauthenticated and must only be reachable
-// inside the cluster.
-//
 // With -cache-dir, certificates persist across restarts and queued or
-// in-flight jobs are checkpointed at every Gripenberg level boundary;
-// a restarted server resumes them and finishes with bit-identical
-// bounds. SIGINT/SIGTERM shut down gracefully: intake stops, workers
-// drain the queue (bounded by -timeout), and whatever is still running
-// checkpoints and exits cleanly.
+// in-flight jobs are checkpointed: a job's frontier at a Gripenberg
+// level boundary is persisted at most once per second of search. A
+// restarted server resumes each job from its last checkpoint and
+// finishes with bit-identical bounds. SIGINT/SIGTERM shut down
+// gracefully: intake stops, workers drain the queue (bounded by
+// -timeout), and whatever is still running checkpoints and exits
+// cleanly.
 //
 // Admission control: -rate and -burst run a per-client token bucket on
 // POST /v1/certify (429 + Retry-After when exceeded; clients are keyed
@@ -61,7 +51,6 @@ import (
 
 	"adaptivertc/internal/buildinfo"
 	"adaptivertc/internal/certcache"
-	"adaptivertc/internal/dist"
 	"adaptivertc/internal/server"
 )
 
@@ -80,13 +69,6 @@ func run() int {
 	maxInflight := flag.Int("max-inflight", 0, "max concurrent certify requests before shedding 503 (0 = unlimited)")
 	cacheProbe := flag.Duration("cache-probe", 0, "recovery-probe interval while the disk cache is degraded (0 = default 30s)")
 	storeSegment := flag.Int64("store-segment", 0, "segment rotation threshold in bytes for the persistent logs (0 = default 64 MiB)")
-	role := flag.String("role", "standalone", "node role: standalone, coordinator (distribute async jobs over workers), or worker (evaluate shards for -join)")
-	join := flag.String("join", "", "coordinator base URL a worker registers with (required for -role worker)")
-	advertise := flag.String("advertise", "", "base URL the coordinator dials this worker back on (default http://127.0.0.1:<listen port>)")
-	workerID := flag.String("worker-id", "", "stable worker identifier (default host:port of the listener)")
-	lease := flag.Duration("lease", 30*time.Second, "coordinator: per-shard dispatch lease before re-dispatching")
-	heartbeat := flag.Duration("heartbeat", 5*time.Second, "worker: registration renewal interval")
-	workerTTL := flag.Duration("worker-ttl", 15*time.Second, "coordinator: registration lifetime without a heartbeat")
 	version := flag.Bool("version", false, "print build/version information and exit")
 	flag.Parse()
 
@@ -106,15 +88,13 @@ func run() int {
 		return 2
 	}
 
-	// Listen before assembling the node: a worker's default advertise
-	// address and identifier come from the bound port.
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "adaserved:", err)
 		return 2
 	}
 
-	cfg := server.Config{
+	svc, err := server.New(server.Config{
 		Workers:           *workers,
 		QueueSize:         *queue,
 		Timeout:           *timeout,
@@ -124,69 +104,7 @@ func run() int {
 		RatePerSec:        *rate,
 		Burst:             *burst,
 		MaxInflight:       *maxInflight,
-	}
-
-	// The role decides which dist half rides along and which seams it
-	// plugs into the service; mount wraps the public handler with the
-	// node's /v1/internal/ surface.
-	mount := func(public http.Handler) http.Handler { return public }
-	var workerNode *dist.Worker
-	switch *role {
-	case "standalone":
-	case "coordinator":
-		coord := dist.NewCoordinator(dist.CoordinatorConfig{
-			Lease:     *lease,
-			WorkerTTL: *workerTTL,
-			Cache:     cache,
-			Logf:      func(format string, args ...any) { fmt.Fprintf(os.Stderr, format+"\n", args...) },
-		})
-		cfg.Distribute = coord.Distributor
-		cfg.MetricsExtra = coord.Metrics
-		mount = func(public http.Handler) http.Handler {
-			mux := http.NewServeMux()
-			mux.Handle("/", public)
-			mux.Handle("/v1/internal/", coord.Handler())
-			return mux
-		}
-	case "worker":
-		if *join == "" {
-			fmt.Fprintln(os.Stderr, "adaserved: -role worker requires -join COORDINATOR_URL")
-			return 2
-		}
-		port := ln.Addr().(*net.TCPAddr).Port
-		adv := *advertise
-		if adv == "" {
-			adv = fmt.Sprintf("http://127.0.0.1:%d", port)
-		}
-		id := *workerID
-		if id == "" {
-			host, _ := os.Hostname()
-			id = fmt.Sprintf("%s:%d", host, port)
-		}
-		workerNode, err = dist.NewWorker(dist.WorkerConfig{
-			ID:          id,
-			Advertise:   adv,
-			Coordinator: *join,
-			Heartbeat:   *heartbeat,
-			Logf:        func(format string, args ...any) { fmt.Fprintf(os.Stderr, format+"\n", args...) },
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "adaserved:", err)
-			return 2
-		}
-		cfg.PeerFetch = workerNode.PeerFetch
-		mount = func(public http.Handler) http.Handler {
-			mux := http.NewServeMux()
-			mux.Handle("/", public)
-			mux.Handle("/v1/internal/", workerNode.Handler())
-			return mux
-		}
-	default:
-		fmt.Fprintf(os.Stderr, "adaserved: unknown -role %q (want standalone, coordinator or worker)\n", *role)
-		return 2
-	}
-
-	svc, err := server.New(cfg)
+	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "adaserved:", err)
 		return 2
@@ -200,7 +118,7 @@ func run() int {
 	svc.Start()
 
 	httpSrv := &http.Server{
-		Handler:           mount(svc.Handler()),
+		Handler:           svc.Handler(),
 		ReadHeaderTimeout: 5 * time.Second,
 		ReadTimeout:       30 * time.Second,
 		// Synchronous certifications run under the per-job budget;
@@ -208,20 +126,10 @@ func run() int {
 		WriteTimeout: *timeout + 30*time.Second,
 		IdleTimeout:  2 * time.Minute,
 	}
-	fmt.Printf("listening on %s (role %s)\n", ln.Addr(), *role)
+	fmt.Printf("listening on %s\n", ln.Addr())
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	if workerNode != nil {
-		// Join the coordinator and keep the registration alive; the
-		// signal context ends the heartbeat loop at shutdown, which is
-		// the only way Run returns.
-		go func() {
-			if err := workerNode.Run(ctx); err != nil && !errors.Is(err, context.Canceled) {
-				fmt.Fprintln(os.Stderr, "adaserved: worker heartbeat loop:", err)
-			}
-		}()
-	}
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.Serve(ln) }()
 

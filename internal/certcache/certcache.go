@@ -32,12 +32,6 @@
 // the service does) rather than a decoded struct is what makes the
 // byte-identical-responses guarantee trivial: a hit literally replays
 // the leader's bytes.
-//
-// Caches created before the segmented log used one checkpoint file per
-// entry (dir/xx/<hex>.cert). New transparently migrates such a legacy
-// directory into the log on first open: each entry is verified,
-// imported, and its file removed; the count is visible in
-// StoreStats().Migrated.
 package certcache
 
 import (
@@ -46,33 +40,15 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"path/filepath"
 	"sync"
 	"time"
 
-	"adaptivertc/internal/checkpoint"
 	"adaptivertc/internal/inputhash"
 	"adaptivertc/internal/store"
 )
 
 // Key addresses one cached certification result.
 type Key = inputhash.Sum
-
-// entryKind/entryVersion identify the legacy one-file-per-entry
-// on-disk format, retained only so migration can verify old entries.
-const (
-	entryKind    = "adaserved/cert"
-	entryVersion = 1
-)
-
-// entry is the legacy persisted payload: the key was stored alongside
-// the body so a renamed or copied file could not serve bytes for the
-// wrong request. (The segmented log gets the same property from the
-// key embedded in each record's frame.)
-type entry struct {
-	Key  Key
-	Body []byte
-}
 
 // Outcome classifies how a GetOrCompute call was served.
 type Outcome int
@@ -133,8 +109,7 @@ type Options struct {
 	Capacity int
 	// Dir, when non-empty, persists every computed entry to a segmented
 	// log in this directory (created if absent) and consults it on
-	// memory misses. A legacy one-file-per-entry directory is migrated
-	// into the log on open.
+	// memory misses.
 	Dir string
 	// FS is the filesystem the persistent layer runs on; nil selects
 	// OSFS. Tests and the chaos harness substitute a faulty FS.
@@ -154,7 +129,6 @@ const defaultProbeInterval = 30 * time.Second
 // Cache is a concurrency-safe content-addressed certificate store.
 type Cache struct {
 	capacity      int
-	dir           string
 	log           *store.Log // nil for a memory-only cache
 	probeInterval time.Duration
 	now           func() time.Time // swapped in tests
@@ -181,10 +155,9 @@ type flight struct {
 }
 
 // New creates a cache. With a Dir, the segmented log is opened (or
-// created) there and any legacy one-file-per-entry layout is migrated
-// in. A Dir whose log cannot be opened at construction time is an
-// operator error and fails New — in particular, a log whose sealed
-// segments rotted refuses to open rather than silently dropping
+// created) there. A Dir whose log cannot be opened at construction
+// time is an operator error and fails New — in particular, a log whose
+// sealed segments rotted refuses to open rather than silently dropping
 // acknowledged entries; faults after construction demote instead.
 func New(opt Options) (*Cache, error) {
 	if opt.Capacity <= 0 {
@@ -198,7 +171,6 @@ func New(opt Options) (*Cache, error) {
 	}
 	c := &Cache{
 		capacity:      opt.Capacity,
-		dir:           opt.Dir,
 		probeInterval: opt.ProbeInterval,
 		now:           time.Now,
 		lru:           list.New(),
@@ -211,81 +183,8 @@ func New(opt Options) (*Cache, error) {
 			return nil, fmt.Errorf("certcache: opening store in %s: %w", opt.Dir, err)
 		}
 		c.log = l
-		if err := c.migrateLegacy(opt.FS); err != nil {
-			// Migration is restartable (remaining legacy files are picked
-			// up next open); a fault mid-way degrades rather than failing
-			// construction.
-			c.mu.Lock()
-			c.demoteLocked("migrating legacy entries", err)
-			c.mu.Unlock()
-		}
 	}
 	return c, nil
-}
-
-// migrateLegacy imports a pre-log one-file-per-entry cache directory
-// (dir/xx/<hex>.cert, checkpoint-enveloped) into the segmented log.
-// Each entry is verified before import; corrupt files are dropped —
-// they would have been evicted on first read anyway. Files and shard
-// dirs are removed as they migrate, so a crash mid-migration simply
-// resumes on the next open.
-func (c *Cache) migrateLegacy(fs FS) error {
-	names, err := fs.ReadDir(c.dir)
-	if err != nil {
-		return fmt.Errorf("certcache: scanning %s: %w", c.dir, err)
-	}
-	var migrated int64
-	defer func() {
-		if migrated > 0 {
-			c.log.AddMigrated(migrated)
-		}
-	}()
-	for _, shard := range names {
-		if len(shard) != 2 || !isHex(shard) {
-			continue
-		}
-		shardDir := filepath.Join(c.dir, shard)
-		files, err := fs.ReadDir(shardDir)
-		if err != nil {
-			// Not a directory (a stray file named like a shard) — skip.
-			continue
-		}
-		for _, name := range files {
-			p := filepath.Join(shardDir, name)
-			if filepath.Ext(name) != ".cert" {
-				continue
-			}
-			data, err := fs.ReadFile(p)
-			if err != nil {
-				return fmt.Errorf("certcache: migrating %s: %w", p, err)
-			}
-			var e entry
-			if uerr := checkpoint.Unmarshal(data, entryKind, entryVersion, &e); uerr == nil {
-				if err := c.log.Put(e.Key.String(), e.Body); err != nil {
-					return fmt.Errorf("certcache: migrating %s: %w", p, err)
-				}
-				migrated++
-			}
-			// Imported or corrupt: either way the file is done.
-			if err := fs.Remove(p); err != nil {
-				return fmt.Errorf("certcache: removing migrated %s: %w", p, err)
-			}
-		}
-		// A shard dir that is empty now disappears; one that still holds
-		// foreign files is left alone.
-		//lint:ignore droppederr removal fails when foreign files remain, which is the intended behavior
-		fs.Remove(shardDir)
-	}
-	return nil
-}
-
-func isHex(s string) bool {
-	for _, r := range s {
-		if (r < '0' || r > '9') && (r < 'a' || r > 'f') {
-			return false
-		}
-	}
-	return true
 }
 
 // Stats returns a snapshot of the counters.

@@ -315,78 +315,6 @@ func TestConcurrentMixedKeys(t *testing.T) {
 	wg.Wait()
 }
 
-// --- legacy layout migration ---
-
-// A pre-log one-file-per-entry directory is transparently imported on
-// open: entries serve from the store, the files are gone, and the
-// migration count is visible. A second open is a no-op.
-func TestLegacyMigration(t *testing.T) {
-	dir := t.TempDir()
-	want := map[string][]byte{}
-	for i := 0; i < 5; i++ {
-		name := fmt.Sprintf("legacy-%d", i)
-		body := []byte(fmt.Sprintf("legacy-body-%d", i))
-		if err := WriteLegacyEntry(dir, keyOf(name), body); err != nil {
-			t.Fatal(err)
-		}
-		want[name] = body
-	}
-	// One rotted legacy file: dropped, not imported, not fatal.
-	rotted := keyOf("rotted")
-	if err := WriteLegacyEntry(dir, rotted, []byte("gone")); err != nil {
-		t.Fatal(err)
-	}
-	hex := rotted.String()
-	rottedPath := filepath.Join(dir, hex[:2], hex+".cert")
-	raw, err := os.ReadFile(rottedPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw[len(raw)-1] ^= 0xFF
-	if err := os.WriteFile(rottedPath, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	c := mustNew(t, Options{Dir: dir})
-	if got := c.StoreStats().Migrated; got != 5 {
-		t.Fatalf("Migrated = %d, want 5", got)
-	}
-	for name, body := range want {
-		got, outcome, ok := c.Get(keyOf(name))
-		if !ok || outcome != HitDisk || !bytes.Equal(got, body) {
-			t.Fatalf("migrated %q: ok=%v outcome=%v body=%q", name, ok, outcome, got)
-		}
-	}
-	if _, _, ok := c.Get(rotted); ok {
-		t.Fatal("rotted legacy entry was imported")
-	}
-	// Every legacy file (and its shard dir) is gone.
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		if e.IsDir() {
-			t.Fatalf("legacy shard dir %q survived migration", e.Name())
-		}
-	}
-	if err := c.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Reopen: nothing left to migrate, data still serves.
-	c2 := mustNew(t, Options{Dir: dir})
-	if got := c2.StoreStats().Migrated; got != 0 {
-		t.Fatalf("second open migrated %d entries, want 0", got)
-	}
-	for name, body := range want {
-		got, _, ok := c2.Get(keyOf(name))
-		if !ok || !bytes.Equal(got, body) {
-			t.Fatalf("post-migration reopen %q: ok=%v body=%q", name, ok, got)
-		}
-	}
-}
-
 // --- degraded-mode (faulty disk) behaviour ---
 
 // faultFS wraps the real filesystem with switchable read/write faults,

@@ -117,11 +117,6 @@ type Options struct {
 	// open before a half-open probe (≤ 0 selects 10 s).
 	BreakerThreshold int
 	BreakerCooldown  time.Duration
-	// MaxResponseBytes bounds any response body this client reads
-	// (≤ 0 selects 8 MiB — ample for certificates). The dist
-	// coordinator raises it: a shard response carries two exact-bit
-	// floats per child and outgrows the default on wide levels.
-	MaxResponseBytes int64
 }
 
 // Client calls one adaserved instance. Safe for concurrent use.
@@ -161,9 +156,6 @@ func New(opts Options) (*Client, error) {
 	}
 	if opts.BreakerCooldown <= 0 {
 		opts.BreakerCooldown = defaultBreakerCooldown
-	}
-	if opts.MaxResponseBytes <= 0 {
-		opts.MaxResponseBytes = maxResponseBytes
 	}
 	seed := opts.Seed
 	if seed == 0 {
@@ -294,7 +286,7 @@ func (c *Client) postOnce(ctx context.Context, payload []byte) (body []byte, job
 	if err != nil {
 		return nil, "", &transportError{err}
 	}
-	raw, err := readBody(resp, c.opts.MaxResponseBytes)
+	raw, err := readBody(resp)
 	if err != nil {
 		return nil, "", &transportError{err}
 	}
@@ -334,7 +326,7 @@ func (c *Client) pollJob(ctx context.Context, statusURL string) (*api.JobStatus,
 			}
 			continue
 		}
-		raw, err := readBody(resp, c.opts.MaxResponseBytes)
+		raw, err := readBody(resp)
 		if err != nil || resp.StatusCode != http.StatusOK {
 			if ctx.Err() != nil {
 				return nil, ctx.Err()
@@ -438,11 +430,11 @@ func statusError(resp *http.Response, raw []byte) error {
 	return se
 }
 
-// readBody drains and closes a response body, bounded by the client's
-// MaxResponseBytes.
-func readBody(resp *http.Response, limit int64) ([]byte, error) {
+// readBody drains and closes a response body, bounded by
+// maxResponseBytes.
+func readBody(resp *http.Response) ([]byte, error) {
 	defer resp.Body.Close()
-	return io.ReadAll(io.LimitReader(resp.Body, limit))
+	return io.ReadAll(io.LimitReader(resp.Body, maxResponseBytes))
 }
 
 // sleepCtx sleeps for d or until ctx is done, whichever first.

@@ -334,9 +334,6 @@ func ConstrainedGripenbergCtx(ctx context.Context, set []*mat.Dense, g *Graph, o
 	if opt.Snapshot != nil || opt.Resume != nil {
 		return Bounds{}, fmt.Errorf("jsr: Snapshot/Resume are not supported by the constrained search")
 	}
-	if opt.Expand != nil {
-		return Bounds{}, fmt.Errorf("jsr: Expand hooks are not supported by the constrained search")
-	}
 	opt, err := opt.withDefaults()
 	if err != nil {
 		return Bounds{}, err

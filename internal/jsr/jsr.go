@@ -565,18 +565,6 @@ type GripenbergOptions struct {
 	// uninterrupted run. Supported by Gripenberg only; constrained
 	// searches reject it.
 	Resume *GripenbergState
-	// Expand, when non-nil, replaces the in-process level expansion:
-	// each level's (depth, parent words) are handed to the hook, which
-	// must return the children's spectral radii and certificates in
-	// frontier-major, matrix-index-minor order (see ExpandShard, whose
-	// replay-based evaluation is bit-identical to the in-process
-	// kernels). The merge, prune, and lower-bound logic are unchanged,
-	// so a hook that shards the request across machines yields the same
-	// Bounds, bit for bit, as a local run. Survivor products are then
-	// rebuilt lazily on the caller from the parent chain — the same
-	// multiplication the expansion kernel performs. Supported by
-	// Gripenberg only; constrained searches reject it.
-	Expand ExpandFunc
 }
 
 func (o GripenbergOptions) withDefaults() (GripenbergOptions, error) {
@@ -742,21 +730,13 @@ func rebuildFrontier(set []*mat.Dense, st *GripenbergState) ([]gripNode, error) 
 // mergeSurvivors keeps the children whose certificates survive the
 // final per-level lower bound (at least as strong as the sequential
 // running prune, and worker-count independent), materializing their
-// words. Children produced by an Expand hook arrive without products;
-// a survivor's product is then rebuilt here with the same
-// left-multiplication the expansion kernel performs (mat.Mul and
-// mat.MulInto share their computational core), so hook-driven searches
-// stay bit-identical to local ones.
-func mergeSurvivors(work []*mat.Dense, frontier []gripNode, children []gripChild, k int, bound float64) []gripNode {
+// words.
+func mergeSurvivors(frontier []gripNode, children []gripChild, k int, bound float64) []gripNode {
 	next := make([]gripNode, 0, len(children))
 	for ci := range children {
 		if c := &children[ci]; c.cert > bound {
-			prod := c.prod
-			if prod == nil {
-				prod = mat.Mul(work[ci%k], frontier[ci/k].prod)
-			}
 			next = append(next, gripNode{
-				prod: prod,
+				prod: c.prod,
 				word: childWord(frontier[ci/k].word, ci%k),
 				cert: c.cert,
 			})
@@ -887,12 +867,7 @@ func GripenbergCtx(ctx context.Context, set []*mat.Dense, opt GripenbergOptions)
 
 		depth++
 		exp := 1 / float64(depth)
-		var children []gripChild
-		if opt.Expand != nil {
-			children, err = expandViaHook(ctx, opt.Expand, frontier, expand, depth, k)
-		} else {
-			children, err = g.expandLevel(ctx, frontier, expand, depth, opt.Workers, lower, lower+opt.Delta)
-		}
+		children, err := g.expandLevel(ctx, frontier, expand, depth, opt.Workers, lower, lower+opt.Delta)
 		if err != nil {
 			if isCtxErr(err) {
 				// Mid-level cut: discard the partial level and report
@@ -935,7 +910,7 @@ func GripenbergCtx(ctx context.Context, set []*mat.Dense, opt GripenbergOptions)
 
 		// Merge pass 2: keep children that survive the final per-level
 		// lower bound.
-		next := mergeSurvivors(work, frontier, children, k, lower+opt.Delta)
+		next := mergeSurvivors(frontier, children, k, lower+opt.Delta)
 
 		if expand < len(frontier) {
 			// Budget exhausted mid-level: unexpanded nodes stay live, so

@@ -10,7 +10,7 @@ import (
 // timeout and a busy channel, the timers pile up — a slow leak the
 // runtime never reclaims early. A loop-level time.NewTimer (reset per
 // iteration) or time.NewTicker holds one timer for the loop's whole
-// life and is the idiom the repo's heartbeat and watch paths use.
+// life and is the idiom the repo's job watch path uses.
 // One-shot selects outside loops are fine, as is time.After feeding a
 // plain channel receive outside select.
 var TimeAfter = &Check{

@@ -132,7 +132,7 @@ func (s *Server) resolveBatchGroup(ctx context.Context, g *batchGroup, absDeadli
 	}
 	if s.syncable(&g.req, g.set) {
 		body, outcome, err := s.cache.GetOrCompute(ctx, g.key, func(ctx context.Context) ([]byte, error) {
-			return s.compute(ctx, g.key, g.req, g.req.GripenbergOptions(0))
+			return s.certify(ctx, g.req, g.req.GripenbergOptions(0))
 		})
 		if err != nil {
 			if errors.Is(err, jsr.ErrDeadline) || errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {

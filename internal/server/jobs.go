@@ -2,11 +2,8 @@ package server
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 	"time"
 
@@ -30,9 +27,7 @@ const (
 //
 // Records live in the crash-safe segmented log under StateDir/jobs,
 // keyed by job id, each value a checkpoint envelope (magic, kind,
-// version, checksum). Servers from before the log wrote one
-// StateDir/jobs/<id>.job file per job; Recover migrates those
-// transparently.
+// version, checksum).
 type jobCkpt struct {
 	ID       string
 	Key      certcache.Key
@@ -271,13 +266,6 @@ func (s *Server) runJob(j *job) {
 
 	opt := j.req.GripenbergOptions(0)
 	opt.Resume = j.resume
-	if s.cfg.Distribute != nil {
-		// Coordinator role: level expansions of this job are sharded
-		// across the worker fleet. The hook composes with Resume and
-		// Snapshot — it only replaces the expansion kernel, not the
-		// search loop — so recovered jobs distribute too.
-		opt.Expand = s.cfg.Distribute(j.req)
-	}
 	if s.jobLog != nil {
 		id, key, req := j.id, j.key, j.req
 		opt.Snapshot = paceSnapshots(jobSnapshotInterval, time.Now, func(st jsr.GripenbergState) error {
@@ -296,7 +284,7 @@ func (s *Server) runJob(j *job) {
 	}
 	start := time.Now()
 	body, _, err := s.cache.GetOrCompute(ctx, j.key, func(ctx context.Context) ([]byte, error) {
-		return s.compute(ctx, j.key, j.req, opt)
+		return s.certify(ctx, j.req, opt)
 	})
 	// Every completion — success or failure — occupied a worker for
 	// this long; the drain estimator turns that into Retry-After.
@@ -378,68 +366,20 @@ func (s *Server) removeJobCkpt(id string) {
 	}
 }
 
-// jobsDir is the state subdirectory holding job checkpoints — the
-// segmented log now, one .job file per job in the legacy layout.
+// jobsDir is the state subdirectory holding the job checkpoint log.
 func (s *Server) jobsDir() string {
 	return filepath.Join(s.cfg.StateDir, "jobs")
-}
-
-// migrateLegacyJobs imports pre-log StateDir/jobs/<id>.job checkpoint
-// files into the job log and removes them. Corrupt files are deleted —
-// the request lives inside the file, so nothing can be salvaged from a
-// bad one. The import is restartable: a crash mid-way leaves the
-// remaining files for the next Recover, and re-importing an
-// already-migrated id is an idempotent overwrite.
-func (s *Server) migrateLegacyJobs() error {
-	entries, err := os.ReadDir(s.jobsDir())
-	if errors.Is(err, os.ErrNotExist) {
-		return nil
-	}
-	if err != nil {
-		return fmt.Errorf("server: scanning legacy job checkpoints: %w", err)
-	}
-	var migrated int64
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".job") {
-			continue
-		}
-		path := filepath.Join(s.jobsDir(), e.Name())
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return fmt.Errorf("server: migrating %s: %w", path, err)
-		}
-		var ck jobCkpt
-		if uerr := checkpoint.Unmarshal(data, jobCkptKind, jobCkptVersion, &ck); uerr == nil && ck.ID != "" {
-			if err := s.jobLog.Put(ck.ID, data); err != nil {
-				return fmt.Errorf("server: migrating %s: %w", path, err)
-			}
-			migrated++
-		}
-		// Imported or corrupt: either way the file is done.
-		if err := os.Remove(path); err != nil {
-			return fmt.Errorf("server: removing migrated %s: %w", path, err)
-		}
-	}
-	if migrated > 0 {
-		s.jobLog.AddMigrated(migrated)
-	}
-	return nil
 }
 
 // Recover re-enqueues the job checkpoints a previous process left in
 // the store — with their Gripenberg frontier when one was snapshotted,
 // so the resumed search finishes bit-identical to an uninterrupted
-// one. Legacy one-file-per-job checkpoints (StateDir/jobs/<id>.job)
-// are migrated into the log first. Corrupt records are deleted (the
-// request itself lives inside the record; nothing can be salvaged from
-// a bad one). Returns the number of jobs re-enqueued. Call before
-// Start.
+// one. Corrupt records are deleted (the request itself lives inside
+// the record; nothing can be salvaged from a bad one). Returns the
+// number of jobs re-enqueued. Call before Start.
 func (s *Server) Recover() (int, error) {
 	if s.jobLog == nil {
 		return 0, nil
-	}
-	if err := s.migrateLegacyJobs(); err != nil {
-		return 0, err
 	}
 	n := 0
 	for _, id := range s.jobLog.Keys() {

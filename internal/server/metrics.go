@@ -27,10 +27,8 @@ type metrics struct {
 	// admission sheds by gate ("rate", "inflight", "queue").
 	shedByReason map[string]int64
 
-	ckptErrs   atomic.Int64 // job-checkpoint write failures (best-effort persistence)
-	watchers   atomic.Int64 // GET /v1/jobs/{id}?watch=1 long-polls currently blocked
-	peerHits   atomic.Int64 // certificates served by the peer tier instead of computing
-	peerMisses atomic.Int64 // peer-tier lookups that fell through to local compute
+	ckptErrs atomic.Int64 // job-checkpoint write failures (best-effort persistence)
+	watchers atomic.Int64 // GET /v1/jobs/{id}?watch=1 long-polls currently blocked
 }
 
 type reqLabel struct {
@@ -240,11 +238,6 @@ func (m *metrics) render(w io.Writer, g gauges) {
 	fmt.Fprintln(w, "# HELP adaserved_job_watchers Job-status long-polls (?watch=1) currently blocked.")
 	fmt.Fprintln(w, "# TYPE adaserved_job_watchers gauge")
 	fmt.Fprintf(w, "adaserved_job_watchers %d\n", m.watchers.Load())
-
-	fmt.Fprintln(w, "# HELP adaserved_peer_fetch_total Shared-tier certificate lookups before local compute, by outcome.")
-	fmt.Fprintln(w, "# TYPE adaserved_peer_fetch_total counter")
-	fmt.Fprintf(w, "adaserved_peer_fetch_total{outcome=\"hit\"} %d\n", m.peerHits.Load())
-	fmt.Fprintf(w, "adaserved_peer_fetch_total{outcome=\"miss\"} %d\n", m.peerMisses.Load())
 }
 
 // renderStores emits the segmented-log counters for every persistent
@@ -282,8 +275,6 @@ func renderStores(w io.Writer, stores []storeGauges) {
 		func(s store.Stats) int64 { return s.CompactionErrs })
 	counter("adaserved_store_torn_bytes_total", "Unacknowledged tail bytes truncated during crash recovery.",
 		func(s store.Stats) int64 { return s.TornBytes })
-	counter("adaserved_store_migrated_total", "Records imported from a legacy one-file-per-entry layout.",
-		func(s store.Stats) int64 { return s.Migrated })
 	gauge("adaserved_store_segments", "Current segment files.",
 		func(s store.Stats) int64 { return int64(s.Segments) })
 	gauge("adaserved_store_records", "Live records the index references.",

@@ -10,8 +10,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
@@ -21,9 +19,18 @@ import (
 	"adaptivertc/internal/certcache"
 )
 
-// mkJobCkpt builds a valid on-disk job checkpoint for a 1×1 request
-// with the given entry and returns its id.
+// mkJobCkpt writes a valid job checkpoint for a 1×1 request with the
+// given entry into the job log under stateDir/jobs and returns its id.
 func mkJobCkpt(t *testing.T, stateDir string, rho float64) string {
+	t.Helper()
+	id, data := jobCkptFor(t, rho)
+	putJobRecord(t, stateDir, id, data)
+	return id
+}
+
+// jobCkptFor encodes the job checkpoint of a 1×1 request with the given
+// entry, byte for byte as putJobCkpt encodes it, and returns its id.
+func jobCkptFor(t *testing.T, rho float64) (string, []byte) {
 	t.Helper()
 	req, err := api.DecodeRequest(strings.NewReader(
 		fmt.Sprintf(`{"version":1,"matrices":[[[%g]]]}`, rho)))
@@ -36,11 +43,7 @@ func mkJobCkpt(t *testing.T, stateDir string, rho float64) string {
 	}
 	key := req.Key()
 	id := jobID(key)
-	path := filepath.Join(stateDir, "jobs", id+".job")
-	if err := writeCkptFile(path, jobCkpt{ID: id, Key: key, Req: req}); err != nil {
-		t.Fatal(err)
-	}
-	return id
+	return id, jobCkptBytes(t, jobCkpt{ID: id, Key: key, Req: req})
 }
 
 func TestRecoverPartiallyFullQueue(t *testing.T) {
@@ -70,18 +73,11 @@ func TestRecoverPartiallyFullQueue(t *testing.T) {
 		t.Fatalf("err = %v, want a queue-full diagnostic", err)
 	}
 
-	// Recover migrated every legacy file into the log, and every record
-	// survives: the two enqueued ones are removed only on completion,
-	// and the overflowed one must stay for the next Recover — dropping
-	// it would silently lose a job.
-	if n := countJobFiles(t, stateDir); n != 0 {
-		t.Fatalf("%d legacy .job files survive Recover, want 0 (migrated)", n)
-	}
+	// Every record survives: the two enqueued ones are removed only on
+	// completion, and the overflowed one must stay for the next Recover
+	// — dropping it would silently lose a job.
 	if keys := s.jobLog.Keys(); len(keys) != 3 {
 		t.Fatalf("job log holds %d records after Recover, want 3 (got %v)", len(keys), keys)
-	}
-	if st := s.JobStoreStats(); st.Migrated != 3 {
-		t.Fatalf("store stats %+v, want Migrated=3", st)
 	}
 
 	// Drain the two recovered jobs; both certify.
@@ -116,31 +112,14 @@ func TestRecoverPartiallyFullQueue(t *testing.T) {
 	}
 }
 
-// countJobFiles counts legacy .job files under stateDir/jobs (the log's
-// segment files live in the same directory and don't count).
-func countJobFiles(t *testing.T, stateDir string) int {
-	t.Helper()
-	entries, err := os.ReadDir(filepath.Join(stateDir, "jobs"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := 0
-	for _, e := range entries {
-		if strings.HasSuffix(e.Name(), ".job") {
-			n++
-		}
-	}
-	return n
-}
-
 func TestRecoverCorruptCheckpointBody(t *testing.T) {
 	stateDir := t.TempDir()
 	goodID := mkJobCkpt(t, stateDir, 0.25)
-	badID := mkJobCkpt(t, stateDir, 0.35)
-	badPath := filepath.Join(stateDir, "jobs", badID+".job")
-	if err := flipLastByte(badPath); err != nil {
-		t.Fatal(err)
-	}
+	// Bit rot inside the envelope: the log frame is intact, but the
+	// checkpoint's own checksum no longer matches.
+	badID, bad := jobCkptFor(t, 0.35)
+	bad[len(bad)-1] ^= 0xFF
+	putJobRecord(t, stateDir, badID, bad)
 
 	cache, err := certcache.New(certcache.Options{})
 	if err != nil {
@@ -157,13 +136,10 @@ func TestRecoverCorruptCheckpointBody(t *testing.T) {
 	if n != 1 {
 		t.Fatalf("recovered %d jobs, want 1 (the intact one)", n)
 	}
-	// Evict, don't resurrect: the corrupt file is gone, it was not
-	// imported into the log, and no job was registered under its id.
-	if _, serr := os.Stat(badPath); !os.IsNotExist(serr) {
-		t.Fatalf("corrupt checkpoint still on disk: %v", serr)
-	}
+	// Evict, don't resurrect: the corrupt record is gone from the log,
+	// and no job was registered under its id.
 	if _, ok, gerr := s.jobLog.Get(badID); gerr != nil || ok {
-		t.Fatalf("corrupt checkpoint was imported into the log (ok=%v, err=%v)", ok, gerr)
+		t.Fatalf("corrupt checkpoint still in the log (ok=%v, err=%v)", ok, gerr)
 	}
 	if j := s.jobs.get(badID); j != nil {
 		t.Fatalf("corrupt checkpoint produced a job in state %q", j.status().State)

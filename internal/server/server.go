@@ -56,8 +56,7 @@ type Config struct {
 	// StateDir, when non-empty, persists per-job checkpoints (request +
 	// Gripenberg frontier) in a crash-safe segmented log under
 	// StateDir/jobs so queued and in-flight jobs survive a restart;
-	// Recover re-enqueues them (migrating any legacy one-file-per-job
-	// layout first).
+	// Recover re-enqueues them.
 	StateDir string
 	// StateFS is the filesystem the job log runs on; nil selects the
 	// real one. Tests and the chaos harness substitute a faulty FS.
@@ -89,23 +88,6 @@ type Config struct {
 	// harness (internal/chaos) to inject slow or failing workers.
 	// Must be nil in production.
 	FaultHook func(ctx context.Context) error
-	// Distribute, when non-nil, supplies the engine expansion hook for
-	// asynchronous jobs — the coordinator role of internal/dist wires
-	// its shard dispatcher here. The hook is installed per job; the
-	// engine's merge logic is unchanged, so distributed and local runs
-	// produce byte-identical certificates. Synchronous requests stay
-	// local: they are below the sharding payoff by construction.
-	Distribute func(req api.CertifyRequest) jsr.ExpandFunc
-	// PeerFetch, when non-nil, is consulted before computing a
-	// certificate the local cache does not hold — the worker role's
-	// shared certificate tier (a content-addressed fetch from the
-	// coordinator's store). A hit returns the canonical bytes any node
-	// would have computed; a miss or fault falls through to the local
-	// computation.
-	PeerFetch func(ctx context.Context, key certcache.Key) ([]byte, bool)
-	// MetricsExtra, when non-nil, contributes additional Prometheus
-	// text to /metrics (the dist subsystem's counters).
-	MetricsExtra func() string
 }
 
 // defaults for Config zero values.
@@ -294,29 +276,6 @@ func (s *Server) certify(ctx context.Context, req api.CertifyRequest, opt jsr.Gr
 	return api.EncodeCanonical(api.ResponseFor(set, bounds, exhausted))
 }
 
-// peerFetchTimeout bounds the shared-tier lookup: a peer fetch is an
-// optimization, and a slow coordinator must not delay the local
-// computation by more than this.
-const peerFetchTimeout = 5 * time.Second
-
-// compute is the cache-miss path: consult the peer certificate tier
-// first (worker role), then certify locally. The peer's bytes are the
-// same canonical encoding this node would produce, so caching them
-// under key preserves every byte-identity promise.
-func (s *Server) compute(ctx context.Context, key certcache.Key, req api.CertifyRequest, opt jsr.GripenbergOptions) ([]byte, error) {
-	if s.cfg.PeerFetch != nil {
-		pctx, cancel := context.WithTimeout(ctx, peerFetchTimeout)
-		body, ok := s.cfg.PeerFetch(pctx, key)
-		cancel()
-		if ok && len(body) > 0 {
-			s.metrics.peerHits.Add(1)
-			return body, nil
-		}
-		s.metrics.peerMisses.Add(1)
-	}
-	return s.certify(ctx, req, opt)
-}
-
 // syncable reports whether a request is small enough to certify in
 // the handler: bounded brute-force enumeration, small dimension, and
 // the default node budget.
@@ -412,7 +371,7 @@ func (s *Server) handleCertify(w http.ResponseWriter, r *http.Request) {
 		defer cancel()
 	}
 	body, outcome, err := s.cache.GetOrCompute(ctx, key, func(ctx context.Context) ([]byte, error) {
-		return s.compute(ctx, key, req, req.GripenbergOptions(0))
+		return s.certify(ctx, req, req.GripenbergOptions(0))
 	})
 	if err != nil {
 		if errors.Is(err, jsr.ErrDeadline) || errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
@@ -536,9 +495,6 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	s.metrics.render(w, s.snapshot())
-	if s.cfg.MetricsExtra != nil {
-		fmt.Fprint(w, s.cfg.MetricsExtra())
-	}
 }
 
 // snapshot gathers the gauge values that live outside the metrics

@@ -18,6 +18,7 @@ import (
 	"adaptivertc/internal/certcache"
 	"adaptivertc/internal/checkpoint"
 	"adaptivertc/internal/jsr"
+	"adaptivertc/internal/store"
 )
 
 // paperReqJSON is the running example set: two 2×2 matrices with
@@ -354,10 +355,7 @@ func TestJobCheckpointResume(t *testing.T) {
 
 	key := req.Key()
 	id := jobID(key)
-	ckptPath := stateDir + "/jobs/" + id + ".job"
-	if err := writeCkptFile(ckptPath, jobCkpt{ID: id, Key: key, Req: req, HasState: true, State: *captured}); err != nil {
-		t.Fatal(err)
-	}
+	putJobRecord(t, stateDir, id, jobCkptBytes(t, jobCkpt{ID: id, Key: key, Req: req, HasState: true, State: *captured}))
 
 	cache, err := certcache.New(certcache.Options{})
 	if err != nil {
@@ -388,11 +386,7 @@ func TestJobCheckpointResume(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatalf("resumed result differs from uninterrupted run:\n%s\nvs\n%s", got, want)
 	}
-	// Recover migrated the legacy file into the log; completion deleted
-	// the record. Neither layout should still claim the job.
-	if _, serr := os.Stat(ckptPath); !os.IsNotExist(serr) {
-		t.Fatalf("legacy checkpoint file not migrated away: %v", serr)
-	}
+	// Completion deleted the record.
 	if _, ok, gerr := s.jobLog.Get(id); gerr != nil || ok {
 		t.Fatalf("completed job left its checkpoint in the store (ok=%v, err=%v)", ok, gerr)
 	}
@@ -486,12 +480,31 @@ func TestShutdownDrainsQueue(t *testing.T) {
 
 // --- small test helpers ---
 
-// writeCkptFile persists a jobCkpt exactly as a running server would.
-func writeCkptFile(path string, ck jobCkpt) error {
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return err
+// jobCkptBytes encodes a jobCkpt exactly as putJobCkpt does.
+func jobCkptBytes(t *testing.T, ck jobCkpt) []byte {
+	t.Helper()
+	data, err := checkpoint.Marshal(jobCkptKind, jobCkptVersion, ck)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return checkpoint.Save(path, jobCkptKind, jobCkptVersion, ck)
+	return data
+}
+
+// putJobRecord writes data under id into the job log in
+// stateDir/jobs — the record a crashed server leaves behind — and
+// closes the log so a fresh Server can open it.
+func putJobRecord(t *testing.T, stateDir, id string, data []byte) {
+	t.Helper()
+	l, err := store.Open(filepath.Join(stateDir, "jobs"), store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Put(id, data); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // flipLastByte corrupts a file in place.

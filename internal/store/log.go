@@ -77,7 +77,6 @@ type Stats struct {
 	CompactionErrs int64 // failed compaction attempts
 	Rotations      int64 // segment rotations
 	TornBytes      int64 // bytes truncated from a torn tail at open
-	Migrated       int64 // records imported from a legacy layout
 
 	Segments   int   // current segment files
 	Records    int   // live keys
@@ -185,9 +184,8 @@ func segSeqFromName(name string) (uint64, bool) {
 
 // Open opens (or creates) the log rooted at dir, rebuilding the index
 // by replaying every segment and repairing a torn tail on the final
-// one. Files in dir that are not segments (legacy cache shards,
-// leftover compaction temporaries) are ignored — temporaries are
-// deleted, everything else is left for the caller's migration logic.
+// one. Files in dir that are not segments are ignored, except leftover
+// compaction temporaries, which are deleted.
 func Open(dir string, opt Options) (*Log, error) {
 	if opt.FS == nil {
 		opt.FS = OSFS{}
@@ -659,15 +657,6 @@ func (l *Log) Stats() Stats {
 
 // Dir returns the directory the log lives in.
 func (l *Log) Dir() string { return l.dir }
-
-// AddMigrated counts records imported from a legacy one-file-per-entry
-// layout; the certcache and job-checkpoint migration paths call it so
-// operators can see a one-shot migration happened.
-func (l *Log) AddMigrated(n int64) {
-	l.mu.Lock()
-	l.stats.Migrated += n
-	l.mu.Unlock()
-}
 
 // validKey bounds keys: non-empty, printable-agnostic, and small.
 func validKey(key string) error {

@@ -450,12 +450,3 @@ func TestCompactionTempIgnoredOnOpen(t *testing.T) {
 		t.Fatalf("compaction temp not cleaned: %v", err)
 	}
 }
-
-func TestMigratedCounter(t *testing.T) {
-	l := mustOpen(t, t.TempDir(), Options{NoAutoCompact: true})
-	defer l.Close()
-	l.AddMigrated(7)
-	if got := l.Stats().Migrated; got != 7 {
-		t.Fatalf("Migrated = %d", got)
-	}
-}

@@ -449,65 +449,6 @@ if [ "$crash2_status" -ne 0 ]; then
     exit 1
 fi
 
-echo "== migration smoke: a legacy one-file-per-entry cache imports into the log and serves byte-identically"
-go build -o "$tmpdir/mklegacy" ./cmd/mklegacy
-printf '{"version":1,"matrices":[[[0.125]]]}' > "$tmpdir/mig-req.json"
-# The sentinel body is bytes no computation would ever produce: if the
-# server returns them, they can only have come through the migration.
-printf 'legacy sentinel, not a real certificate' > "$tmpdir/mig-body"
-"$tmpdir/mklegacy" -dir "$tmpdir/migcache/certs" -req "$tmpdir/mig-req.json" \
-    -body "$tmpdir/mig-body" > /dev/null
-"$tmpdir/adaserved" -addr 127.0.0.1:0 -cache-dir "$tmpdir/migcache" \
-    > "$tmpdir/mig.out" 2>&1 &
-mig_pid=$!
-port=""
-for _ in $(seq 1 100); do
-    port="$(sed -n 's/^listening on .*:\([0-9][0-9]*\).*$/\1/p' "$tmpdir/mig.out")"
-    [ -n "$port" ] && break
-    sleep 0.1
-done
-if [ -z "$port" ]; then
-    echo "error: migration adaserved never reported its listen address:" >&2
-    cat "$tmpdir/mig.out" >&2
-    kill "$mig_pid" 2>/dev/null || true
-    exit 1
-fi
-base="http://127.0.0.1:$port"
-curl -sS -D "$tmpdir/migh" -o "$tmpdir/migr" \
-    -X POST --data @"$tmpdir/mig-req.json" "$base/v1/certify"
-grep -qi '^X-Cache: hit' "$tmpdir/migh" || {
-    echo "error: migrated entry was not served as a cache hit:" >&2
-    cat "$tmpdir/migh" "$tmpdir/migr" >&2
-    kill "$mig_pid" 2>/dev/null || true
-    exit 1
-}
-cmp -s "$tmpdir/mig-body" "$tmpdir/migr" || {
-    echo "error: migrated entry was not served byte-identically:" >&2
-    cat "$tmpdir/migr" >&2
-    kill "$mig_pid" 2>/dev/null || true
-    exit 1
-}
-if find "$tmpdir/migcache/certs" -name '*.cert' 2>/dev/null | grep -q .; then
-    echo "error: legacy .cert files survive the migration" >&2
-    kill "$mig_pid" 2>/dev/null || true
-    exit 1
-fi
-curl -sS "$base/metrics" | grep -q '^adaserved_store_migrated_total{store="certs"} 1$' || {
-    echo "error: /metrics does not count the migrated entry" >&2
-    kill "$mig_pid" 2>/dev/null || true
-    exit 1
-}
-kill -TERM "$mig_pid"
-set +e
-wait "$mig_pid"
-mig_status=$?
-set -e
-if [ "$mig_status" -ne 0 ]; then
-    echo "error: migration adaserved exited $mig_status on SIGTERM, want 0:" >&2
-    cat "$tmpdir/mig.out" >&2
-    exit 1
-fi
-
 echo "== overload smoke: a saturated queue sheds 503 with Retry-After"
 # One worker, a one-slot queue, and long-grinding jobs: the lifted
 # PMSM scenario (9×9 modes) at a delta far below what the budget
@@ -577,126 +518,93 @@ if [ "$over_exit" -ne 0 ]; then
     exit 1
 fi
 
-echo "== distributed smoke: coordinator + 2 workers, one killed mid-job, result byte-identical to standalone"
+echo "== async smoke: a brute-7 job takes the 202 path, ?watch=1 reaches done, the bracket matches jsrtool, and batch answers inline"
 # Four 2x2 matrices at brute depth 7: 4^7 = 16384 enumerated words is
-# past the sync budget, so the request takes the async path — the one
-# the coordinator shards across its registered fleet. The same request
-# runs three ways (jsrtool, standalone adaserved, distributed adaserved
-# with a worker killed mid-job) and all three must agree: the tool and
-# the servers on the bracket, the two servers on every response byte.
-# The set is the paper pair plus two lightly perturbed copies: the
-# near-equal norms keep the Gripenberg frontier wide (weak pruning), so
-# the levels are big enough to shard remotely and the job runs long
-# enough for the worker kill below to land mid-flight.
-cat > "$tmpdir/dset.json" <<'EOF'
+# past the sync budget, so the request takes the async path. The set is
+# the paper pair plus two lightly perturbed copies.
+cat > "$tmpdir/aset.json" <<'EOF'
 [ [[0.55, 0.55], [0, 0.55]],
   [[0.55, 0], [0.55, 0.55]],
   [[0.54, 0.55], [0, 0.56]],
   [[0.56, 0], [0.55, 0.54]] ]
 EOF
-cat > "$tmpdir/dreq.json" <<'EOF'
+cat > "$tmpdir/areq.json" <<'EOF'
 {"version":1,"brute":7,"matrices":[[[0.55,0.55],[0,0.55]],[[0.55,0],[0.55,0.55]],[[0.54,0.55],[0,0.56]],[[0.56,0],[0.55,0.54]]]}
 EOF
-"$tmpdir/jsrtool" -brute 7 -in "$tmpdir/dset.json" > "$tmpdir/dtool.out"
-dist_tool_bracket="$(sed -n 's/^JSR in \(\[[^]]*\]\).*/\1/p' "$tmpdir/dtool.out")"
+"$tmpdir/jsrtool" -brute 7 -in "$tmpdir/aset.json" > "$tmpdir/atool.out"
+async_tool_bracket="$(sed -n 's/^JSR in \(\[[^]]*\]\).*/\1/p' "$tmpdir/atool.out")"
 
-dcoord_pid=""; dw1_pid=""; dw2_pid=""; dref_pid=""
-dist_kill() {
-    for p in $dcoord_pid $dw1_pid $dw2_pid $dref_pid; do
-        kill "$p" 2>/dev/null || true
-    done
-}
-# serve_addr LOGFILE: waits for the listen line and prints host:port.
-serve_addr() {
-    a=""
-    for _ in $(seq 1 100); do
-        a="$(sed -n 's/^listening on \([^ ]*\).*/\1/p' "$1")"
-        [ -n "$a" ] && break
-        sleep 0.1
-    done
-    [ -n "$a" ] || { echo "error: adaserved never reported its listen address ($1):" >&2; cat "$1" >&2; dist_kill; exit 1; }
-    printf '%s' "$a"
-}
-# run_job BASE OUTFILE: submits dreq.json async, long-polls the job via
-# ?watch=1 to completion, then re-POSTs for the canonical cached bytes.
-run_job() {
-    curl -sS -o "$tmpdir/djob.json" -X POST --data @"$tmpdir/dreq.json" "$1/v1/certify"
-    jid="$(sed -n 's/.*"job_id":"\([^"]*\)".*/\1/p' "$tmpdir/djob.json")"
-    [ -n "$jid" ] || { echo "error: brute-7 request did not take the async path:" >&2; cat "$tmpdir/djob.json" >&2; dist_kill; exit 1; }
-    dstate=""
-    for _ in $(seq 1 120); do
-        dstate="$(curl -sS "$1/v1/jobs/$jid?watch=1" | sed -n 's/.*"state":"\([a-z]*\)".*/\1/p')"
-        case "$dstate" in done|error) break ;; esac
-    done
-    [ "$dstate" = done ] || { echo "error: distributed-smoke job ended in state '$dstate'" >&2; dist_kill; exit 1; }
-    curl -sS -D "$tmpdir/djobh" -o "$2" -X POST --data @"$tmpdir/dreq.json" "$1/v1/certify"
-    grep -qi '^X-Cache: hit' "$tmpdir/djobh" || { echo "error: completed job was not served from the cache" >&2; dist_kill; exit 1; }
-}
-
-# Standalone reference run.
-"$tmpdir/adaserved" -addr 127.0.0.1:0 > "$tmpdir/dref.out" 2>&1 &
-dref_pid=$!
-run_job "http://$(serve_addr "$tmpdir/dref.out")" "$tmpdir/dref.json"
-kill -TERM "$dref_pid" && wait "$dref_pid" || true
-dref_pid=""
-
-# Coordinator and two workers. Short heartbeat/TTL so registration and
-# dead-worker expiry are prompt at smoke-test timescales.
-"$tmpdir/adaserved" -addr 127.0.0.1:0 -role coordinator -lease 5s -worker-ttl 2s \
-    > "$tmpdir/dcoord.out" 2>&1 &
-dcoord_pid=$!
-dbase="http://$(serve_addr "$tmpdir/dcoord.out")"
-"$tmpdir/adaserved" -addr 127.0.0.1:0 -role worker -join "$dbase" -heartbeat 100ms \
-    > "$tmpdir/dw1.out" 2>&1 &
-dw1_pid=$!
-"$tmpdir/adaserved" -addr 127.0.0.1:0 -role worker -join "$dbase" -heartbeat 100ms \
-    > "$tmpdir/dw2.out" 2>&1 &
-dw2_pid=$!
-registered=""
+"$tmpdir/adaserved" -addr 127.0.0.1:0 > "$tmpdir/async.out" 2>&1 &
+async_pid=$!
+port=""
 for _ in $(seq 1 100); do
-    if [ "$(curl -sS "$dbase/v1/internal/workers" | grep -o '"id"' | wc -l)" -eq 2 ]; then
-        registered=yes
-        break
-    fi
+    port="$(sed -n 's/^listening on .*:\([0-9][0-9]*\).*$/\1/p' "$tmpdir/async.out")"
+    [ -n "$port" ] && break
     sleep 0.1
 done
-[ -n "$registered" ] || { echo "error: workers never registered with the coordinator" >&2; dist_kill; exit 1; }
-
-# Submit, then kill one worker while the job is in flight: its shards
-# must be re-dispatched without disturbing the certified bytes.
-( sleep 0.3; kill -9 "$dw1_pid" 2>/dev/null ) &
-run_job "$dbase" "$tmpdir/ddist.json"
-
-dist_bracket="$(sed -n 's/.*"bracket":"\([^"]*\)".*/\1/p' "$tmpdir/ddist.json")"
-if [ -z "$dist_tool_bracket" ] || [ "$dist_bracket" != "$dist_tool_bracket" ]; then
-    echo "error: distributed bracket '$dist_bracket' != jsrtool bracket '$dist_tool_bracket'" >&2
-    dist_kill
+if [ -z "$port" ]; then
+    echo "error: async adaserved never reported its listen address:" >&2
+    cat "$tmpdir/async.out" >&2
+    kill "$async_pid" 2>/dev/null || true
     exit 1
 fi
-cmp -s "$tmpdir/dref.json" "$tmpdir/ddist.json" || {
-    echo "error: distributed response differs from the standalone bytes" >&2
-    dist_kill
+base="http://127.0.0.1:$port"
+# Submit, long-poll the job via ?watch=1 to completion, then re-POST
+# for the canonical cached bytes.
+async_status="$(curl -sS -o "$tmpdir/ajob.json" -w '%{http_code}' \
+    -X POST --data @"$tmpdir/areq.json" "$base/v1/certify")"
+jid="$(sed -n 's/.*"job_id":"\([^"]*\)".*/\1/p' "$tmpdir/ajob.json")"
+if [ "$async_status" != 202 ] || [ -z "$jid" ]; then
+    echo "error: brute-7 request did not take the async path (HTTP $async_status):" >&2
+    cat "$tmpdir/ajob.json" >&2
+    kill "$async_pid" 2>/dev/null || true
+    exit 1
+fi
+astate=""
+for _ in $(seq 1 120); do
+    astate="$(curl -sS "$base/v1/jobs/$jid?watch=1" | sed -n 's/.*"state":"\([a-z]*\)".*/\1/p')"
+    case "$astate" in done|error) break ;; esac
+done
+if [ "$astate" != done ]; then
+    echo "error: async-smoke job ended in state '$astate'" >&2
+    kill "$async_pid" 2>/dev/null || true
+    exit 1
+fi
+curl -sS -D "$tmpdir/ajobh" -o "$tmpdir/ares.json" -X POST --data @"$tmpdir/areq.json" "$base/v1/certify"
+grep -qi '^X-Cache: hit' "$tmpdir/ajobh" || {
+    echo "error: completed job was not served from the cache:" >&2
+    cat "$tmpdir/ajobh" >&2
+    kill "$async_pid" 2>/dev/null || true
     exit 1
 }
-curl -sS "$dbase/metrics" | grep -q '^adaserved_dist_shards_total{site="remote"} [1-9]' || {
-    echo "error: coordinator metrics show no remotely evaluated shards" >&2
-    dist_kill
+async_bracket="$(sed -n 's/.*"bracket":"\([^"]*\)".*/\1/p' "$tmpdir/ares.json")"
+if [ -z "$async_tool_bracket" ] || [ "$async_bracket" != "$async_tool_bracket" ]; then
+    echo "error: async bracket '$async_bracket' != jsrtool bracket '$async_tool_bracket'" >&2
+    kill "$async_pid" 2>/dev/null || true
     exit 1
-}
+fi
 # Batch endpoint: three items, two sharing a content key; every item
 # must come back with an inline result and no per-item error.
 printf '{"version":1,"items":[{"version":1,"matrices":[[[0.5]]]},{"version":1,"matrices":[[[0.5]]]},{"version":1,"matrices":[[[0.25]]]}]}' \
-    > "$tmpdir/dbatch.json"
-curl -sS -o "$tmpdir/dbatchr.json" -X POST --data @"$tmpdir/dbatch.json" "$dbase/v1/certify/batch"
-if [ "$(grep -o '"result"' "$tmpdir/dbatchr.json" | wc -l)" -ne 3 ] || grep -q '"error"' "$tmpdir/dbatchr.json"; then
+    > "$tmpdir/abatch.json"
+curl -sS -o "$tmpdir/abatchr.json" -X POST --data @"$tmpdir/abatch.json" "$base/v1/certify/batch"
+if [ "$(grep -o '"result"' "$tmpdir/abatchr.json" | wc -l)" -ne 3 ] || grep -q '"error"' "$tmpdir/abatchr.json"; then
     echo "error: batch response is not three clean inline results:" >&2
-    cat "$tmpdir/dbatchr.json" >&2
-    dist_kill
+    cat "$tmpdir/abatchr.json" >&2
+    kill "$async_pid" 2>/dev/null || true
     exit 1
 fi
-kill -TERM "$dcoord_pid" && wait "$dcoord_pid" || true
-dcoord_pid=""
-dist_kill
+# SIGTERM: graceful drain and clean exit.
+kill -TERM "$async_pid"
+set +e
+wait "$async_pid"
+async_exit=$?
+set -e
+if [ "$async_exit" -ne 0 ]; then
+    echo "error: async adaserved exited $async_exit on SIGTERM, want 0:" >&2
+    cat "$tmpdir/async.out" >&2
+    exit 1
+fi
 
 echo "== benchmark smoke: JSR worker sweep"
 go test -run '^$' -bench 'BenchmarkJSRWorkers' -benchtime 1x .
