@@ -73,14 +73,14 @@ type Scenario struct {
 // Scenario must be set. Zero-valued budget fields select the pinned
 // defaults above.
 type CertifyRequest struct {
-	Version  int           `json:"version"`
-	Matrices [][][]float64 `json:"matrices,omitempty"`
-	Scenario *Scenario     `json:"scenario,omitempty"`
-	Delta    float64       `json:"delta,omitempty"`
-	Depth    int           `json:"depth,omitempty"`
-	Brute    int           `json:"brute,omitempty"`
-	MaxNodes int           `json:"max_nodes,omitempty"`
-	Raw      bool          `json:"raw,omitempty"` // skip Lyapunov preconditioning
+	Version  int       `json:"version"`
+	Matrices MatrixSet `json:"matrices,omitempty"`
+	Scenario *Scenario `json:"scenario,omitempty"`
+	Delta    float64   `json:"delta,omitempty"`
+	Depth    int       `json:"depth,omitempty"`
+	Brute    int       `json:"brute,omitempty"`
+	MaxNodes int       `json:"max_nodes,omitempty"`
+	Raw      bool      `json:"raw,omitempty"` // skip Lyapunov preconditioning
 }
 
 // Verdict values of a CertifyResponse, mirroring jsrtool's exit codes.
@@ -104,7 +104,8 @@ type CertifyResponse struct {
 	Matrices    int     `json:"matrices"`
 	Dim         int     `json:"dim"`
 	// Exhausted marks a bracket that is valid but looser than the
-	// requested delta because the node budget ran out (jsr.ErrBudget).
+	// requested delta because the node or depth budget ran out
+	// (jsr.ErrBudget).
 	Exhausted bool `json:"budget_exhausted,omitempty"`
 }
 
@@ -177,6 +178,7 @@ const MaxRequestBytes = 8 << 20
 // DecodeRequest strictly parses one CertifyRequest: unknown fields,
 // trailing data, and bodies beyond MaxRequestBytes are errors, so a
 // typo in a budget field can never silently certify under defaults.
+// Literal matrices decode through MatrixSet, without reflection.
 func DecodeRequest(r io.Reader) (CertifyRequest, error) {
 	var req CertifyRequest
 	dec := json.NewDecoder(io.LimitReader(r, MaxRequestBytes+1))

@@ -88,7 +88,7 @@ var ErrNonFinite = errors.New("jsr: matrix set contains a non-finite entry")
 // folds their children into the bracket, so the bounds returned
 // alongside ErrBudget are both valid and as tight as the budget could
 // make them.
-var ErrBudget = errors.New("jsr: node budget exhausted before reaching requested accuracy")
+var ErrBudget = errors.New("jsr: node or depth budget exhausted before reaching requested accuracy")
 
 // ErrDeadline is returned when the context is cancelled or the
 // wall-clock Deadline expires before the requested accuracy is

@@ -10,18 +10,16 @@ import (
 	"adaptivertc/internal/api"
 	"adaptivertc/internal/certcache"
 	"adaptivertc/internal/jsr"
-	"adaptivertc/internal/mat"
 )
 
 // batchGroup is one unique content key within a batch: the first
 // occurrence's request plus every item position sharing the key. The
-// group is certified (or enqueued) once and its verdict copied to all
-// members — N identical items in one batch cost one computation, the
-// same coalescing guarantee concurrent single requests get from the
-// cache's singleflight.
+// group is answered from the cache, certified, or enqueued once and its
+// verdict copied to all members — N identical items in one batch cost
+// one computation, the same coalescing guarantee concurrent single
+// requests get from the cache's singleflight.
 type batchGroup struct {
 	req     api.CertifyRequest
-	set     []*mat.Dense
 	key     certcache.Key
 	members []int // item indices, ascending (first-occurrence grouping)
 }
@@ -70,7 +68,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 
 	// Pass 1: validate items individually and group by content key in
 	// first-occurrence order, so response generation below is
-	// deterministic in the request, not in map iteration.
+	// deterministic in the request, not in map iteration. Nothing is
+	// resolved yet: a group answered from the cache never needs its set.
 	items := make([]api.BatchItem, len(breq.Items))
 	var order []*batchGroup
 	groups := make(map[certcache.Key]*batchGroup)
@@ -82,16 +81,10 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			items[i].Error = err.Error()
 			continue
 		}
-		set, err := req.Resolve()
-		if err != nil {
-			items[i].Error = err.Error()
-			continue
-		}
 		key := req.Key()
-		items[i].Key = key.String()
 		g, ok := groups[key]
 		if !ok {
-			g = &batchGroup{req: req, set: set, key: key}
+			g = &batchGroup{req: req, key: key}
 			groups[key] = g
 			order = append(order, g)
 		}
@@ -113,7 +106,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		verdict := s.resolveBatchGroup(ctx, g, absDeadline)
 		for _, i := range g.members {
 			verdict.Index = i
-			verdict.Key = items[i].Key
 			items[i] = verdict
 		}
 	}
@@ -123,46 +115,53 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 // resolveBatchGroup produces the shared verdict for one unique key:
 // an inline result when cached or cheap enough to certify here, a job
 // reference when queued, an item error when compute or enqueue failed.
-// Index and Key are the caller's per-member concern.
+// Every verdict carries the key, except for a set that fails to
+// resolve: that item is invalid, as a single request's 400 says. Index
+// is the caller's per-member concern.
 func (s *Server) resolveBatchGroup(ctx context.Context, g *batchGroup, absDeadline time.Time) api.BatchItem {
-	// Any cached certificate answers inline regardless of size — same
-	// fast path a single async request takes before enqueueing.
+	key := g.key.String()
+	// Any cached certificate answers inline regardless of size — the
+	// same lookup a single request makes before resolving its set.
 	if body, outcome, ok := s.cache.Get(g.key); ok {
-		return batchResult(outcome, body)
+		return batchResult(key, outcome, body)
 	}
-	if s.syncable(&g.req, g.set) {
+	set, err := g.req.Resolve()
+	if err != nil {
+		return api.BatchItem{Error: err.Error()}
+	}
+	if s.syncable(&g.req, set) {
 		body, outcome, err := s.cache.GetOrCompute(ctx, g.key, func(ctx context.Context) ([]byte, error) {
-			return s.certify(ctx, g.req, g.req.GripenbergOptions(0))
+			return s.certify(ctx, g.req, set, g.req.GripenbergOptions(0))
 		})
 		if err != nil {
 			if errors.Is(err, jsr.ErrDeadline) || errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-				return api.BatchItem{Error: "certification deadline exceeded"}
+				return api.BatchItem{Key: key, Error: "certification deadline exceeded"}
 			}
-			return api.BatchItem{Error: err.Error()}
+			return api.BatchItem{Key: key, Error: err.Error()}
 		}
-		return batchResult(outcome, body)
+		return batchResult(key, outcome, body)
 	}
 	j, err := s.enqueue(g.req, g.key, absDeadline)
 	if err != nil {
 		// Queue full: this item (and its duplicates) report the shed;
 		// the rest of the batch still gets answered.
 		s.metrics.shed("queue")
-		return api.BatchItem{Error: err.Error()}
+		return api.BatchItem{Key: key, Error: err.Error()}
 	}
-	return api.BatchItem{Job: &api.JobRef{JobID: j.id, StatusURL: "/v1/jobs/" + j.id}}
+	return api.BatchItem{Key: key, Job: &api.JobRef{JobID: j.id, StatusURL: "/v1/jobs/" + j.id}}
 }
 
 // batchResult decodes canonical certificate bytes into an inline item
 // verdict carrying the cache outcome a single request would have seen
 // in its X-Cache header.
-func batchResult(outcome certcache.Outcome, body []byte) api.BatchItem {
+func batchResult(key string, outcome certcache.Outcome, body []byte) api.BatchItem {
 	// Body bytes are canonical JSON of a CertifyResponse (same bytes
 	// writeBody streams for a single request).
 	var res api.CertifyResponse
 	if err := json.Unmarshal(body, &res); err != nil {
 		// Cannot happen for bytes this server wrote; surface rather
 		// than hide if a store is ever corrupted in place.
-		return api.BatchItem{Error: "decoding cached certificate: " + err.Error()}
+		return api.BatchItem{Key: key, Error: "decoding cached certificate: " + err.Error()}
 	}
-	return api.BatchItem{Cache: outcome.String(), Result: &res}
+	return api.BatchItem{Key: key, Cache: outcome.String(), Result: &res}
 }

@@ -284,7 +284,13 @@ func (s *Server) runJob(j *job) {
 	}
 	start := time.Now()
 	body, _, err := s.cache.GetOrCompute(ctx, j.key, func(ctx context.Context) ([]byte, error) {
-		return s.certify(ctx, j.req, opt)
+		// Resolved here, not at enqueue: a recovered job arrives with
+		// its request alone.
+		set, err := j.req.Resolve()
+		if err != nil {
+			return nil, err
+		}
+		return s.certify(ctx, j.req, set, opt)
 	})
 	// Every completion — success or failure — occupied a worker for
 	// this long; the drain estimator turns that into Retry-After.

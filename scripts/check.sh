@@ -48,6 +48,9 @@ go test -race ./internal/jsr/ ./internal/sim/ ./internal/guard/ ./internal/fault
 echo "== go test -race ./..."
 go test -race ./...
 
+echo "== fuzz DecodeRequest against encoding/json (time-boxed)"
+go test ./internal/api -run '^$' -fuzz '^FuzzDecodeRequest$' -fuzztime 20s
+
 echo "== bench self-test (bench/ is its own module, so go test ./... never reaches it)"
 (cd bench && go test -short ./...)
 
