@@ -141,6 +141,12 @@ func run() int {
 
 	fmt.Printf("matrices: %d  dimension: %d\n", len(set), set[0].Rows())
 	fmt.Printf("JSR in %s (gap %.3g)\n", bounds, bounds.Gap())
+	switch {
+	case errors.Is(serr, jsr.ErrDepthCap):
+		fmt.Printf("stopped: depth cap (-depth %d) reached before delta %g\n", *depth, *delta)
+	case errors.Is(serr, jsr.ErrNodeBudget):
+		fmt.Printf("stopped: node budget spent before delta %g\n", *delta)
+	}
 	if interrupted {
 		msg := "deadline"
 		if errors.Is(serr, context.Canceled) {

@@ -317,9 +317,10 @@ func ConstrainedGripenberg(set []*mat.Dense, g *Graph, opt GripenbergOptions) (B
 // expanded in parallel with the same index-sharded, deterministically
 // merged scheme as Gripenberg, so the result is identical for every
 // Workers value. Combine with ConstrainedBounds via the caller;
-// ErrBudget signals a valid but looser-than-requested bracket, returned
-// only after the remaining node budget has been spent on a partial
-// level. Cancellation and the Deadline option cut the search at a level
+// ErrBudget signals a valid but looser-than-requested bracket: as
+// ErrNodeBudget only after the remaining node budget has been spent on
+// a partial level, as ErrDepthCap when MaxDepth ends the search.
+// Cancellation and the Deadline option cut the search at a level
 // boundary with the last fully merged bracket and an error wrapping
 // ErrDeadline, like GripenbergCtx. Snapshot/Resume are not supported on
 // the constrained search (the frontier carries graph positions, not
@@ -398,7 +399,7 @@ func ConstrainedGripenbergCtx(ctx context.Context, set []*mat.Dense, g *Graph, o
 			expand--
 		}
 		if expand == 0 {
-			return cgripCutBounds(lower, opt.Delta, witness, frontier), ErrBudget
+			return cgripCutBounds(lower, opt.Delta, witness, frontier), ErrNodeBudget
 		}
 
 		depth++
@@ -482,12 +483,12 @@ func ConstrainedGripenbergCtx(ctx context.Context, set []*mat.Dense, g *Graph, o
 
 		if expand < len(frontier) {
 			upper := math.Max(lower+opt.Delta, math.Max(cgripFrontierMax(next), cgripFrontierMax(frontier[expand:])))
-			return Bounds{Lower: lower, Upper: upper, WitnessWord: witness}, ErrBudget
+			return Bounds{Lower: lower, Upper: upper, WitnessWord: witness}, ErrNodeBudget
 		}
 		frontier = next
 	}
 	if len(frontier) == 0 {
 		return Bounds{Lower: lower, Upper: lower + opt.Delta, WitnessWord: witness}, nil
 	}
-	return cgripCutBounds(lower, opt.Delta, witness, frontier), ErrBudget
+	return cgripCutBounds(lower, opt.Delta, witness, frontier), ErrDepthCap
 }

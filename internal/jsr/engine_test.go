@@ -4,9 +4,11 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"os"
+	"slices"
 	"sort"
 	"testing"
 
@@ -304,6 +306,8 @@ func TestBruteForceMatchesReferenceByteForByte(t *testing.T) {
 		{"normal", normalBoundarySet(1e-15), 8},
 		{"rank-one", rankOneBoundarySet(1e-15), 8},
 		{"dominant", dominantBoundarySet(1e-15), 8},
+		{"tie-level1", levelTieSet(), 5},
+		{"tie-level2", pairTieSet(), 6},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -327,6 +331,131 @@ func TestBruteForceMatchesReferenceByteForByte(t *testing.T) {
 				t.Fatalf("constrained engine %+v != reference %+v", con, want)
 			}
 		})
+	}
+}
+
+// levelTieSet holds four 2×2 scaled permutations with power-of-two
+// scales. Every product of length l of the first three is ±2^l times a
+// permutation, with spectral radius exactly 2^l, and math.Pow(2^l, 1/l)
+// is exactly 2 at l = 1, 2, 4 and 5 (one ulp below at l = 3). So the
+// best rates of levels 1, 2, 4 and 5 tie exactly, and the witness must
+// stay the shortest word, [0]. With four matrices a single worker splits
+// at depth 1, so levels 2..5 run in the deep phase.
+func levelTieSet() []*mat.Dense {
+	return []*mat.Dense{
+		mat.FromRows([][]float64{{0, 2}, {2, 0}}),
+		mat.FromRows([][]float64{{2, 0}, {0, 2}}),
+		mat.FromRows([][]float64{{0, -2}, {-2, 0}}),
+		mat.FromRows([][]float64{{0.5, 0}, {0, 0.5}}),
+	}
+}
+
+// pairTieSet puts the witness at level 2: the swaps S = [[0,4],[¼,0]]
+// and its transpose have ρ = 1, but their product is diag(16, 1/16), so
+// level 2 rates 4, and its square ties it exactly at level 4. The level-2
+// word [0, 1] must stay the witness. Two small multiples of the identity
+// make four matrices, so levels 2 and 4 run in the deep phase.
+func pairTieSet() []*mat.Dense {
+	return []*mat.Dense{
+		mat.FromRows([][]float64{{0, 4}, {0.25, 0}}),
+		mat.FromRows([][]float64{{0, 0.25}, {4, 0}}),
+		mat.FromRows([][]float64{{0.5, 0}, {0, 0.5}}),
+		mat.FromRows([][]float64{{0.25, 0}, {0, 0.25}}),
+	}
+}
+
+// TestTieSetsTieExactly guards the two tie families: if their ties were
+// not exact, they would not test the strict tie rule.
+func TestTieSetsTieExactly(t *testing.T) {
+	rate := func(set []*mat.Dense, word []int) float64 {
+		r, err := WitnessRate(set, word)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	lt := levelTieSet()
+	for _, w := range [][]int{{0}, {0, 0}, {0, 0, 0, 0}, {0, 0, 0, 0, 0}} {
+		if r := rate(lt, w); r != 2 {
+			t.Fatalf("levelTieSet: word %v rates %v, want exactly 2", w, r)
+		}
+	}
+	pt := pairTieSet()
+	if r1, r2, r4 := rate(pt, []int{0}), rate(pt, []int{0, 1}), rate(pt, []int{0, 1, 0, 1}); r1 >= r2 || r2 != 4 || r4 != 4 {
+		t.Fatalf("pairTieSet: rates %v, %v, %v at levels 1, 2, 4; want below 4, exactly 4, exactly 4", r1, r2, r4)
+	}
+	for name, tc := range map[string]struct {
+		set     []*mat.Dense
+		maxLen  int
+		witness []int
+	}{"level1": {lt, 5, []int{0}}, "level2": {pt, 6, []int{0, 1}}} {
+		if got := refBruteForce(t, tc.set, tc.maxLen).WitnessWord; !slices.Equal(got, tc.witness) {
+			t.Fatalf("%s: reference witness %v, want %v", name, got, tc.witness)
+		}
+	}
+}
+
+// randomScaledPermutation returns P·D for a random permutation P and a
+// diagonal D of signed powers of four in [1/16, 16], each nudged up by
+// zero to two ulps. Products of exact powers tie exactly across levels,
+// and the nudges make distinct spectral radii whose rates round to the
+// same value, so the strict tie rules of the fold and of bruteFinalize
+// decide the witness.
+func randomScaledPermutation(rng *rand.Rand, n int) *mat.Dense {
+	m := mat.New(n, n)
+	for j, i := range rng.Perm(n) {
+		v := math.Ldexp(1, 2*(rng.Intn(5)-2))
+		for s := rng.Intn(3); s > 0; s-- {
+			v = math.Nextafter(v, math.Inf(1))
+		}
+		if rng.Intn(2) == 0 {
+			v = -v
+		}
+		m.Set(i, j, v)
+	}
+	return m
+}
+
+// TestBruteForceMatchesReferenceRandomized compares the engine with
+// refBruteForce on random Gaussian sets and random scaled-permutation
+// sets, k ∈ {2, 3, 4} and n ∈ {2, 3, 4, 6, 9}, at lengths up to 6 and
+// at worker counts that change the split depth and the ranges. Half of
+// the permutation cases are four 2×2 matrices: one worker then splits at
+// depth 1, so the DFS folds longer levels before shorter ones finish,
+// and rate ties across levels are frequent.
+func TestBruteForceMatchesReferenceRandomized(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	ks, ns := []int{2, 3, 4}, []int{2, 3, 4, 6, 9}
+	for c := 0; c < 200; c++ {
+		k, n := ks[rng.Intn(len(ks))], ns[rng.Intn(len(ns))]
+		perm := c%4 != 0
+		if perm && c%2 == 1 {
+			k, n = 4, 2
+		}
+		maxLen := 1 + rng.Intn(6)
+		for maxLen > 1 && math.Pow(float64(k), float64(maxLen)) > 1024 {
+			// Keep the naive reference cheap.
+			maxLen--
+		}
+		set := make([]*mat.Dense, k)
+		if perm {
+			for i := range set {
+				set[i] = randomScaledPermutation(rng, n)
+			}
+		} else {
+			set = benchExpandSet(n, k, rng.Int63())
+		}
+		want := refBruteForce(t, set, maxLen)
+		for _, w := range []int{1, 2, 3, 5} {
+			got, err := BruteForceBoundsOpt(set, maxLen, BruteForceOptions{Workers: w})
+			if err != nil {
+				t.Fatalf("case %d (k=%d n=%d len=%d perm=%v) w=%d: %v", c, k, n, maxLen, perm, w, err)
+			}
+			if !sameBounds(got, want) {
+				t.Fatalf("case %d (k=%d n=%d len=%d perm=%v) w=%d: engine [%v, %v] %v != reference [%v, %v] %v",
+					c, k, n, maxLen, perm, w, got.Lower, got.Upper, got.WitnessWord, want.Lower, want.Upper, want.WitnessWord)
+			}
+		}
 	}
 }
 
@@ -739,4 +868,25 @@ func BenchmarkJSRExpand(b *testing.B) {
 	b.Run("n6", func(b *testing.B) { benchmarkExpand(b, 6, false) })
 	b.Run("n9", func(b *testing.B) { benchmarkExpand(b, 9, false) })
 	b.Run("n9-gated", func(b *testing.B) { benchmarkExpand(b, 9, true) })
+}
+
+// BenchmarkBruteForcePMSM times the Eq. 12 sweep EstimateCtx runs on the
+// preconditioned lifted PMSM Ns = 5 set (four 9×9 modes) at the
+// service's default length 6: 5,460 products.
+func BenchmarkBruteForcePMSM(b *testing.B) {
+	work, _, ok := Precondition(pmsmLiftedSet(b))
+	if !ok {
+		b.Fatal("precondition failed")
+	}
+	for _, w := range []int{1, 2} {
+		b.Run(fmt.Sprintf("w%d", w), func(b *testing.B) {
+			opt := BruteForceOptions{Workers: w}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := BruteForceBoundsOpt(work, 6, opt); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }

@@ -87,8 +87,23 @@ var ErrNonFinite = errors.New("jsr: matrix set contains a non-finite entry")
 // expands as many frontier nodes as the remaining budget allows and
 // folds their children into the bracket, so the bounds returned
 // alongside ErrBudget are both valid and as tight as the budget could
-// make them.
+// make them. The searches return it as ErrNodeBudget or ErrDepthCap,
+// which name the budget that stopped them; errors.Is matches ErrBudget
+// on both.
 var ErrBudget = errors.New("jsr: node or depth budget exhausted before reaching requested accuracy")
+
+// ErrNodeBudget is the ErrBudget of a search that spent MaxNodes.
+var ErrNodeBudget error = budgetError("jsr: node budget (MaxNodes) spent before reaching requested accuracy")
+
+// ErrDepthCap is the ErrBudget of a search that reached MaxDepth with
+// live branches left.
+var ErrDepthCap error = budgetError("jsr: depth cap (MaxDepth) reached before reaching requested accuracy")
+
+// budgetError is a stop reason that wraps ErrBudget.
+type budgetError string
+
+func (e budgetError) Error() string { return string(e) }
+func (e budgetError) Unwrap() error { return ErrBudget }
 
 // ErrDeadline is returned when the context is cancelled or the
 // wall-clock Deadline expires before the requested accuracy is
@@ -299,31 +314,96 @@ func (lb *levelBest) fold(rho float64, word []int, nv float64) {
 	}
 }
 
-// foldProduct folds one product into its level's accumulator. A
-// product whose bounds cannot beat the running maxima is folded with
-// rho = 0 (no eigenvalue solve) or nv = 0 (no power iteration): fold
-// keeps strictly greater candidates only, so it would not have won with
-// its true value either. The scratch kernels are bit-identical to the
-// allocating ones.
-func foldProduct(lb *levelBest, p *mat.Dense, word []int, ms *mat.Scratch) error {
+// bruteAcc is one sweep's accumulator: the per-level extrema, plus for
+// each level l a gate against the best rate ρ^{1/j} that a shorter level
+// j < l has folded so far. bruteFinalize lets level l set Lower only
+// with a rate strictly above every shorter level's final rate, and the
+// rates folded so far are lower bounds on those, so a level-l product
+// whose ρ bound's rate is at most gate[l]'s threshold can never supply
+// Lower.
+type bruteAcc struct {
+	best []levelBest
+	rate []float64  // rate[j]: Pow(best[j].rho, 1/j) as folded so far
+	gate []rateGate // gate[l]: built from max over j < l of rate[j]
+}
+
+func newBruteAcc(maxLen int) *bruteAcc {
+	a := &bruteAcc{best: make([]levelBest, maxLen+1), rate: make([]float64, maxLen+1), gate: make([]rateGate, maxLen+1)}
+	for l := range a.gate {
+		// Nothing is known yet: a gate at −Inf passes every bound.
+		a.gate[l] = newRateGate(math.Inf(-1), 1)
+	}
+	return a
+}
+
+// fork returns an accumulator with empty extrema that starts from a's
+// rates and gates: a deep-phase worker's accumulator, gated by the
+// completed shallow levels.
+func (a *bruteAcc) fork() *bruteAcc {
+	return &bruteAcc{
+		best: make([]levelBest, len(a.best)),
+		rate: append([]float64(nil), a.rate...),
+		gate: append([]rateGate(nil), a.gate...),
+	}
+}
+
+// raise records that level l's best ρ rose to rho, and rebuilds the
+// gate of every longer level whose threshold rises with it. A threshold
+// of 0 stays at −Inf: the same-level gate already skips a zero bound.
+func (a *bruteAcc) raise(l int, rho float64) {
+	r := math.Pow(rho, 1/float64(l))
+	if !(r > a.rate[l]) {
+		return
+	}
+	a.rate[l] = r
+	best := 0.0
+	for j := 1; j < len(a.gate); j++ {
+		if j > l && best > 0 && best > a.gate[j].v {
+			a.gate[j] = newRateGate(best, j)
+		}
+		best = math.Max(best, a.rate[j])
+	}
+}
+
+// fold folds one level-l product into the accumulator. A product whose
+// bounds cannot matter is folded with rho = 0 (no eigenvalue solve) or
+// nv = 0 (no power iteration): its ρ bound cannot beat the level's
+// running maximum, or its rate cannot beat a shorter level's, or its
+// norm bound cannot beat the running norm maximum. levelBest.fold keeps
+// strictly greater candidates only, so a skipped product would not have
+// won with its true value either, or it would have won only a level
+// that bruteFinalize passes over. The scratch kernels are bit-identical
+// to the allocating ones.
+func (a *bruteAcc) fold(l int, p *mat.Dense, word []int, ms *mat.Scratch) error {
+	lb := &a.best[l]
 	nb := mat.NormBoundsScratch(p, ms)
-	rho, err := gatedRadius(p, nb, ms, newRateGate(lb.rho, 1))
-	if err != nil {
-		return err
+	// gatedRadius's two bounds, each tried against both gates.
+	rho := 0.0
+	same, shorter := newRateGate(lb.rho, 1), a.gate[l]
+	if same.above(nb.Radius) && shorter.above(nb.Radius) {
+		if sq := mat.SquareRadiusBoundScratch(p, nb, ms); same.above(sq) && shorter.above(sq) {
+			var err error
+			if rho, err = mat.SpectralRadiusScratch(p, ms); err != nil {
+				return err
+			}
+		}
 	}
 	nv := 0.0
 	if nb.TwoNorm > lb.norm {
 		nv = mat.TwoNormScratch(p, ms)
 	}
+	if rho > lb.rho {
+		a.raise(l, rho)
+	}
 	lb.fold(rho, word, nv)
 	return nil
 }
 
-// foldLevel folds one fully materialized breadth-first level into its
+// foldLevel folds one fully materialized breadth-first level l into the
 // accumulator, in enumeration order.
-func foldLevel(lb *levelBest, level []*mat.Dense, words [][]int, ms *mat.Scratch) error {
+func (a *bruteAcc) foldLevel(l int, level []*mat.Dense, words [][]int, ms *mat.Scratch) error {
 	for pi, p := range level {
-		if err := foldProduct(lb, p, words[pi], ms); err != nil {
+		if err := a.fold(l, p, words[pi], ms); err != nil {
 			return err
 		}
 	}
@@ -414,7 +494,7 @@ func BruteForceBoundsCtx(ctx context.Context, set []*mat.Dense, maxLen int, opt 
 		pow *= k
 	}
 
-	acc := make([]levelBest, maxLen+1)
+	acc := newBruteAcc(maxLen)
 	n := set[0].Rows()
 
 	// Shallow phase: levels 1..splitDepth, breadth-first in
@@ -428,9 +508,9 @@ func BruteForceBoundsCtx(ctx context.Context, set []*mat.Dense, maxLen int, opt 
 	}
 	for l := 1; ; l++ {
 		if err := ctx.Err(); err != nil {
-			return bruteFinalize(acc, l-1), deadlineErr(ctx, err)
+			return bruteFinalize(acc.best, l-1), deadlineErr(ctx, err)
 		}
-		if err := foldLevel(&acc[l], level, words, ms); err != nil {
+		if err := acc.foldLevel(l, level, words, ms); err != nil {
 			return Bounds{}, err
 		}
 		if l == splitDepth || l == maxLen {
@@ -439,86 +519,86 @@ func BruteForceBoundsCtx(ctx context.Context, set []*mat.Dense, maxLen int, opt 
 		level, words = expandLevel(set, level, words)
 	}
 
-	// Deep phase: one depth-first stream per chunk, merged in chunk
-	// order so the per-level "first maximizer" is the lexicographically
-	// first one, exactly as a sequential sweep would pick it.
+	// Deep phase: each worker slot streams its contiguous range of chunks
+	// depth-first, in order, into one accumulator forked from the shallow
+	// one and carried across its chunks, so its running maxima and
+	// shorter-level gates keep what earlier chunks found. The slots merge
+	// in range order, so the per-level "first maximizer" is the
+	// lexicographically first one, exactly as a sequential sweep would
+	// pick it.
 	if splitDepth < maxLen {
-		// Per-worker scratch: one spectral-norm/eig workspace plus one
-		// preallocated product buffer per tree level, so the streaming
-		// DFS performs zero allocations per node (words are only
-		// materialized on the rare fold improvements). A level-indexed
-		// buffer is safe because a node's product is only read while its
-		// children are computed, and children use the next level's
-		// buffer. The scratch kernels are bit-identical to the
-		// allocating ones, so bounds are unchanged.
-		type deepScratch struct {
-			ms    *mat.Scratch
-			prods []*mat.Dense
-			path  []int
-		}
-		scratch := make([]*deepScratch, workers)
-		parts := make([][]levelBest, len(level))
+		parts := make([][]levelBest, workers)
 		err := parallelSlots(ctx, len(level), workers, func(ctx context.Context, slot, lo, hi int) error {
-			ds := scratch[slot]
-			if ds == nil {
-				ds = &deepScratch{ms: mat.NewScratch(n), prods: make([]*mat.Dense, maxLen+1), path: make([]int, maxLen)}
-				for l := splitDepth + 1; l <= maxLen; l++ {
-					ds.prods[l] = mat.New(n, n)
+			// Per-slot scratch: one spectral-norm/eig workspace plus one
+			// preallocated product buffer per tree level, so the streaming
+			// DFS performs zero allocations per node (words are only
+			// materialized on the rare fold improvements). A level-indexed
+			// buffer is safe because a node's product is only read while
+			// its children are computed, and children use the next level's
+			// buffer. The scratch kernels are bit-identical to the
+			// allocating ones, so bounds are unchanged.
+			ms := mat.NewScratch(n)
+			prods := make([]*mat.Dense, maxLen+1)
+			for l := splitDepth + 1; l <= maxLen; l++ {
+				prods[l] = mat.New(n, n)
+			}
+			path := make([]int, maxLen)
+			part := acc.fork()
+			var dfs func(prod *mat.Dense, length int) error
+			dfs = func(prod *mat.Dense, length int) error {
+				for ai := 0; ai < k; ai++ {
+					if err := ctx.Err(); err != nil {
+						return err
+					}
+					p := prods[length+1]
+					mat.MulInto(p, set[ai], prod)
+					path[length] = ai
+					if err := part.fold(length+1, p, path[:length+1], ms); err != nil {
+						return err
+					}
+					if length+1 < maxLen {
+						if err := dfs(p, length+1); err != nil {
+							return err
+						}
+					}
 				}
-				scratch[slot] = ds
+				return nil
 			}
 			for ci := lo; ci < hi; ci++ {
 				if err := ctx.Err(); err != nil {
 					return err
 				}
-				part := make([]levelBest, maxLen+1)
-				copy(ds.path, words[ci])
-				var dfs func(prod *mat.Dense, length int) error
-				dfs = func(prod *mat.Dense, length int) error {
-					for ai := 0; ai < k; ai++ {
-						if err := ctx.Err(); err != nil {
-							return err
-						}
-						p := ds.prods[length+1]
-						mat.MulInto(p, set[ai], prod)
-						ds.path[length] = ai
-						if err := foldProduct(&part[length+1], p, ds.path[:length+1], ds.ms); err != nil {
-							return err
-						}
-						if length+1 < maxLen {
-							if err := dfs(p, length+1); err != nil {
-								return err
-							}
-						}
-					}
-					return nil
-				}
+				copy(path, words[ci])
 				if err := expandGuard(words[ci], func() error {
 					return dfs(level[ci], splitDepth)
 				}); err != nil {
 					return err
 				}
-				parts[ci] = part
 			}
+			parts[slot] = part.best
 			return nil
 		})
 		if err != nil {
 			if isCtxErr(err) {
 				// The deep phase is all-or-nothing: cut runs fall back
 				// to the completed shallow levels.
-				return bruteFinalize(acc, splitDepth), deadlineErr(ctx, err)
+				return bruteFinalize(acc.best, splitDepth), deadlineErr(ctx, err)
 			}
 			return Bounds{}, err
 		}
-		mergeDeepParts(acc, parts, splitDepth, maxLen)
+		mergeDeepParts(acc.best, parts, splitDepth, maxLen)
 	}
-	return bruteFinalize(acc, maxLen), nil
+	return bruteFinalize(acc.best, maxLen), nil
 }
 
-// mergeDeepParts folds the per-chunk deep-phase accumulators into acc
-// in chunk order, preserving the sequential first-maximizer tie-break.
+// mergeDeepParts folds the per-slot deep-phase accumulators into acc in
+// slot order, which is range order, preserving the sequential
+// first-maximizer tie-break. Slots that received no range are nil.
 func mergeDeepParts(acc []levelBest, parts [][]levelBest, splitDepth, maxLen int) {
 	for _, part := range parts {
+		if part == nil {
+			continue
+		}
 		for l := splitDepth + 1; l <= maxLen; l++ {
 			acc[l].fold(part[l].rho, part[l].word, part[l].norm)
 		}
@@ -760,7 +840,9 @@ func Gripenberg(set []*mat.Dense, opt GripenbergOptions) (Bounds, error) {
 // identical for every worker count. On normal termination the true JSR
 // lies in [Lower, Upper] with Upper ≤ Lower + δ. If the node budget
 // runs out first, the remaining budget is spent on a partial level
-// before valid but looser bounds are returned together with ErrBudget.
+// before valid but looser bounds are returned together with
+// ErrNodeBudget; a search that reaches MaxDepth with live branches
+// returns its bracket with ErrDepthCap. Both wrap ErrBudget.
 //
 // Cancellation and the Deadline option degrade the same way: the search
 // stops at a level boundary (a partially expanded level is discarded,
@@ -862,7 +944,7 @@ func GripenbergCtx(ctx context.Context, set []*mat.Dense, opt GripenbergOptions)
 			expand = remaining / k
 		}
 		if expand == 0 {
-			return cutBounds(lower, opt.Delta, witness, frontier), ErrBudget
+			return cutBounds(lower, opt.Delta, witness, frontier), ErrNodeBudget
 		}
 
 		depth++
@@ -916,7 +998,7 @@ func GripenbergCtx(ctx context.Context, set []*mat.Dense, opt GripenbergOptions)
 			// Budget exhausted mid-level: unexpanded nodes stay live, so
 			// their certificates cap the JSR alongside the new children's.
 			upper := math.Max(lower+opt.Delta, math.Max(frontierMax(next), frontierMax(frontier[expand:])))
-			return Bounds{Lower: lower, Upper: upper, WitnessWord: witness}, ErrBudget
+			return Bounds{Lower: lower, Upper: upper, WitnessWord: witness}, ErrNodeBudget
 		}
 		frontier = next
 	}
@@ -924,7 +1006,7 @@ func GripenbergCtx(ctx context.Context, set []*mat.Dense, opt GripenbergOptions)
 		return Bounds{Lower: lower, Upper: lower + opt.Delta, WitnessWord: witness}, nil
 	}
 	// Depth limit hit with live branches: their certificates cap the JSR.
-	return cutBounds(lower, opt.Delta, witness, frontier), ErrBudget
+	return cutBounds(lower, opt.Delta, witness, frontier), ErrDepthCap
 }
 
 // EstimateRawCtx reproduces EstimateCtx's bracket merge without the

@@ -223,6 +223,36 @@ func TestEstimateBudgetParallel(t *testing.T) {
 	}
 }
 
+// TestBudgetStopReason checks that every search names the budget that
+// stopped it, through Estimate's joined error too, and that both reasons
+// still match ErrBudget.
+func TestBudgetStopReason(t *testing.T) {
+	set := pmsmLikeSet()
+	complete := CompleteGraph(len(set))
+	cases := []struct {
+		name        string
+		opt         GripenbergOptions
+		want, other error
+	}{
+		{"nodes", GripenbergOptions{Delta: 1e-6, MaxDepth: 30, MaxNodes: 6}, ErrNodeBudget, ErrDepthCap},
+		{"depth", GripenbergOptions{Delta: 1e-6, MaxDepth: 3, MaxNodes: 1000}, ErrDepthCap, ErrNodeBudget},
+	}
+	for _, tc := range cases {
+		for _, w := range []int{1, 2} {
+			tc.opt.Workers = w
+			errs := map[string]error{}
+			_, errs["Gripenberg"] = Gripenberg(set, tc.opt)
+			_, errs["ConstrainedGripenberg"] = ConstrainedGripenberg(set, complete, tc.opt)
+			_, errs["Estimate"] = Estimate(set, 3, tc.opt)
+			for site, err := range errs {
+				if !errors.Is(err, tc.want) || !errors.Is(err, ErrBudget) || errors.Is(err, tc.other) {
+					t.Errorf("%s w=%d %s: err = %v, want %v wrapping ErrBudget", tc.name, w, site, err, tc.want)
+				}
+			}
+		}
+	}
+}
+
 // TestEstimateDeadlineParallel checks the same surfacing property for
 // ErrDeadline: a cancelled context reaches the caller of EstimateCtx as
 // errors.Is(ErrDeadline) (and the underlying context cause) with the

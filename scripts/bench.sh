@@ -23,7 +23,7 @@ cd "$(dirname "$0")/.."
 out="${1:-BENCH_jsr.json}"
 benchtime="${BENCHTIME:-5x}"
 count="${COUNT:-3}"
-pattern='^(BenchmarkJSRWorkers|BenchmarkStabilityCertificate|BenchmarkDesignSynthesis|BenchmarkJSRExpand)$'
+pattern='^(BenchmarkJSRWorkers|BenchmarkStabilityCertificate|BenchmarkDesignSynthesis|BenchmarkJSRExpand|BenchmarkBruteForcePMSM)$'
 
 raw="$(go test -run '^$' -bench "$pattern" -benchtime "$benchtime" -count "$count" -benchmem . ./internal/jsr)"
 printf '%s\n' "$raw"
