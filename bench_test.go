@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"testing"
@@ -31,7 +32,7 @@ func benchOpts() experiments.Options {
 // Rmax × Ts grid).
 func BenchmarkTable1(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Table1(benchOpts())
+		rows, err := experiments.Table1Ctx(context.Background(), benchOpts(), nil, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -45,7 +46,7 @@ func BenchmarkTable1(b *testing.B) {
 // five cost columns over the grid).
 func BenchmarkTable2(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Table2(benchOpts())
+		rows, err := experiments.Table2Ctx(context.Background(), benchOpts(), nil, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -68,7 +69,7 @@ func BenchmarkFigure1(b *testing.B) {
 // BenchmarkSweepNs regenerates the §V-B sensor-granularity sweep.
 func BenchmarkSweepNs(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.SweepNs([]int{1, 2, 5}, benchOpts()); err != nil {
+		if _, err := experiments.SweepNsCtx(context.Background(), []int{1, 2, 5}, benchOpts(), nil, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -79,7 +80,7 @@ func BenchmarkSweepNs(b *testing.B) {
 // BenchmarkAblationPI decomposes the Table I adaptive strategy.
 func BenchmarkAblationPI(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.AblationPI(benchOpts()); err != nil {
+		if _, err := experiments.AblationPI(context.Background(), benchOpts()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -88,7 +89,7 @@ func BenchmarkAblationPI(b *testing.B) {
 // BenchmarkAblationJSR compares raw vs preconditioned JSR estimators.
 func BenchmarkAblationJSR(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.AblationJSR(benchOpts()); err != nil {
+		if _, err := experiments.AblationJSR(context.Background(), benchOpts()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -97,7 +98,7 @@ func BenchmarkAblationJSR(b *testing.B) {
 // BenchmarkAblationDelayLQR compares delay-aware vs naive LQR designs.
 func BenchmarkAblationDelayLQR(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.AblationDelayLQR(benchOpts()); err != nil {
+		if _, err := experiments.AblationDelayLQR(context.Background(), benchOpts()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -136,7 +137,7 @@ func BenchmarkStabilityCertificate(b *testing.B) {
 	d := pmsmDesign(b, 5)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := d.StabilityBounds(4, jsr.GripenbergOptions{Delta: 0.02, MaxDepth: 15}); err != nil && i == 0 {
+		if _, err := d.StabilityBoundsCtx(context.Background(), 4, jsr.GripenbergOptions{Delta: 0.02, MaxDepth: 15}); err != nil && i == 0 {
 			b.Logf("bracket looser than requested: %v", err)
 		}
 	}
@@ -155,14 +156,14 @@ func BenchmarkJSRWorkers(b *testing.B) {
 	for _, w := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("w%d", w), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := jsr.BruteForceBoundsOpt(set, 5, jsr.BruteForceOptions{Workers: w}); err != nil {
+				if _, err := jsr.BruteForceBoundsCtx(context.Background(), set, 5, jsr.BruteForceOptions{Workers: w}); err != nil {
 					b.Fatal(err)
 				}
 				// The raw Ω-set's norm certificates converge slowly, so
 				// cap the node budget: the work per iteration is then
 				// fixed and identical across worker counts, which is
 				// exactly what a scaling comparison needs.
-				gp, err := jsr.Gripenberg(set, jsr.GripenbergOptions{Delta: 0.05, MaxDepth: 12, MaxNodes: 100_000, Workers: w})
+				gp, err := jsr.GripenbergCtx(context.Background(), set, jsr.GripenbergOptions{Delta: 0.05, MaxDepth: 12, MaxNodes: 100_000, Workers: w})
 				if err != nil && !errors.Is(err, jsr.ErrBudget) {
 					b.Fatal(err)
 				}
@@ -200,7 +201,7 @@ func BenchmarkMonteCarlo1k(b *testing.B) {
 	model := sim.UniformResponse{Rmin: d.Timing.Rmin, Rmax: d.Timing.Rmax}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sim.MonteCarlo(d, []float64{1, 1, 20}, model, cost,
+		if _, err := sim.MonteCarloCtx(context.Background(), d, []float64{1, 1, 20}, model, cost,
 			sim.MonteCarloOptions{Sequences: 1000, Jobs: 50, Seed: 1}); err != nil {
 			b.Fatal(err)
 		}
@@ -242,7 +243,7 @@ func BenchmarkLiftedVsDirect(b *testing.B) {
 // BenchmarkBurstComparison regenerates the burst-robustness experiment.
 func BenchmarkBurstComparison(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.BurstComparison(benchOpts()); err != nil {
+		if _, err := experiments.BurstComparison(context.Background(), benchOpts()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -251,7 +252,7 @@ func BenchmarkBurstComparison(b *testing.B) {
 // BenchmarkWeaklyHard regenerates the constrained-switching analysis.
 func BenchmarkWeaklyHard(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.WeaklyHard(4, experiments.Options{BruteLen: 5}); err != nil {
+		if _, err := experiments.WeaklyHard(context.Background(), 4, experiments.Options{BruteLen: 5}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -260,7 +261,7 @@ func BenchmarkWeaklyHard(b *testing.B) {
 // BenchmarkObserverComparison regenerates the observer study.
 func BenchmarkObserverComparison(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.ObserverComparison(benchOpts()); err != nil {
+		if _, err := experiments.ObserverComparison(context.Background(), benchOpts()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -269,7 +270,7 @@ func BenchmarkObserverComparison(b *testing.B) {
 // BenchmarkQuantizeSweep regenerates the fixed-point width study.
 func BenchmarkQuantizeSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.QuantizeSweep([]int{4, 12, 24}, benchOpts()); err != nil {
+		if _, err := experiments.QuantizeSweepCtx(context.Background(), []int{4, 12, 24}, benchOpts()); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -16,12 +16,15 @@
 // Pass -paper to table1/table2 for the paper's full 50 000-sequence
 // protocol (slower).
 //
-// Long-running commands (table1, table2, sweep, faultsim) are
-// interruptible: -timeout caps wall-clock time and SIGINT/SIGTERM stops
-// at the next boundary; either way completed rows are reported and the
-// process exits 5. With -checkpoint the per-row grid state is persisted
-// atomically after every finished row, and -resume restarts the grid
-// without recomputing finished rows.
+// The long-running commands (table1, table2, sweep, ablation, certify,
+// burst, weaklyhard, quantize, observer, faultsim, report) are
+// interruptible: SIGINT/SIGTERM stops them at the next boundary and the
+// process exits 5 (report then writes no file). On table1, table2,
+// sweep and faultsim -timeout also caps wall-clock time; an interrupted
+// table1, table2 or sweep reports the rows it completed. With
+// -checkpoint the per-row grid state is persisted atomically after
+// every finished row, and -resume restarts the grid without recomputing
+// finished rows.
 package main
 
 import (
@@ -69,7 +72,7 @@ func main() {
 	case "sweep":
 		err = runSweep(ctx, args)
 	case "ablation":
-		err = runAblation(args)
+		err = runAblation(ctx, args)
 	case "rta":
 		err = runRTA()
 	case "export":
@@ -77,9 +80,9 @@ func main() {
 	case "certify":
 		err = runCertify(ctx, args)
 	case "burst":
-		err = runBurst(args)
+		err = runBurst(ctx, args)
 	case "weaklyhard":
-		err = runWeaklyHard(args)
+		err = runWeaklyHard(ctx, args)
 	case "drift":
 		err = runDrift(args)
 	case "jitter":
@@ -87,11 +90,11 @@ func main() {
 	case "quantize":
 		err = runQuantize(ctx, args)
 	case "observer":
-		err = runObserver(args)
+		err = runObserver(ctx, args)
 	case "faultsim":
 		err = runFaultSim(ctx, args)
 	case "report":
-		err = runReport(args)
+		err = runReport(ctx, args)
 	case "version", "-version", "--version":
 		fmt.Println(buildinfo.Line("adactl"))
 	case "help", "-h", "--help":
@@ -398,14 +401,14 @@ func runSweep(ctx context.Context, args []string) error {
 	return nil
 }
 
-func runAblation(args []string) error {
+func runAblation(ctx context.Context, args []string) error {
 	which := "all"
 	if len(args) > 0 {
 		which = args[0]
 	}
 	opt := experiments.Options{Sequences: 2000, Jobs: 50, Seed: 1, BruteLen: 5, Delta: 1e-3}
 	if which == "pi" || which == "all" {
-		rows, err := experiments.AblationPI(opt)
+		rows, err := experiments.AblationPI(ctx, opt)
 		if err != nil {
 			return err
 		}
@@ -414,7 +417,7 @@ func runAblation(args []string) error {
 		fmt.Println()
 	}
 	if which == "jsr" || which == "all" {
-		rows, err := experiments.AblationJSR(opt)
+		rows, err := experiments.AblationJSR(ctx, opt)
 		if err != nil {
 			return err
 		}
@@ -423,7 +426,7 @@ func runAblation(args []string) error {
 		fmt.Println()
 	}
 	if which == "lqr" || which == "all" {
-		rows, err := experiments.AblationDelayLQR(opt)
+		rows, err := experiments.AblationDelayLQR(ctx, opt)
 		if err != nil {
 			return err
 		}
@@ -541,13 +544,13 @@ func buildScenario(scenario string, rmaxFactor float64, ns int) (*core.Design, e
 
 // runBurst compares independent and bursty overrun patterns with the
 // same long-run overrun fraction.
-func runBurst(args []string) error {
+func runBurst(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("burst", flag.ExitOnError)
 	opt, _ := experimentFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	rows, err := experiments.BurstComparison(*opt)
+	rows, err := experiments.BurstComparison(ctx, *opt)
 	if err != nil {
 		return err
 	}
@@ -559,7 +562,7 @@ func runBurst(args []string) error {
 
 // runWeaklyHard brackets the constrained JSR under weakly-hard overrun
 // patterns (refs [16]-[18] of the paper).
-func runWeaklyHard(args []string) error {
+func runWeaklyHard(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("weaklyhard", flag.ExitOnError)
 	k := fs.Int("k", 4, "weakly-hard window K")
 	brute := fs.Int("brute", 6, "product enumeration depth")
@@ -567,7 +570,7 @@ func runWeaklyHard(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	rows, err := experiments.WeaklyHard(*k, experiments.Options{BruteLen: *brute, Workers: *workers})
+	rows, err := experiments.WeaklyHard(ctx, *k, experiments.Options{BruteLen: *brute, Workers: *workers})
 	if err != nil {
 		return err
 	}
@@ -635,13 +638,13 @@ func runQuantize(ctx context.Context, args []string) error {
 }
 
 // runObserver compares the state-feedback and observer-based designs.
-func runObserver(args []string) error {
+func runObserver(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("observer", flag.ExitOnError)
 	opt, _ := experimentFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	rows, err := experiments.ObserverComparison(*opt)
+	rows, err := experiments.ObserverComparison(ctx, *opt)
 	if err != nil {
 		return err
 	}
@@ -758,7 +761,7 @@ func runFaultSim(ctx context.Context, args []string) error {
 }
 
 // runReport regenerates the full evaluation into a markdown report.
-func runReport(args []string) error {
+func runReport(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("report", flag.ExitOnError)
 	opt, paper := experimentFlags(fs)
 	out := fs.String("o", "REPORT.md", "output file")
@@ -769,7 +772,7 @@ func runReport(args []string) error {
 		*opt = experiments.PaperOptions()
 	}
 	if err := writeFileAtomic(*out, func(w io.Writer) error {
-		return experiments.Report(*opt, w)
+		return experiments.Report(ctx, *opt, w)
 	}); err != nil {
 		return err
 	}

@@ -94,7 +94,7 @@ func run() int {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	opt := jsr.GripenbergOptions{Delta: *delta, MaxDepth: *depth, Workers: *workers, Deadline: *timeout}
+	opt := jsr.GripenbergOptions{Delta: *delta, MaxDepth: *depth, Workers: *workers}
 	hash := inputhash.SetHash(set, *raw)
 	if *resume {
 		if *ckptPath == "" {
@@ -126,6 +126,11 @@ func run() int {
 		}
 	}
 
+	if *timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, *timeout)
+		defer cancel()
+	}
 	var bounds jsr.Bounds
 	var serr error
 	if *raw {

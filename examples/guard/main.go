@@ -18,6 +18,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -30,6 +31,8 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
+
 	// 1. A well-damped two-state plant controlled at T = 100 ms with
 	//    sensors sampling 4× per period and jobs certified to finish
 	//    within 1.5·T. Open-loop stability is what lets even the
@@ -53,7 +56,7 @@ func main() {
 
 	// 2. Certify the whole ladder before deploying: each tier is a
 	//    switched linear system in the lifted coordinates of Eq. 8.
-	ladder, err := guard.CertifyLadder(design, guard.CertifyOptions{
+	ladder, err := guard.CertifyLadderCtx(ctx, design, guard.CertifyOptions{
 		BruteLen:   4,
 		Grip:       jsr.GripenbergOptions{Delta: 1e-3, MaxDepth: 25, MaxNodes: 100_000},
 		ExtraSteps: 2,

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math"
@@ -24,6 +25,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	pend := nonlinear.Pendulum(0.5, 0.4, 0.1) // 0.5 kg bob, 0.4 m rod
 	lin, err := pend.Linearize([]float64{0, 0}, []float64{0})
 	if err != nil {
@@ -47,7 +49,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	cert, err := design.Certify(5, jsr.GripenbergOptions{Delta: 1e-3, MaxDepth: 25})
+	cert, err := design.CertifyCtx(ctx, 5, jsr.GripenbergOptions{Delta: 1e-3, MaxDepth: 25})
 	if err != nil {
 		log.Fatal(err)
 	}

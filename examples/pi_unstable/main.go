@@ -15,6 +15,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -25,6 +26,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	plant := plants.Unstable()
 	const T = 0.010
 	tm, err := core.NewTiming(T, 5, T/10, 1.6*T)
@@ -70,7 +72,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		m, err := sim.MonteCarlo(d, x0, model, sim.ErrorCost(), mc)
+		m, err := sim.MonteCarloCtx(ctx, d, x0, model, sim.ErrorCost(), mc)
 		if err != nil {
 			log.Fatal(err)
 		}

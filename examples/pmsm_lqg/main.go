@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"log"
@@ -29,6 +30,7 @@ func mustBounds(b jsr.Bounds, err error) jsr.Bounds {
 }
 
 func main() {
+	ctx := context.Background()
 	params := plants.DefaultPMSMParams()
 	plant := plants.PMSM(params)
 	const T = 50e-6
@@ -51,7 +53,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	bounds, jerr := design.StabilityBounds(6, jsr.GripenbergOptions{Delta: 1e-4, MaxDepth: 30})
+	bounds, jerr := design.StabilityBoundsCtx(ctx, 6, jsr.GripenbergOptions{Delta: 1e-4, MaxDepth: 30})
 	note := ""
 	if jerr != nil {
 		note = " (bracket looser than requested)"
@@ -74,14 +76,14 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	frozenBounds := mustBounds(frozen.StabilityBounds(6, jsr.GripenbergOptions{Delta: 1e-4, MaxDepth: 30}))
+	frozenBounds := mustBounds(frozen.StabilityBoundsCtx(ctx, 6, jsr.GripenbergOptions{Delta: 1e-4, MaxDepth: 30}))
 	adaptiveCoarse, err := core.NewDesign(plant, tmCoarse, func(h float64) (*control.StateSpace, error) {
 		return control.LQGFullInfo(plant, w, h)
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	adaptiveCoarseBounds := mustBounds(adaptiveCoarse.StabilityBounds(6, jsr.GripenbergOptions{Delta: 1e-4, MaxDepth: 30}))
+	adaptiveCoarseBounds := mustBounds(adaptiveCoarse.StabilityBoundsCtx(ctx, 6, jsr.GripenbergOptions{Delta: 1e-4, MaxDepth: 30}))
 	fmt.Printf("coarse grid Ts = T/2: adaptive JSR ∈ %s (stable: %v),\n",
 		adaptiveCoarseBounds, adaptiveCoarseBounds.CertifiesStable())
 	fmt.Printf("            frozen-T JSR ∈ %s → provably UNSTABLE: %v\n",
@@ -94,7 +96,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	m, err := sim.MonteCarlo(design, x0, sim.UniformResponse{Rmin: tm.Rmin, Rmax: tm.Rmax}, cost,
+	m, err := sim.MonteCarloCtx(ctx, design, x0, sim.UniformResponse{Rmin: tm.Rmin, Rmax: tm.Rmax}, cost,
 		sim.MonteCarloOptions{Sequences: 3000, Jobs: 50, Seed: 3})
 	if err != nil {
 		log.Fatal(err)
@@ -112,7 +114,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	obsBounds := mustBounds(observerDesign.StabilityBounds(5, jsr.GripenbergOptions{Delta: 1e-3, MaxDepth: 25}))
+	obsBounds := mustBounds(observerDesign.StabilityBoundsCtx(ctx, 5, jsr.GripenbergOptions{Delta: 1e-3, MaxDepth: 25}))
 	fmt.Printf("\nobserver-based variant (current sensors only, %d controller states):\n",
 		observerDesign.Modes[0].Ctrl.StateDim())
 	fmt.Printf("JSR ∈ %s → certified stable: %v\n", obsBounds, obsBounds.CertifiesStable())

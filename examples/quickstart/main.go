@@ -15,6 +15,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -27,6 +28,8 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
+
 	// 1. Plant and timing: a double integrator controlled at T = 20 ms,
 	//    sensors sampling 5× per period, jobs known to finish within
 	//    1.6·T even in the worst case.
@@ -53,7 +56,7 @@ func main() {
 		design.NumModes(), design.LiftedDim())
 
 	// 3. Exact stability test: JSR of {Ω(h)} under arbitrary switching.
-	bounds, err := design.StabilityBounds(6, jsr.GripenbergOptions{Delta: 1e-3})
+	bounds, err := design.StabilityBoundsCtx(ctx, 6, jsr.GripenbergOptions{Delta: 1e-3})
 	if err != nil {
 		fmt.Printf("note: bracket looser than requested (%v)\n", err)
 	}
@@ -79,7 +82,7 @@ func main() {
 	}
 
 	// Worst case over random patterns, for good measure.
-	m, err := sim.MonteCarlo(design, []float64{1, 0},
+	m, err := sim.MonteCarloCtx(ctx, design, []float64{1, 0},
 		sim.UniformResponse{Rmin: tm.Rmin, Rmax: tm.Rmax}, sim.ErrorCost(),
 		sim.MonteCarloOptions{Sequences: 2000, Jobs: 50, Seed: 42})
 	if err != nil {

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"log"
@@ -22,6 +23,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	plant := plants.PMSM(plants.DefaultPMSMParams())
 	const T = 50e-6
 	w := control.LQRWeights{Q: mat.Diag(1, 1, 5), R: mat.Scale(0.01, mat.Eye(2))}
@@ -41,11 +43,11 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		bounds, err := design.StabilityBounds(5, jsr.GripenbergOptions{Delta: 1e-3, MaxDepth: 25})
+		bounds, err := design.StabilityBoundsCtx(ctx, 5, jsr.GripenbergOptions{Delta: 1e-3, MaxDepth: 25})
 		if err != nil && !errors.Is(err, jsr.ErrBudget) {
 			log.Fatal(err)
 		}
-		m, err := sim.MonteCarlo(design, x0, sim.UniformResponse{Rmin: tm.Rmin, Rmax: tm.Rmax}, cost,
+		m, err := sim.MonteCarloCtx(ctx, design, x0, sim.UniformResponse{Rmin: tm.Rmin, Rmax: tm.Rmax}, cost,
 			sim.MonteCarloOptions{Sequences: 2000, Jobs: 50, Seed: 9})
 		if err != nil {
 			log.Fatal(err)

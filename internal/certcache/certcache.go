@@ -111,9 +111,10 @@ type Options struct {
 	// log in this directory (created if absent) and consults it on
 	// memory misses.
 	Dir string
-	// FS is the filesystem the persistent layer runs on; nil selects
-	// OSFS. Tests and the chaos harness substitute a faulty FS.
-	FS FS
+	// FS is the filesystem the persistent layer (the segmented
+	// store.Log) runs on; nil selects store.OSFS. Tests and the chaos
+	// harness substitute a faulty FS.
+	FS store.FS
 	// SegmentBytes is the log's segment rotation threshold; ≤ 0 selects
 	// the store default (64 MiB).
 	SegmentBytes int64
@@ -164,7 +165,7 @@ func New(opt Options) (*Cache, error) {
 		opt.Capacity = 1024
 	}
 	if opt.FS == nil {
-		opt.FS = OSFS{}
+		opt.FS = store.OSFS{}
 	}
 	if opt.ProbeInterval <= 0 {
 		opt.ProbeInterval = defaultProbeInterval

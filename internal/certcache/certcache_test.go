@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"adaptivertc/internal/chaos"
 	"adaptivertc/internal/store"
 )
 
@@ -317,118 +318,6 @@ func TestConcurrentMixedKeys(t *testing.T) {
 
 // --- degraded-mode (faulty disk) behaviour ---
 
-// faultFS wraps the real filesystem with switchable read/write faults,
-// the in-package twin of the chaos harness's injector.
-type faultFS struct {
-	base       OSFS
-	mu         sync.Mutex
-	failReads  bool
-	failWrites bool
-}
-
-func (f *faultFS) set(reads, writes bool) {
-	f.mu.Lock()
-	f.failReads, f.failWrites = reads, writes
-	f.mu.Unlock()
-}
-
-func (f *faultFS) failing(read bool) bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if read {
-		return f.failReads
-	}
-	return f.failWrites
-}
-
-var errInjected = errors.New("faultFS: injected failure")
-
-func (f *faultFS) MkdirAll(dir string) error {
-	if f.failing(false) {
-		return errInjected
-	}
-	return f.base.MkdirAll(dir)
-}
-
-func (f *faultFS) OpenAppend(path string) (store.File, int64, error) {
-	if f.failing(false) {
-		return nil, 0, errInjected
-	}
-	file, size, err := f.base.OpenAppend(path)
-	if err != nil {
-		return nil, 0, err
-	}
-	return &faultFile{File: file, fs: f}, size, nil
-}
-
-func (f *faultFS) ReadDir(dir string) ([]string, error) {
-	if f.failing(true) {
-		return nil, errInjected
-	}
-	return f.base.ReadDir(dir)
-}
-
-func (f *faultFS) ReadFile(path string) ([]byte, error) {
-	if f.failing(true) {
-		return nil, errInjected
-	}
-	return f.base.ReadFile(path)
-}
-
-func (f *faultFS) ReadAt(path string, p []byte, off int64) error {
-	if f.failing(true) {
-		return errInjected
-	}
-	return f.base.ReadAt(path, p, off)
-}
-
-func (f *faultFS) Rename(oldpath, newpath string) error {
-	if f.failing(false) {
-		return errInjected
-	}
-	return f.base.Rename(oldpath, newpath)
-}
-
-func (f *faultFS) Remove(path string) error {
-	if f.failing(false) {
-		return errInjected
-	}
-	return f.base.Remove(path)
-}
-
-func (f *faultFS) Truncate(path string, size int64) error {
-	if f.failing(false) {
-		return errInjected
-	}
-	return f.base.Truncate(path, size)
-}
-
-func (f *faultFS) SyncDir(dir string) error {
-	if f.failing(false) {
-		return errInjected
-	}
-	return f.base.SyncDir(dir)
-}
-
-type faultFile struct {
-	store.File
-	fs *faultFS
-}
-
-func (ff *faultFile) Write(p []byte) (int, error) {
-	if ff.fs.failing(false) {
-		return 0, errInjected
-	}
-	return ff.File.Write(p)
-}
-
-func (ff *faultFile) Sync() error {
-	if ff.fs.failing(false) {
-		return errInjected
-	}
-	return ff.File.Sync()
-}
-
 func computeBody(s string) func(context.Context) ([]byte, error) {
 	return func(context.Context) ([]byte, error) { return []byte(s), nil }
 }
@@ -437,9 +326,9 @@ func computeBody(s string) func(context.Context) ([]byte, error) {
 // the request: the computed bytes are served and cached in memory, the
 // health flag flips, and later operations skip the disk entirely.
 func TestWriteFaultDemotesToMemoryOnly(t *testing.T) {
-	ffs := &faultFS{}
+	ffs := chaos.NewFaultyFS(nil)
 	c := mustNew(t, Options{Dir: t.TempDir(), FS: ffs})
-	ffs.set(false, true)
+	ffs.BreakWrites(nil)
 
 	body, outcome, err := c.GetOrCompute(context.Background(), keyOf("a"), computeBody("body-a"))
 	if err != nil || outcome != Miss || string(body) != "body-a" {
@@ -478,9 +367,9 @@ func TestReadFaultDemotesAndRecomputes(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ffs := &faultFS{}
+	ffs := chaos.NewFaultyFS(nil)
 	c := mustNew(t, Options{Dir: dir, FS: ffs})
-	ffs.set(true, false)
+	ffs.BreakReads(nil)
 	body, outcome, err := c.GetOrCompute(context.Background(), keyOf("k"), computeBody("v"))
 	if err != nil || outcome != Miss || string(body) != "v" {
 		t.Fatalf("GetOrCompute under read fault = (%q, %v, %v), want recomputed miss", body, outcome, err)
@@ -497,12 +386,12 @@ func TestReadFaultDemotesAndRecomputes(t *testing.T) {
 // original fault left behind.
 func TestProbeRecoversHealedDisk(t *testing.T) {
 	dir := t.TempDir()
-	ffs := &faultFS{}
+	ffs := chaos.NewFaultyFS(nil)
 	c := mustNew(t, Options{Dir: dir, FS: ffs, ProbeInterval: time.Minute})
 	clock := time.Unix(1_000_000, 0)
 	c.now = func() time.Time { return clock }
 
-	ffs.set(false, true)
+	ffs.BreakWrites(nil)
 	if _, _, err := c.GetOrCompute(context.Background(), keyOf("a"), computeBody("va")); err != nil {
 		t.Fatal(err)
 	}
@@ -512,7 +401,7 @@ func TestProbeRecoversHealedDisk(t *testing.T) {
 
 	// Disk heals, but the probe interval has not elapsed: still
 	// memory-only.
-	ffs.set(false, false)
+	ffs.Heal()
 	if _, _, err := c.GetOrCompute(context.Background(), keyOf("b"), computeBody("vb")); err != nil {
 		t.Fatal(err)
 	}
@@ -555,12 +444,13 @@ func TestProbeRecoversHealedDisk(t *testing.T) {
 // A probe against a still-broken disk fails closed: the cache stays
 // degraded and does not flap.
 func TestProbeFailsWhileDiskStillBroken(t *testing.T) {
-	ffs := &faultFS{}
+	ffs := chaos.NewFaultyFS(nil)
 	c := mustNew(t, Options{Dir: t.TempDir(), FS: ffs, ProbeInterval: time.Minute})
 	clock := time.Unix(1_000_000, 0)
 	c.now = func() time.Time { return clock }
 
-	ffs.set(true, true)
+	ffs.BreakReads(nil)
+	ffs.BreakWrites(nil)
 	if _, _, err := c.GetOrCompute(context.Background(), keyOf("a"), computeBody("va")); err != nil {
 		t.Fatal(err)
 	}

@@ -27,12 +27,6 @@ type Certificate struct {
 	WorstPattern []float64
 }
 
-// Certify runs the stability analysis with a background context; see
-// CertifyCtx for the interruptible form.
-func (d *Design) Certify(bruteLen int, opt jsr.GripenbergOptions) (Certificate, error) {
-	return d.CertifyCtx(context.Background(), bruteLen, opt)
-}
-
 // CertifyCtx runs the stability analysis and packages the result. The
 // context bounds the underlying JSR search: on expiry the error wraps
 // jsr.ErrDeadline and no certificate is issued (a certificate must

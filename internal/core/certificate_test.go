@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -16,7 +17,7 @@ func certOpts() jsr.GripenbergOptions {
 
 func TestCertifyStableDesign(t *testing.T) {
 	d := testDesign(t)
-	cert, err := d.Certify(4, certOpts())
+	cert, err := d.CertifyCtx(context.Background(), 4, certOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +47,7 @@ func TestCertifyStableDesign(t *testing.T) {
 
 func TestCertificateCoversDeployment(t *testing.T) {
 	d := testDesign(t) // T=0.1, Ns=5, Rmax=0.16 → H up to 0.16
-	cert, err := d.Certify(4, certOpts())
+	cert, err := d.CertifyCtx(context.Background(), 4, certOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +61,7 @@ func TestCertificateCoversDeployment(t *testing.T) {
 
 func TestCertificateReport(t *testing.T) {
 	d := testDesign(t)
-	cert, err := d.Certify(4, certOpts())
+	cert, err := d.CertifyCtx(context.Background(), 4, certOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +82,7 @@ func TestCertificateUnstableVerdict(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cert, err := d.Certify(3, certOpts())
+	cert, err := d.CertifyCtx(context.Background(), 3, certOpts())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -101,7 +102,7 @@ func TestTimingCoversGridBoundary(t *testing.T) {
 // requires a stable verdict.
 func TestCertificateCoversDeploymentBoundary(t *testing.T) {
 	d := testDesign(t)
-	cert, err := d.Certify(4, certOpts())
+	cert, err := d.CertifyCtx(context.Background(), 4, certOpts())
 	if err != nil {
 		t.Fatal(err)
 	}

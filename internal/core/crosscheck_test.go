@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/cmplx"
 	"sort"
@@ -129,7 +130,7 @@ func negOutput(m Mode, x []float64) []float64 {
 // better than nominal.
 func TestWorstPatternIsActuallyBad(t *testing.T) {
 	d := testDesign(t)
-	cert, err := d.Certify(5, certOpts())
+	cert, err := d.CertifyCtx(context.Background(), 5, certOpts())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -117,22 +117,16 @@ func (d *Design) OmegaSet() []*mat.Dense {
 	return out
 }
 
-// StabilityBounds brackets the joint spectral radius of the closed loop
-// with the combined brute-force/Gripenberg estimator. The closed loop
-// is certified asymptotically stable for every admissible overrun
+// StabilityBoundsCtx brackets the joint spectral radius of the closed
+// loop with the combined brute-force/Gripenberg estimator. The closed
+// loop is certified asymptotically stable for every admissible overrun
 // pattern iff the upper bound is < 1. A jsr.ErrBudget return means the
-// bracket is valid but looser than requested. opt is passed through to
-// the estimator pipeline, which preconditions the set once itself (so
-// opt.DisableEllipsoid has no further effect here — see
-// jsr.EstimateCtx).
-func (d *Design) StabilityBounds(bruteLen int, opt jsr.GripenbergOptions) (jsr.Bounds, error) {
-	return jsr.Estimate(d.OmegaSet(), bruteLen, opt)
-}
-
-// StabilityBoundsCtx is StabilityBounds honoring a context and the
-// deadline/snapshot/resume options of jsr.EstimateCtx: cancellation or
-// an expired opt.Deadline returns the valid best-so-far bracket with an
-// error wrapping jsr.ErrDeadline.
+// bracket is valid but looser than requested; cancellation or an
+// expired context deadline returns the valid best-so-far bracket with
+// an error wrapping jsr.ErrDeadline. opt is passed through to
+// jsr.EstimateCtx, which preconditions the set once itself (so
+// opt.DisableEllipsoid has no further effect here) and honours the
+// snapshot/resume options.
 func (d *Design) StabilityBoundsCtx(ctx context.Context, bruteLen int, opt jsr.GripenbergOptions) (jsr.Bounds, error) {
 	return jsr.EstimateCtx(ctx, d.OmegaSet(), bruteLen, opt)
 }

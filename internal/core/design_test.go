@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -234,7 +235,7 @@ func TestLiftedMatchesDirectRecursionStaticController(t *testing.T) {
 
 func TestStabilityBoundsAdaptiveDesign(t *testing.T) {
 	d := testDesign(t)
-	b, err := d.StabilityBounds(4, jsr.GripenbergOptions{Delta: 0.02, MaxDepth: 15})
+	b, err := d.StabilityBoundsCtx(context.Background(), 4, jsr.GripenbergOptions{Delta: 0.02, MaxDepth: 15})
 	if err != nil && b.Upper == 0 {
 		t.Fatal(err)
 	}

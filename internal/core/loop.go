@@ -271,7 +271,7 @@ func (l *Loop) StepJittered(idx int, actualH float64) error {
 // input is zeroed. The controller state and the pending command are
 // cleared so a later return to closed-loop operation restarts from
 // rest. This is the runtime of the degradation ladder's SafeMode tier;
-// its lifted dynamics are certified by guard.CertifyLadder.
+// its lifted dynamics are certified by guard.CertifyLadderCtx.
 func (l *Loop) StepFallback(actualH float64, hold bool) error {
 	if actualH <= 0 {
 		return fmt.Errorf("core: non-positive fallback interval %g", actualH)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 )
@@ -14,7 +15,7 @@ func TestQuantizePreservesStabilityAtReasonableWidths(t *testing.T) {
 	if e := d.MaxQuantizationError(q); e > math.Pow(2, -17)+1e-15 {
 		t.Fatalf("quantization error %v exceeds step/2", e)
 	}
-	cert, err := q.Certify(4, certOpts())
+	cert, err := q.CertifyCtx(context.Background(), 4, certOpts())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,13 +26,13 @@ type AblationPIRow struct {
 }
 
 // AblationPI runs the Table I decomposition on the paper grid.
-func AblationPI(opt Options) ([]AblationPIRow, error) {
+func AblationPI(ctx context.Context, opt Options) ([]AblationPIRow, error) {
 	opt = opt.Defaults()
 	plant := plants.Unstable()
 	x0 := []float64{1, 0}
 	tuner := newPITuner(plant)
 	rows := make([]AblationPIRow, len(opt.Grid))
-	gerr := gridParallel(context.Background(), len(opt.Grid), opt.Workers, nil, func(ri int, publish func(func())) error {
+	gerr := gridParallel(ctx, len(opt.Grid), opt.Workers, nil, func(ri int, publish func(func())) error {
 		cfg := opt.Grid[ri]
 		tm, err := core.NewTiming(table1T, cfg.Ns, table1T/10, cfg.RmaxFactor*table1T)
 		if err != nil {
@@ -63,7 +63,7 @@ func AblationPI(opt Options) ([]AblationPIRow, error) {
 			if err != nil {
 				return 0, err
 			}
-			m, err := sim.MonteCarlo(d, x0, model, sim.ErrorCost(), mc)
+			m, err := sim.MonteCarloCtx(ctx, d, x0, model, sim.ErrorCost(), mc)
 			if err != nil {
 				return 0, err
 			}
@@ -115,12 +115,12 @@ type AblationJSRRow struct {
 }
 
 // AblationJSR runs the estimator comparison.
-func AblationJSR(opt Options) ([]AblationJSRRow, error) {
+func AblationJSR(ctx context.Context, opt Options) ([]AblationJSRRow, error) {
 	opt = opt.Defaults()
 	plant := plants.PMSM(plants.DefaultPMSMParams())
 	w := pmsmWeights()
 	rows := make([]AblationJSRRow, len(opt.Grid))
-	gerr := gridParallel(context.Background(), len(opt.Grid), opt.Workers, nil, func(ri int, publish func(func())) error {
+	gerr := gridParallel(ctx, len(opt.Grid), opt.Workers, nil, func(ri int, publish func(func())) error {
 		cfg := opt.Grid[ri]
 		tm, err := core.NewTiming(table2T, cfg.Ns, table2T/10, cfg.RmaxFactor*table2T)
 		if err != nil {
@@ -137,7 +137,7 @@ func AblationJSR(opt Options) ([]AblationJSRRow, error) {
 		bf := jsr.BruteForceOptions{Workers: opt.Workers}
 
 		t0 := time.Now()
-		row.RawBrute, err = jsr.BruteForceBoundsOpt(set, opt.BruteLen, bf)
+		row.RawBrute, err = jsr.BruteForceBoundsCtx(ctx, set, opt.BruteLen, bf)
 		if err != nil {
 			return err
 		}
@@ -145,7 +145,7 @@ func AblationJSR(opt Options) ([]AblationJSRRow, error) {
 
 		t0 = time.Now()
 		work, _, _ := jsr.Precondition(set)
-		row.PreBrute, err = jsr.BruteForceBoundsOpt(work, opt.BruteLen, bf)
+		row.PreBrute, err = jsr.BruteForceBoundsCtx(ctx, work, opt.BruteLen, bf)
 		if err != nil {
 			return err
 		}
@@ -154,7 +154,7 @@ func AblationJSR(opt Options) ([]AblationJSRRow, error) {
 		t0 = time.Now()
 		// DisableEllipsoid: work is already preconditioned, and the row
 		// is meant to isolate exactly one transform per column.
-		row.PreGrip, err = jsr.Gripenberg(work, jsr.GripenbergOptions{Delta: opt.Delta, MaxDepth: 30, Workers: opt.Workers, DisableEllipsoid: true})
+		row.PreGrip, err = jsr.GripenbergCtx(ctx, work, jsr.GripenbergOptions{Delta: opt.Delta, MaxDepth: 30, Workers: opt.Workers, DisableEllipsoid: true})
 		if err != nil && !errors.Is(err, jsr.ErrBudget) {
 			return err
 		}
@@ -194,14 +194,14 @@ type AblationLQRRow struct {
 }
 
 // AblationDelayLQR runs the delay-modelling ablation on the PMSM.
-func AblationDelayLQR(opt Options) ([]AblationLQRRow, error) {
+func AblationDelayLQR(ctx context.Context, opt Options) ([]AblationLQRRow, error) {
 	opt = opt.Defaults()
 	plant := plants.PMSM(plants.DefaultPMSMParams())
 	w := pmsmWeights()
 	cost := sim.QuadCost(w.Q, w.R)
 	x0 := pmsmInitialState()
 	rows := make([]AblationLQRRow, len(opt.Grid))
-	gerr := gridParallel(context.Background(), len(opt.Grid), opt.Workers, nil, func(ri int, publish func(func())) error {
+	gerr := gridParallel(ctx, len(opt.Grid), opt.Workers, nil, func(ri int, publish func(func())) error {
 		cfg := opt.Grid[ri]
 		tm, err := core.NewTiming(table2T, cfg.Ns, table2T/10, cfg.RmaxFactor*table2T)
 		if err != nil {
@@ -214,7 +214,7 @@ func AblationDelayLQR(opt Options) ([]AblationLQRRow, error) {
 			if err != nil {
 				return 0, false, err
 			}
-			m, err := sim.MonteCarlo(d, x0, model, cost, mc)
+			m, err := sim.MonteCarloCtx(ctx, d, x0, model, cost, mc)
 			if err != nil {
 				return 0, false, err
 			}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -25,7 +26,7 @@ type BurstRow struct {
 }
 
 // BurstComparison runs the burst-robustness experiment on the PMSM.
-func BurstComparison(opt Options) ([]BurstRow, error) {
+func BurstComparison(ctx context.Context, opt Options) ([]BurstRow, error) {
 	opt = opt.Defaults()
 	plant := plants.PMSM(plants.DefaultPMSMParams())
 	w := pmsmWeights()
@@ -59,7 +60,7 @@ func BurstComparison(opt Options) ([]BurstRow, error) {
 			if err != nil {
 				return 0, err
 			}
-			m, err := sim.MonteCarlo(d, x0, model, cost, mc)
+			m, err := sim.MonteCarloCtx(ctx, d, x0, model, cost, mc)
 			if err != nil {
 				return 0, err
 			}

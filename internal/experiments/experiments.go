@@ -298,15 +298,6 @@ func (t *piTuner) adaptiveTable(tm core.Timing) (map[int64]control.PIGains, erro
 	return table, nil
 }
 
-// Table1 regenerates Table I with a background context; see Table1Ctx.
-func Table1(opt Options) ([]Table1Row, error) {
-	rows, err := Table1Ctx(context.Background(), opt, nil, nil)
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
-}
-
 // Table1Ctx regenerates Table I. Grid rows are independent and
 // evaluated in parallel; each goroutine owns exactly one row slot.
 // rows, when non-nil and of grid length, is written in place (pass the
@@ -427,15 +418,6 @@ func pmsmWeights() control.LQRWeights {
 }
 
 func pmsmInitialState() []float64 { return []float64{1, 1, 20} }
-
-// Table2 regenerates Table II with a background context; see Table2Ctx.
-func Table2(opt Options) ([]Table2Row, error) {
-	rows, err := Table2Ctx(context.Background(), opt, nil, nil)
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
-}
 
 // Table2Ctx regenerates Table II; rows and res behave as in Table1Ctx.
 // A JSR search cut by the node budget marks the row JSRBudgetHit (the
@@ -643,16 +625,6 @@ type SweepRow struct {
 	NumModes  int
 	JSR       jsr.Bounds
 	WorstCost float64
-}
-
-// SweepNs runs the granularity ablation with a background context; see
-// SweepNsCtx.
-func SweepNs(factors []int, opt Options) ([]SweepRow, error) {
-	rows, err := SweepNsCtx(context.Background(), factors, opt, nil, nil)
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
 }
 
 // SweepNsCtx runs the granularity ablation on the PMSM at Rmax = 1.6·T.

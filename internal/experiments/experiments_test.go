@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -24,7 +25,7 @@ func TestTable1Shape(t *testing.T) {
 	// The adaptive margins are below 1% (as in the paper: 0.4233 vs
 	// 0.4270), so the worst-case estimate needs enough sequences for
 	// the ordering to be meaningful.
-	rows, err := Table1(Options{Sequences: 2000, Jobs: 50, Seed: 1})
+	rows, err := Table1Ctx(context.Background(), Options{Sequences: 2000, Jobs: 50, Seed: 1}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +61,7 @@ func TestTable2Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration experiment")
 	}
-	rows, err := Table2(fastOpts())
+	rows, err := Table2Ctx(context.Background(), fastOpts(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +127,7 @@ func TestSweepNs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration experiment")
 	}
-	rows, err := SweepNs([]int{1, 2, 5}, fastOpts())
+	rows, err := SweepNsCtx(context.Background(), []int{1, 2, 5}, fastOpts(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +152,7 @@ func TestAblationPIShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration experiment")
 	}
-	rows, err := AblationPI(Options{Sequences: 2000, Jobs: 50, Seed: 1})
+	rows, err := AblationPI(context.Background(), Options{Sequences: 2000, Jobs: 50, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +173,7 @@ func TestAblationJSRPreconditioningHelps(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration experiment")
 	}
-	rows, err := AblationJSR(fastOpts())
+	rows, err := AblationJSR(context.Background(), fastOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +197,7 @@ func TestAblationDelayLQR(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration experiment")
 	}
-	rows, err := AblationDelayLQR(fastOpts())
+	rows, err := AblationDelayLQR(context.Background(), fastOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +215,7 @@ func TestBurstComparisonShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration experiment")
 	}
-	rows, err := BurstComparison(Options{Sequences: 800, Jobs: 50, Seed: 1})
+	rows, err := BurstComparison(context.Background(), Options{Sequences: 800, Jobs: 50, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +245,7 @@ func TestWeaklyHardShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration experiment")
 	}
-	rows, err := WeaklyHard(4, Options{BruteLen: 6})
+	rows, err := WeaklyHard(context.Background(), 4, Options{BruteLen: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,7 +374,7 @@ func TestQuantizeSweepShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration experiment")
 	}
-	rows, err := QuantizeSweep([]int{4, 12, 24}, Options{BruteLen: 4, Delta: 0.02})
+	rows, err := QuantizeSweepCtx(context.Background(), []int{4, 12, 24}, Options{BruteLen: 4, Delta: 0.02})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -404,7 +405,7 @@ func TestObserverComparisonShape(t *testing.T) {
 	// mode), so the bracket needs a finer delta than the other fast
 	// tests to close below 1.
 	grid := []Config{{1.1, 5}, {1.6, 5}}
-	rows, err := ObserverComparison(Options{Sequences: 150, Jobs: 40, Seed: 1, BruteLen: 4, Delta: 0.003, Grid: grid})
+	rows, err := ObserverComparison(context.Background(), Options{Sequences: 150, Jobs: 40, Seed: 1, BruteLen: 4, Delta: 0.003, Grid: grid})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -435,7 +436,7 @@ func TestReportGeneratesAllSections(t *testing.T) {
 		t.Skip("integration experiment")
 	}
 	var b strings.Builder
-	err := Report(Options{Sequences: 60, Jobs: 25, Seed: 1, BruteLen: 4, Delta: 0.02,
+	err := Report(context.Background(), Options{Sequences: 60, Jobs: 25, Seed: 1, BruteLen: 4, Delta: 0.02,
 		Grid: []Config{{1.1, 5}, {1.6, 5}}}, &b)
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -26,7 +27,7 @@ type ObserverRow struct {
 }
 
 // ObserverComparison runs the observer-vs-full-information study.
-func ObserverComparison(opt Options) ([]ObserverRow, error) {
+func ObserverComparison(ctx context.Context, opt Options) ([]ObserverRow, error) {
 	opt = opt.Defaults()
 	params := plants.DefaultPMSMParams()
 	full := plants.PMSM(params)
@@ -55,10 +56,10 @@ func ObserverComparison(opt Options) ([]ObserverRow, error) {
 		}
 		row := ObserverRow{Config: cfg}
 		gopt := jsr.GripenbergOptions{Delta: opt.Delta, MaxDepth: 25, Workers: opt.Workers}
-		if row.FullInfo, err = errTolerant(fullDesign.StabilityBounds(opt.BruteLen, gopt)); err != nil {
+		if row.FullInfo, err = errTolerant(fullDesign.StabilityBoundsCtx(ctx, opt.BruteLen, gopt)); err != nil {
 			return nil, err
 		}
-		if row.Observer, err = errTolerant(obsDesign.StabilityBounds(opt.BruteLen, gopt)); err != nil {
+		if row.Observer, err = errTolerant(obsDesign.StabilityBoundsCtx(ctx, opt.BruteLen, gopt)); err != nil {
 			return nil, err
 		}
 		model := sim.UniformResponse{Rmin: tm.Rmin, Rmax: tm.Rmax}
@@ -66,11 +67,11 @@ func ObserverComparison(opt Options) ([]ObserverRow, error) {
 		// Identical state-based metric for both designs (their output
 		// dimensions differ, so output-error costs would not compare).
 		stateCost := sim.QuadCost(mat.Eye(3), mat.New(2, 2))
-		mf, err := sim.MonteCarlo(fullDesign, x0, model, stateCost, mc)
+		mf, err := sim.MonteCarloCtx(ctx, fullDesign, x0, model, stateCost, mc)
 		if err != nil {
 			return nil, err
 		}
-		mo, err := sim.MonteCarlo(obsDesign, x0, model, stateCost, mc)
+		mo, err := sim.MonteCarloCtx(ctx, obsDesign, x0, model, stateCost, mc)
 		if err != nil {
 			return nil, err
 		}

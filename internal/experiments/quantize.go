@@ -23,16 +23,10 @@ type QuantizeRow struct {
 	Budgeted bool // bracket looser than requested
 }
 
-// QuantizeSweep certifies the PMSM design (Rmax = 1.6·T, Ts = T/5)
-// across fixed-point widths with a background context; see
-// QuantizeSweepCtx for the interruptible form.
-func QuantizeSweep(bits []int, opt Options) ([]QuantizeRow, error) {
-	return QuantizeSweepCtx(context.Background(), bits, opt)
-}
-
-// QuantizeSweepCtx certifies the PMSM design across fixed-point widths.
-// The context bounds each width's JSR search; on expiry the partial
-// sweep is discarded and the error wraps jsr.ErrDeadline.
+// QuantizeSweepCtx certifies the PMSM design (Rmax = 1.6·T, Ts = T/5)
+// across fixed-point widths. The context bounds each width's JSR
+// search; on expiry the partial sweep is discarded and the error wraps
+// jsr.ErrDeadline.
 func QuantizeSweepCtx(ctx context.Context, bits []int, opt Options) ([]QuantizeRow, error) {
 	opt = opt.Defaults()
 	plant := plants.PMSM(plants.DefaultPMSMParams())

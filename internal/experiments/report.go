@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"time"
@@ -14,7 +15,7 @@ import (
 // extension studies (burst, weakly-hard, drift, jitter, quantization,
 // observer). Sequence counts come from opt; the full paper protocol
 // takes tens of minutes, the defaults a few minutes.
-func Report(opt Options, w io.Writer) error {
+func Report(ctx context.Context, opt Options, w io.Writer) error {
 	opt = opt.Defaults()
 	start := time.Now()
 	section := func(title string) {
@@ -40,56 +41,56 @@ func Report(opt Options, w io.Writer) error {
 	code(fig)
 
 	section("Table I — worst-case PI performance (unstable system, T = 10 ms)")
-	t1, err := Table1(opt)
+	t1, err := Table1Ctx(ctx, opt, nil, nil)
 	if err != nil {
 		return fmt.Errorf("table1: %w", err)
 	}
 	code(Table1String(t1))
 
 	section("Table II — stability and worst-case LQG cost (PMSM, T = 50 µs)")
-	t2, err := Table2(opt)
+	t2, err := Table2Ctx(ctx, opt, nil, nil)
 	if err != nil {
 		return fmt.Errorf("table2: %w", err)
 	}
 	code(Table2String(t2))
 
 	section("Design-space sweep — sensor granularity (§V-B)")
-	sw, err := SweepNs([]int{1, 2, 4, 5, 8, 10}, opt)
+	sw, err := SweepNsCtx(ctx, []int{1, 2, 4, 5, 8, 10}, opt, nil, nil)
 	if err != nil {
 		return fmt.Errorf("sweep: %w", err)
 	}
 	code(SweepString(sw))
 
 	section("Ablation — PI adaptation decomposition")
-	api, err := AblationPI(opt)
+	api, err := AblationPI(ctx, opt)
 	if err != nil {
 		return fmt.Errorf("ablation pi: %w", err)
 	}
 	code(AblationPIString(api))
 
 	section("Ablation — JSR estimators")
-	ajs, err := AblationJSR(opt)
+	ajs, err := AblationJSR(ctx, opt)
 	if err != nil {
 		return fmt.Errorf("ablation jsr: %w", err)
 	}
 	code(AblationJSRString(ajs))
 
 	section("Ablation — delay-aware vs naive LQR")
-	alq, err := AblationDelayLQR(opt)
+	alq, err := AblationDelayLQR(ctx, opt)
 	if err != nil {
 		return fmt.Errorf("ablation lqr: %w", err)
 	}
 	code(AblationLQRString(alq))
 
 	section("Extension — bursty overruns (Markov) vs i.i.d.")
-	br, err := BurstComparison(opt)
+	br, err := BurstComparison(ctx, opt)
 	if err != nil {
 		return fmt.Errorf("burst: %w", err)
 	}
 	code(BurstString(br))
 
 	section("Extension — weakly-hard constrained switching")
-	wh, err := WeaklyHard(4, opt)
+	wh, err := WeaklyHard(ctx, 4, opt)
 	if err != nil {
 		return fmt.Errorf("weaklyhard: %w", err)
 	}
@@ -110,14 +111,14 @@ func Report(opt Options, w io.Writer) error {
 	code(JitterString(ji))
 
 	section("Extension — fixed-point table width")
-	qz, err := QuantizeSweep([]int{4, 6, 8, 10, 12, 16, 24}, opt)
+	qz, err := QuantizeSweepCtx(ctx, []int{4, 6, 8, 10, 12, 16, 24}, opt)
 	if err != nil {
 		return fmt.Errorf("quantize: %w", err)
 	}
 	code(QuantizeString(qz))
 
 	section("Extension — observer-based LQG (current sensors only)")
-	ob, err := ObserverComparison(opt)
+	ob, err := ObserverComparison(ctx, opt)
 	if err != nil {
 		return fmt.Errorf("observer: %w", err)
 	}

@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"errors"
+	"io"
 	"reflect"
 	"sync"
 	"testing"
@@ -32,13 +33,41 @@ func TestTable1CtxCancelled(t *testing.T) {
 	}
 }
 
+// TestEntryPointsCancelled: every experiment entry point stops on a
+// pre-cancelled context and reports the cancellation, instead of
+// running to completion on a context of its own.
+func TestEntryPointsCancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	opt := resumeOpts()
+	cases := []struct {
+		name string
+		run  func() error
+	}{
+		{"Report", func() error { return Report(ctx, opt, io.Discard) }},
+		{"AblationPI", func() error { _, err := AblationPI(ctx, opt); return err }},
+		{"AblationJSR", func() error { _, err := AblationJSR(ctx, opt); return err }},
+		{"AblationDelayLQR", func() error { _, err := AblationDelayLQR(ctx, opt); return err }},
+		{"BurstComparison", func() error { _, err := BurstComparison(ctx, opt); return err }},
+		{"ObserverComparison", func() error { _, err := ObserverComparison(ctx, opt); return err }},
+		{"WeaklyHard", func() error { _, err := WeaklyHard(ctx, 2, opt); return err }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if err := tc.run(); !errors.Is(err, context.Canceled) {
+				t.Fatalf("err = %v, want context.Canceled", err)
+			}
+		})
+	}
+}
+
 // TestTable1CtxResume: rows restored from a checkpoint must be reused
 // verbatim (their work skipped), freshly computed rows must match a
 // from-scratch run exactly, and progress must be persisted once per
 // newly completed row.
 func TestTable1CtxResume(t *testing.T) {
 	opt := resumeOpts()
-	ref, err := Table1(opt)
+	ref, err := Table1Ctx(context.Background(), opt, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +232,7 @@ func TestGridParallelResumeCompleteUnderDeadline(t *testing.T) {
 func TestSweepNsCtxResume(t *testing.T) {
 	factors := []int{1, 2}
 	opt := resumeOpts()
-	ref, err := SweepNs(factors, opt)
+	ref, err := SweepNsCtx(context.Background(), factors, opt, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,7 +28,7 @@ type WeaklyHardRow struct {
 // WeaklyHard analyzes the PMSM in the skip-next configuration
 // (Ns = 1, Rmax = 1.6·T, so H = {T, 2T}: nominal and overrun modes) for
 // a range of weakly-hard constraints with window K.
-func WeaklyHard(k int, opt Options) ([]WeaklyHardRow, error) {
+func WeaklyHard(ctx context.Context, k int, opt Options) ([]WeaklyHardRow, error) {
 	opt = opt.Defaults()
 	if k < 1 {
 		return nil, fmt.Errorf("experiments: window K must be ≥ 1, got %d", k)
@@ -66,16 +66,16 @@ func WeaklyHard(k int, opt Options) ([]WeaklyHardRow, error) {
 	setF, _, _ = jsr.Precondition(setF)
 
 	rows := make([]WeaklyHardRow, k+1)
-	gerr := gridParallel(context.Background(), k+1, opt.Workers, nil, func(m int, publish func(func())) error {
+	gerr := gridParallel(ctx, k+1, opt.Workers, nil, func(m int, publish func(func())) error {
 		g, err := jsr.WeaklyHardGraph(m, k)
 		if err != nil {
 			return err
 		}
-		ba, err := constrainedBracket(setA, g, opt)
+		ba, err := constrainedBracket(ctx, setA, g, opt)
 		if err != nil {
 			return err
 		}
-		bf, err := constrainedBracket(setF, g, opt)
+		bf, err := constrainedBracket(ctx, setF, g, opt)
 		if err != nil {
 			return err
 		}
@@ -104,12 +104,12 @@ func WeaklyHardString(rows []WeaklyHardRow) string {
 
 // constrainedBracket intersects the brute-force sandwich with the
 // branch-and-bound refinement for one graph.
-func constrainedBracket(set []*mat.Dense, g *jsr.Graph, opt Options) (jsr.Bounds, error) {
+func constrainedBracket(ctx context.Context, set []*mat.Dense, g *jsr.Graph, opt Options) (jsr.Bounds, error) {
 	bf, err := jsr.ConstrainedBounds(set, g, opt.BruteLen+8)
 	if err != nil {
 		return jsr.Bounds{}, err
 	}
-	gp, gerr := jsr.ConstrainedGripenberg(set, g, jsr.GripenbergOptions{Delta: opt.Delta, MaxDepth: 30, Workers: opt.Workers})
+	gp, gerr := jsr.ConstrainedGripenbergCtx(ctx, set, g, jsr.GripenbergOptions{Delta: opt.Delta, MaxDepth: 30, Workers: opt.Workers})
 	if gerr != nil && !errors.Is(gerr, jsr.ErrBudget) {
 		return jsr.Bounds{}, gerr
 	}

@@ -19,7 +19,7 @@ import (
 // CertifyOptions configures the ladder certification.
 type CertifyOptions struct {
 	// BruteLen is the brute-force JSR product depth (as in
-	// Design.StabilityBounds).
+	// Design.StabilityBoundsCtx).
 	BruteLen int
 	// Grip configures the Gripenberg refinement.
 	Grip jsr.GripenbergOptions
@@ -171,12 +171,6 @@ func TierMatrixSet(d *core.Design, t Tier, opt CertifyOptions) ([]*mat.Dense, er
 		return set, nil
 	}
 	return nil, fmt.Errorf("guard: unknown tier %d", int(t))
-}
-
-// CertifyLadder brackets the JSR of every tier's switched set with a
-// background context; see CertifyLadderCtx for the interruptible form.
-func CertifyLadder(d *core.Design, opt CertifyOptions) (LadderCert, error) {
-	return CertifyLadderCtx(context.Background(), d, opt)
 }
 
 // CertifyLadderCtx brackets the JSR of every tier's switched set. A

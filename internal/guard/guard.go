@@ -19,7 +19,7 @@
 // step the ladder down one tier at a time, so a single good job inside
 // a fault burst cannot bounce the system back into a regime it is about
 // to violate again. Each tier's switched closed-loop matrix set is
-// certified up front by CertifyLadder, so even the degraded loop
+// certified up front by CertifyLadderCtx, so even the degraded loop
 // carries its own JSR stability certificate.
 package guard
 
@@ -71,7 +71,7 @@ const (
 	// FallbackHold keeps the last command latched. The held input makes
 	// the lifted safe-mode dynamics marginal (an exact eigenvalue 1),
 	// so this policy can be bounded but never strictly certified to the
-	// origin — CertifyLadder reports that honestly.
+	// origin — CertifyLadderCtx reports that honestly.
 	FallbackHold
 )
 

@@ -1,6 +1,7 @@
 package guard
 
 import (
+	"context"
 	"math"
 	"sync"
 	"testing"
@@ -61,7 +62,7 @@ func certifiedLadder(t *testing.T) LadderCert {
 		if ladderErr != nil {
 			return
 		}
-		ladderCert, ladderErr = CertifyLadder(d, certOpts)
+		ladderCert, ladderErr = CertifyLadderCtx(context.Background(), d, certOpts)
 	})
 	if ladderErr != nil {
 		t.Fatal(ladderErr)
@@ -109,7 +110,7 @@ func TestLadderCertAllStable(t *testing.T) {
 	d := testDesign(t)
 	holdOpts := certOpts
 	holdOpts.Fallback = FallbackHold
-	hold, err := CertifyLadder(d, holdOpts)
+	hold, err := CertifyLadderCtx(context.Background(), d, holdOpts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -49,7 +49,7 @@ func (g *Graph) Validate(k int) error {
 
 // CompleteGraph returns the unconstrained graph over k matrices (every
 // matrix may follow every other) — with it, ConstrainedBounds reduces
-// to BruteForceBounds.
+// to BruteForceBoundsCtx.
 func CompleteGraph(k int) *Graph {
 	g := &Graph{Nodes: make([]int, k), Next: make([][]int, k)}
 	for i := 0; i < k; i++ {
@@ -303,28 +303,21 @@ func expandCGripNode(set []*mat.Dense, g *Graph, nd cgripNode, lower, prune rate
 	return nil
 }
 
-// ConstrainedGripenberg runs the branch-and-bound bound refinement on a
-// switching graph with a background context; see
-// ConstrainedGripenbergCtx.
-func ConstrainedGripenberg(set []*mat.Dense, g *Graph, opt GripenbergOptions) (Bounds, error) {
-	return ConstrainedGripenbergCtx(context.Background(), set, g, opt)
-}
-
 // ConstrainedGripenbergCtx runs the branch-and-bound bound refinement
-// on a switching graph: identical pruning logic to Gripenberg, with the
-// walk set restricted to the graph and lower bounds taken only from
+// on a switching graph: identical pruning logic to GripenbergCtx, with
+// the walk set restricted to the graph and lower bounds taken only from
 // closable walks (whose periodic repetition is admissible). Levels are
 // expanded in parallel with the same index-sharded, deterministically
-// merged scheme as Gripenberg, so the result is identical for every
+// merged scheme as GripenbergCtx, so the result is identical for every
 // Workers value. Combine with ConstrainedBounds via the caller;
 // ErrBudget signals a valid but looser-than-requested bracket: as
 // ErrNodeBudget only after the remaining node budget has been spent on
 // a partial level, as ErrDepthCap when MaxDepth ends the search.
-// Cancellation and the Deadline option cut the search at a level
-// boundary with the last fully merged bracket and an error wrapping
-// ErrDeadline, like GripenbergCtx. Snapshot/Resume are not supported on
-// the constrained search (the frontier carries graph positions, not
-// just words); setting either is an error.
+// Cancellation and an expired context deadline cut the search at a
+// level boundary with the last fully merged bracket and an error
+// wrapping ErrDeadline, like GripenbergCtx. Snapshot/Resume are not
+// supported on the constrained search (the frontier carries graph
+// positions, not just words); setting either is an error.
 func ConstrainedGripenbergCtx(ctx context.Context, set []*mat.Dense, g *Graph, opt GripenbergOptions) (Bounds, error) {
 	if _, err := validateSet(set); err != nil {
 		return Bounds{}, err
@@ -339,12 +332,6 @@ func ConstrainedGripenbergCtx(ctx context.Context, set []*mat.Dense, g *Graph, o
 	if err != nil {
 		return Bounds{}, err
 	}
-	if opt.Deadline > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, opt.Deadline)
-		defer cancel()
-	}
-
 	lower := 0.0
 	var witness []int
 	nodes := 0

@@ -1,6 +1,7 @@
 package jsr
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -13,7 +14,7 @@ func TestCompleteGraphMatchesUnconstrained(t *testing.T) {
 		mat.FromRows([][]float64{{0.6, 0.3}, {0, 0.4}}),
 		mat.FromRows([][]float64{{0.2, 0}, {0.5, 0.7}}),
 	}
-	free, err := BruteForceBounds(set, 6)
+	free, err := BruteForceBoundsCtx(context.Background(), set, 6, BruteForceOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +143,7 @@ func TestWeaklyHardInterpolatesBetweenExtremes(t *testing.T) {
 		}
 	}
 	// m=K matches the unconstrained analysis.
-	free, err := BruteForceBounds(set, 8)
+	free, err := BruteForceBoundsCtx(context.Background(), set, 8, BruteForceOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +182,7 @@ func TestConstrainedGripenbergMatchesBruteForce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gp, err := ConstrainedGripenberg(set, g, GripenbergOptions{Delta: 0.02, MaxDepth: 18})
+	gp, err := ConstrainedGripenbergCtx(context.Background(), set, g, GripenbergOptions{Delta: 0.02, MaxDepth: 18})
 	if err != nil && !errors.Is(err, ErrBudget) {
 		t.Fatal(err)
 	}
@@ -197,11 +198,11 @@ func TestConstrainedGripenbergMatchesBruteForce(t *testing.T) {
 
 func TestConstrainedGripenbergUnconstrainedEqualsFree(t *testing.T) {
 	set := []*mat.Dense{mat.Diag(0.5, 0.2), mat.Diag(0.3, 0.8)}
-	free, err := Gripenberg(set, GripenbergOptions{Delta: 0.01})
+	free, err := GripenbergCtx(context.Background(), set, GripenbergOptions{Delta: 0.01})
 	if err != nil {
 		t.Fatal(err)
 	}
-	con, err := ConstrainedGripenberg(set, CompleteGraph(2), GripenbergOptions{Delta: 0.01})
+	con, err := ConstrainedGripenbergCtx(context.Background(), set, CompleteGraph(2), GripenbergOptions{Delta: 0.01})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,13 +212,13 @@ func TestConstrainedGripenbergUnconstrainedEqualsFree(t *testing.T) {
 }
 
 func TestConstrainedGripenbergValidation(t *testing.T) {
-	if _, err := ConstrainedGripenberg(nil, CompleteGraph(1), GripenbergOptions{}); err == nil {
+	if _, err := ConstrainedGripenbergCtx(context.Background(), nil, CompleteGraph(1), GripenbergOptions{}); err == nil {
 		t.Fatal("empty set accepted")
 	}
-	if _, err := ConstrainedGripenberg([]*mat.Dense{mat.Eye(2)}, &Graph{}, GripenbergOptions{}); err == nil {
+	if _, err := ConstrainedGripenbergCtx(context.Background(), []*mat.Dense{mat.Eye(2)}, &Graph{}, GripenbergOptions{}); err == nil {
 		t.Fatal("empty graph accepted")
 	}
-	if _, err := ConstrainedGripenberg([]*mat.Dense{mat.Eye(2)}, CompleteGraph(1), GripenbergOptions{Delta: -1}); err == nil {
+	if _, err := ConstrainedGripenbergCtx(context.Background(), []*mat.Dense{mat.Eye(2)}, CompleteGraph(1), GripenbergOptions{Delta: -1}); err == nil {
 		t.Fatal("negative delta accepted")
 	}
 }
@@ -354,7 +355,7 @@ func TestConstrainedEngineMatchesReferenceByteForByte(t *testing.T) {
 			}
 			want := refConstrainedGripenberg(t, tc.set, g, tc.delta, tc.maxDepth, tc.maxNodes)
 			for _, w := range workerSweep() {
-				got, err := ConstrainedGripenberg(tc.set, g, GripenbergOptions{
+				got, err := ConstrainedGripenbergCtx(context.Background(), tc.set, g, GripenbergOptions{
 					Delta: tc.delta, MaxDepth: tc.maxDepth, MaxNodes: tc.maxNodes, Workers: w,
 				})
 				if err != nil && !errors.Is(err, ErrBudget) {

@@ -33,16 +33,16 @@ func infSet() []*mat.Dense {
 func TestValidateRejectsNonFinite(t *testing.T) {
 	for name, set := range map[string][]*mat.Dense{"nan": nanSet(), "inf": infSet()} {
 		t.Run(name, func(t *testing.T) {
-			if _, err := Gripenberg(set, GripenbergOptions{Delta: 0.05, MaxDepth: 8}); !errors.Is(err, ErrNonFinite) {
+			if _, err := GripenbergCtx(context.Background(), set, GripenbergOptions{Delta: 0.05, MaxDepth: 8}); !errors.Is(err, ErrNonFinite) {
 				t.Errorf("Gripenberg error = %v, want ErrNonFinite", err)
 			}
-			if _, err := BruteForceBoundsOpt(set, 3, BruteForceOptions{}); !errors.Is(err, ErrNonFinite) {
-				t.Errorf("BruteForceBoundsOpt error = %v, want ErrNonFinite", err)
+			if _, err := BruteForceBoundsCtx(context.Background(), set, 3, BruteForceOptions{}); !errors.Is(err, ErrNonFinite) {
+				t.Errorf("BruteForceBoundsCtx error = %v, want ErrNonFinite", err)
 			}
 			if _, err := WitnessRate(set, []int{0, 1}); !errors.Is(err, ErrNonFinite) {
 				t.Errorf("WitnessRate error = %v, want ErrNonFinite", err)
 			}
-			if _, err := Estimate(set, 3, GripenbergOptions{Delta: 0.05, MaxDepth: 8}); !errors.Is(err, ErrNonFinite) {
+			if _, err := EstimateCtx(context.Background(), set, 3, GripenbergOptions{Delta: 0.05, MaxDepth: 8}); !errors.Is(err, ErrNonFinite) {
 				t.Errorf("Estimate error = %v, want ErrNonFinite", err)
 			}
 		})
@@ -227,7 +227,7 @@ func TestEngineMatchesReferenceByteForByte(t *testing.T) {
 					Delta: tc.delta, MaxDepth: tc.maxDepth, MaxNodes: tc.maxNodes,
 					Workers: w, DisableEllipsoid: true,
 				}
-				got, err := Gripenberg(tc.set, opt)
+				got, err := GripenbergCtx(context.Background(), tc.set, opt)
 				if err != nil && !errors.Is(err, ErrBudget) {
 					t.Fatalf("w=%d: %v", w, err)
 				}
@@ -236,7 +236,7 @@ func TestEngineMatchesReferenceByteForByte(t *testing.T) {
 				}
 				// On the complete graph the constrained search visits the
 				// same children in the same order.
-				con, err := ConstrainedGripenberg(tc.set, CompleteGraph(len(tc.set)), opt)
+				con, err := ConstrainedGripenbergCtx(context.Background(), tc.set, CompleteGraph(len(tc.set)), opt)
 				if err != nil && !errors.Is(err, ErrBudget) {
 					t.Fatalf("w=%d constrained: %v", w, err)
 				}
@@ -313,7 +313,7 @@ func TestBruteForceMatchesReferenceByteForByte(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			want := refBruteForce(t, tc.set, tc.maxLen)
 			for _, w := range workerSweep() {
-				got, err := BruteForceBoundsOpt(tc.set, tc.maxLen, BruteForceOptions{Workers: w})
+				got, err := BruteForceBoundsCtx(context.Background(), tc.set, tc.maxLen, BruteForceOptions{Workers: w})
 				if err != nil {
 					t.Fatalf("w=%d: %v", w, err)
 				}
@@ -447,7 +447,7 @@ func TestBruteForceMatchesReferenceRandomized(t *testing.T) {
 		}
 		want := refBruteForce(t, set, maxLen)
 		for _, w := range []int{1, 2, 3, 5} {
-			got, err := BruteForceBoundsOpt(set, maxLen, BruteForceOptions{Workers: w})
+			got, err := BruteForceBoundsCtx(context.Background(), set, maxLen, BruteForceOptions{Workers: w})
 			if err != nil {
 				t.Fatalf("case %d (k=%d n=%d len=%d perm=%v) w=%d: %v", c, k, n, maxLen, perm, w, err)
 			}
@@ -470,10 +470,10 @@ func TestSerialCutoverBitIdentity(t *testing.T) {
 			opt := GripenbergOptions{Delta: 0.02, MaxDepth: 12, MaxNodes: 100_000, Workers: 4, DisableEllipsoid: disable}
 
 			serialCutoverNodes = 1 << 30 // force every level serial
-			serial, serr := Gripenberg(set, opt)
+			serial, serr := GripenbergCtx(context.Background(), set, opt)
 
 			serialCutoverNodes = 0 // force every level through the worker pool
-			parallel, perr := Gripenberg(set, opt)
+			parallel, perr := GripenbergCtx(context.Background(), set, opt)
 
 			if (serr == nil) != (perr == nil) {
 				t.Fatalf("%s ell=%v: error mismatch: %v vs %v", name, !disable, serr, perr)
@@ -491,7 +491,7 @@ func TestSerialCutoverBitIdentity(t *testing.T) {
 func TestEllipsoidBracketContract(t *testing.T) {
 	for name, set := range map[string][]*mat.Dense{"pmsm": pmsmLikeSet(), "golden": goldenPair()} {
 		t.Run(name, func(t *testing.T) {
-			g, err := Gripenberg(set, GripenbergOptions{Delta: 0.01, MaxDepth: 20, MaxNodes: 200_000})
+			g, err := GripenbergCtx(context.Background(), set, GripenbergOptions{Delta: 0.01, MaxDepth: 20, MaxNodes: 200_000})
 			if err != nil && !errors.Is(err, ErrBudget) {
 				t.Fatalf("Gripenberg: %v", err)
 			}
@@ -510,9 +510,9 @@ func TestEllipsoidBracketContract(t *testing.T) {
 				t.Fatalf("WitnessRate = %.17g, Lower = %.17g: not bit-identical", rate, g.Lower)
 			}
 			// The ellipsoid bracket must intersect the raw sandwich.
-			bf, bferr := BruteForceBounds(set, 6)
+			bf, bferr := BruteForceBoundsCtx(context.Background(), set, 6, BruteForceOptions{})
 			if bferr != nil {
-				t.Fatalf("BruteForceBounds: %v", bferr)
+				t.Fatalf("BruteForceBoundsCtx: %v", bferr)
 			}
 			if g.Lower > bf.Upper+1e-9 || bf.Lower > g.Upper+1e-9 {
 				t.Fatalf("ellipsoid bracket %+v does not intersect brute bracket %+v", g, bf)
@@ -541,7 +541,7 @@ func TestEllipsoidTightensIllConditionedSet(t *testing.T) {
 	}
 	opt := GripenbergOptions{Delta: 0.05, MaxDepth: 12, MaxNodes: 200_000}
 
-	ell, eerr := Gripenberg(skew, opt)
+	ell, eerr := GripenbergCtx(context.Background(), skew, opt)
 	if eerr != nil {
 		t.Fatalf("ellipsoid search should drain within depth 12, got %v (bounds %+v)", eerr, ell)
 	}
@@ -551,7 +551,7 @@ func TestEllipsoidTightensIllConditionedSet(t *testing.T) {
 
 	raw := opt
 	raw.DisableEllipsoid = true
-	rb, rerr := Gripenberg(skew, raw)
+	rb, rerr := GripenbergCtx(context.Background(), skew, raw)
 	if !errors.Is(rerr, ErrBudget) {
 		t.Fatalf("raw search on the skewed set expected ErrBudget, got %v (bounds %+v)", rerr, rb)
 	}
@@ -579,7 +579,7 @@ func TestResumeEllipsoidMismatchRejected(t *testing.T) {
 				return nil
 			},
 		}
-		if _, err := Gripenberg(set, opt); err != nil && !errors.Is(err, ErrBudget) {
+		if _, err := GripenbergCtx(context.Background(), set, opt); err != nil && !errors.Is(err, ErrBudget) {
 			t.Fatalf("disable=%v: %v", disable, err)
 		}
 		if snap == nil {
@@ -590,7 +590,7 @@ func TestResumeEllipsoidMismatchRejected(t *testing.T) {
 		}
 		// Resuming with the opposite mode must fail loudly, not return a
 		// silently un-bit-identical bracket.
-		_, err := Gripenberg(set, GripenbergOptions{
+		_, err := GripenbergCtx(context.Background(), set, GripenbergOptions{
 			Delta: 0.02, MaxDepth: 10, DisableEllipsoid: !disable, Resume: snap,
 		})
 		if err == nil || errors.Is(err, ErrBudget) {
@@ -883,7 +883,7 @@ func BenchmarkBruteForcePMSM(b *testing.B) {
 			opt := BruteForceOptions{Workers: w}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := BruteForceBoundsOpt(work, 6, opt); err != nil {
+				if _, err := BruteForceBoundsCtx(context.Background(), work, 6, opt); err != nil {
 					b.Fatal(err)
 				}
 			}

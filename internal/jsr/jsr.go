@@ -10,16 +10,16 @@
 //
 // Two estimators are provided:
 //
-//   - BruteForceBounds enumerates all products up to a given length and
-//     applies the Gel'fand–Berger–Wang sandwich (Eq. 12):
+//   - BruteForceBoundsCtx enumerates all products up to a given length
+//     and applies the Gel'fand–Berger–Wang sandwich (Eq. 12):
 //     max_ℓ max_σ ρ(Ω_σℓ)^{1/ℓ} ≤ ρ(A) ≤ min_ℓ max_σ ‖Ω_σℓ‖^{1/ℓ}.
 //
-//   - Gripenberg runs the classic branch-and-bound: it grows products,
-//     raises the lower bound with every spectral radius it sees, and
-//     prunes any branch whose norm certificate cannot push the JSR
-//     above lower+δ, terminating with ρ(A) ∈ [lower, lower+δ] when the
-//     frontier drains (G. Gripenberg, "Computing the joint spectral
-//     radius", 1996).
+//   - GripenbergCtx runs the classic branch-and-bound: it grows
+//     products, raises the lower bound with every spectral radius it
+//     sees, and prunes any branch whose norm certificate cannot push
+//     the JSR above lower+δ, terminating with ρ(A) ∈ [lower, lower+δ]
+//     when the frontier drains (G. Gripenberg, "Computing the joint
+//     spectral radius", 1996).
 //
 // Both return certified bounds, not estimates: the upper bounds are
 // valid regardless of truncation depth. Both are parallel: independent
@@ -28,12 +28,12 @@
 // WitnessWord) are bit-identical for every worker count.
 //
 // Certification searches are combinatorial, so long-running jobs are
-// first-class: every estimator has a context-aware variant (the
-// ctx-less names wrap context.Background()), a wall-clock Deadline
-// option degrades gracefully to a valid best-so-far bracket signalled
-// by ErrDeadline, worker panics are isolated into *PanicError values,
-// and Gripenberg searches can snapshot and resume their frontier at
-// level boundaries (GripenbergState) with bit-identical results.
+// first-class: every estimator takes a context first, and a cancelled
+// context or an expired context deadline degrades gracefully to a valid
+// best-so-far bracket signalled by ErrDeadline, worker panics are
+// isolated into *PanicError values, and Gripenberg searches can
+// snapshot and resume their frontier at level boundaries
+// (GripenbergState) with bit-identical results.
 package jsr
 
 import (
@@ -41,7 +41,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"time"
 
 	"adaptivertc/internal/mat"
 )
@@ -81,7 +80,7 @@ var ErrEmptySet = errors.New("jsr: empty matrix set")
 // certified-stable).
 var ErrNonFinite = errors.New("jsr: matrix set contains a non-finite entry")
 
-// ErrBudget is returned by Gripenberg when the node or depth budget is
+// ErrBudget is returned by GripenbergCtx when the node or depth budget is
 // exhausted before the requested accuracy δ is certified. The budget is
 // spent before giving up: when a whole level no longer fits, the search
 // expands as many frontier nodes as the remaining budget allows and
@@ -105,11 +104,11 @@ type budgetError string
 func (e budgetError) Error() string { return string(e) }
 func (e budgetError) Unwrap() error { return ErrBudget }
 
-// ErrDeadline is returned when the context is cancelled or the
-// wall-clock Deadline expires before the requested accuracy is
-// certified. The bounds returned alongside it are valid best-so-far:
-// the bracket reflects the last fully merged level, so it is safe to
-// act on, and — when a Snapshot hook was installed — to resume from.
+// ErrDeadline is returned when the context is cancelled or its
+// deadline expires before the requested accuracy is certified. The
+// bounds returned alongside it are valid best-so-far: the bracket
+// reflects the last fully merged level, so it is safe to act on, and —
+// when a Snapshot hook was installed — to resume from.
 // Errors carrying ErrDeadline also wrap the context's cause, so both
 // errors.Is(err, ErrDeadline) and errors.Is(err, context.Canceled) (or
 // context.DeadlineExceeded) hold.
@@ -451,24 +450,14 @@ func bruteFinalize(acc []levelBest, upTo int) Bounds {
 	return Bounds{Lower: lower, Upper: upper, WitnessWord: witness}
 }
 
-// BruteForceBounds evaluates every product of length 1..maxLen and
-// returns the Eq. 12 sandwich with default options. The work grows as
-// k^maxLen for k matrices; callers should keep k^maxLen below ~10⁶.
-func BruteForceBounds(set []*mat.Dense, maxLen int) (Bounds, error) {
-	return BruteForceBoundsOpt(set, maxLen, BruteForceOptions{})
-}
-
-// BruteForceBoundsOpt is BruteForceBounds with explicit options.
-func BruteForceBoundsOpt(set []*mat.Dense, maxLen int, opt BruteForceOptions) (Bounds, error) {
-	return BruteForceBoundsCtx(context.Background(), set, maxLen, opt)
-}
-
-// BruteForceBoundsCtx is BruteForceBoundsOpt honoring a context. The
-// product tree is enumerated depth-first in chunks: a shallow
-// breadth-first pass materializes at most bruteChunkCap subtree roots,
-// and workers stream the deep levels holding one product per tree level
-// each, so resident memory is O(chunk + workers·maxLen·n²) rather than
-// the O(k^maxLen·n²) of a stored breadth-first sweep.
+// BruteForceBoundsCtx evaluates every product of length 1..maxLen and
+// returns the Eq. 12 sandwich. The work grows as k^maxLen for k
+// matrices; callers should keep k^maxLen below ~10⁶. The product tree
+// is enumerated depth-first in chunks: a shallow breadth-first pass
+// materializes at most bruteChunkCap subtree roots, and workers stream
+// the deep levels holding one product per tree level each, so resident
+// memory is O(chunk + workers·maxLen·n²) rather than the O(k^maxLen·n²)
+// of a stored breadth-first sweep.
 //
 // On cancellation the sandwich over the fully completed levels is
 // returned together with an error wrapping ErrDeadline — partial levels
@@ -618,7 +607,7 @@ type GripenbergOptions struct {
 	// GOMAXPROCS. The returned Bounds are bit-identical for every value.
 	Workers int
 	// DisableEllipsoid turns off the ellipsoidal-norm preconditioning
-	// that Gripenberg applies by default: the search runs on the
+	// that GripenbergCtx applies by default: the search runs on the
 	// similarity-transformed set M·A·M⁻¹ (see Precondition), whose
 	// 2-norm is the single-Lyapunov P-weighted norm of A, so branch
 	// certificates are far tighter and the frontier drains much earlier.
@@ -627,12 +616,6 @@ type GripenbergOptions struct {
 	// EstimateRawCtx disable it internally (the former preconditions the
 	// whole pipeline itself; the latter documents running raw).
 	DisableEllipsoid bool
-	// Deadline caps the wall-clock time of the search; ≤ 0 means no
-	// cap. When it expires the best-so-far bracket is returned with an
-	// error wrapping ErrDeadline (see GripenbergCtx for the boundary
-	// semantics). In EstimateCtx one Deadline covers the whole
-	// brute-force + Gripenberg pipeline.
-	Deadline time.Duration
 	// Snapshot, when non-nil, is invoked at every level boundary
 	// (including the seed state) with the serializable search state; a
 	// returned error aborts the search. Wire it to a checkpoint writer
@@ -642,7 +625,7 @@ type GripenbergOptions struct {
 	// of the singleton seed. The matrix set must be the one the
 	// snapshot was taken from (same content, same order); the resumed
 	// search then finishes with bounds bit-identical to an
-	// uninterrupted run. Supported by Gripenberg only; constrained
+	// uninterrupted run. Supported by GripenbergCtx only; constrained
 	// searches reject it.
 	Resume *GripenbergState
 }
@@ -825,12 +808,6 @@ func mergeSurvivors(frontier []gripNode, children []gripChild, k int, bound floa
 	return next
 }
 
-// Gripenberg runs the branch-and-bound JSR algorithm with a background
-// context; see GripenbergCtx.
-func Gripenberg(set []*mat.Dense, opt GripenbergOptions) (Bounds, error) {
-	return GripenbergCtx(context.Background(), set, opt)
-}
-
 // GripenbergCtx runs the branch-and-bound JSR algorithm. Each level of
 // the search tree is expanded level-synchronously across the worker
 // pool: the frontier is sharded by index, every child's spectral radius
@@ -844,11 +821,11 @@ func Gripenberg(set []*mat.Dense, opt GripenbergOptions) (Bounds, error) {
 // ErrNodeBudget; a search that reaches MaxDepth with live branches
 // returns its bracket with ErrDepthCap. Both wrap ErrBudget.
 //
-// Cancellation and the Deadline option degrade the same way: the search
-// stops at a level boundary (a partially expanded level is discarded,
-// keeping results worker-count independent), returns the bracket of the
-// last fully merged level, and signals it with an error wrapping
-// ErrDeadline. The Snapshot hook fires at every level boundary before
+// Cancellation and an expired context deadline degrade the same way:
+// the search stops at a level boundary (a partially expanded level is
+// discarded, keeping results worker-count independent), returns the
+// bracket of the last fully merged level, and signals it with an error
+// wrapping ErrDeadline. The Snapshot hook fires at every level boundary before
 // the cancellation check, so the last persisted snapshot always matches
 // the returned bounds and Resume continues bit-identically.
 func GripenbergCtx(ctx context.Context, set []*mat.Dense, opt GripenbergOptions) (Bounds, error) {
@@ -858,11 +835,6 @@ func GripenbergCtx(ctx context.Context, set []*mat.Dense, opt GripenbergOptions)
 	opt, err := opt.withDefaults()
 	if err != nil {
 		return Bounds{}, err
-	}
-	if opt.Deadline > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, opt.Deadline)
-		defer cancel()
 	}
 	k := len(set)
 
@@ -1017,12 +989,6 @@ func GripenbergCtx(ctx context.Context, set []*mat.Dense, opt GripenbergOptions)
 // Witness replay is unnecessary here because both phases already ran on
 // the caller's matrices.
 func EstimateRawCtx(ctx context.Context, set []*mat.Dense, bruteLen int, opt GripenbergOptions) (Bounds, error) {
-	if opt.Deadline > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, opt.Deadline)
-		defer cancel()
-		opt.Deadline = 0
-	}
 	// Raw means raw: no preconditioning anywhere in this pipeline.
 	opt.DisableEllipsoid = true
 	bf, bferr := BruteForceBoundsCtx(ctx, set, bruteLen, BruteForceOptions{Workers: opt.Workers})
@@ -1044,12 +1010,6 @@ func EstimateRawCtx(ctx context.Context, set []*mat.Dense, bruteLen int, opt Gri
 	return out, errors.Join(bferr, gerr)
 }
 
-// Estimate combines both algorithms with a background context; see
-// EstimateCtx.
-func Estimate(set []*mat.Dense, bruteLen int, opt GripenbergOptions) (Bounds, error) {
-	return EstimateCtx(context.Background(), set, bruteLen, opt)
-}
-
 // EstimateCtx combines both algorithms with Lyapunov preconditioning:
 // the set is first transformed by a simultaneous similarity
 // (JSR-invariant) that tightens the norm certificates, then a shallow
@@ -1061,19 +1021,11 @@ func Estimate(set []*mat.Dense, bruteLen int, opt GripenbergOptions) (Bounds, er
 // reproduces out.Lower. A non-nil error satisfying errors.Is for
 // ErrBudget or ErrDeadline indicates the bracket is looser than
 // requested but still valid — this holds on the parallel worker paths
-// too, not just the sequential ones. One opt.Deadline covers the whole
-// pipeline; opt.Snapshot/opt.Resume apply to the Gripenberg phase
+// too, not just the sequential ones. A context deadline covers the
+// whole pipeline; opt.Snapshot/opt.Resume apply to the Gripenberg phase
 // (whose state lives on the preconditioned set — resuming recomputes
 // the same deterministic preconditioner first).
 func EstimateCtx(ctx context.Context, set []*mat.Dense, bruteLen int, opt GripenbergOptions) (Bounds, error) {
-	if opt.Deadline > 0 {
-		// One wall-clock budget for the pipeline; zero it so the
-		// Gripenberg phase does not restart the clock after brute force.
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, opt.Deadline)
-		defer cancel()
-		opt.Deadline = 0
-	}
 	work, _, _ := Precondition(set)
 	// The whole pipeline already runs on the preconditioned set; a
 	// second transform inside Gripenberg would help nothing and would

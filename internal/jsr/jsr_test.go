@@ -1,6 +1,7 @@
 package jsr
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -13,7 +14,7 @@ import (
 func TestSingletonEqualsSpectralRadius(t *testing.T) {
 	a := mat.FromRows([][]float64{{0.5, 1}, {0, 0.3}})
 	rho, _ := mat.SpectralRadius(a)
-	b, err := BruteForceBounds([]*mat.Dense{a}, 8)
+	b, err := BruteForceBoundsCtx(context.Background(), []*mat.Dense{a}, 8, BruteForceOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,14 +27,14 @@ func TestSingletonEqualsSpectralRadius(t *testing.T) {
 	// For a non-normal matrix the norm certificates tighten only like
 	// ‖Aᵐ‖^{1/m}, so a coarse delta converges while a very fine one may
 	// exhaust the depth budget with a still-valid bracket.
-	g, err := Gripenberg([]*mat.Dense{a}, GripenbergOptions{Delta: 0.05})
+	g, err := GripenbergCtx(context.Background(), []*mat.Dense{a}, GripenbergOptions{Delta: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if g.Lower < rho-1e-9 || g.Upper > rho+0.05+1e-9 {
 		t.Fatalf("Gripenberg %v, want ≈ %v", g, rho)
 	}
-	gTight, err := Gripenberg([]*mat.Dense{a}, GripenbergOptions{Delta: 1e-4})
+	gTight, err := GripenbergCtx(context.Background(), []*mat.Dense{a}, GripenbergOptions{Delta: 1e-4})
 	if err != nil && !errors.Is(err, ErrBudget) {
 		t.Fatal(err)
 	}
@@ -44,7 +45,7 @@ func TestSingletonEqualsSpectralRadius(t *testing.T) {
 
 func TestDiagonalSetJSRIsMaxRho(t *testing.T) {
 	set := []*mat.Dense{mat.Diag(0.5, 0.2), mat.Diag(0.3, 0.8)}
-	g, err := Gripenberg(set, GripenbergOptions{Delta: 1e-4})
+	g, err := GripenbergCtx(context.Background(), set, GripenbergOptions{Delta: 1e-4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +64,7 @@ func TestGoldenRatioPair(t *testing.T) {
 		mat.FromRows([][]float64{{1, 0}, {1, 1}}),
 	}
 	phi := (1 + math.Sqrt(5)) / 2
-	b, err := BruteForceBounds(set, 10)
+	b, err := BruteForceBoundsCtx(context.Background(), set, 10, BruteForceOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +77,7 @@ func TestGoldenRatioPair(t *testing.T) {
 	// Gripenberg must bracket φ. (Norm-based upper bounds converge
 	// slowly here, so allow the budget-exhausted path as long as the
 	// bracket is valid.)
-	g, err := Gripenberg(set, GripenbergOptions{Delta: 0.05, MaxDepth: 25})
+	g, err := GripenbergCtx(context.Background(), set, GripenbergOptions{Delta: 0.05, MaxDepth: 25})
 	if err != nil && !errors.Is(err, ErrBudget) {
 		t.Fatal(err)
 	}
@@ -103,14 +104,14 @@ func TestBoundsOrderingProperty(t *testing.T) {
 			}
 			set[i] = m
 		}
-		b, err := BruteForceBounds(set, 5)
+		b, err := BruteForceBoundsCtx(context.Background(), set, 5, BruteForceOptions{})
 		if err != nil {
 			return false
 		}
 		if b.Lower > b.Upper+1e-12 {
 			return false
 		}
-		g, err := Gripenberg(set, GripenbergOptions{Delta: 0.02, MaxDepth: 12, MaxNodes: 100000})
+		g, err := GripenbergCtx(context.Background(), set, GripenbergOptions{Delta: 0.02, MaxDepth: 12, MaxNodes: 100000})
 		if err != nil && !errors.Is(err, ErrBudget) {
 			return false
 		}
@@ -124,7 +125,7 @@ func TestBoundsOrderingProperty(t *testing.T) {
 
 func TestStabilityVerdicts(t *testing.T) {
 	stable := []*mat.Dense{mat.Diag(0.5), mat.Diag(0.7)}
-	b, err := Gripenberg(stable, GripenbergOptions{Delta: 0.01})
+	b, err := GripenbergCtx(context.Background(), stable, GripenbergOptions{Delta: 0.01})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +133,7 @@ func TestStabilityVerdicts(t *testing.T) {
 		t.Fatalf("stable set verdicts wrong: %v", b)
 	}
 	unstable := []*mat.Dense{mat.Diag(1.2), mat.Diag(0.7)}
-	b, err = Gripenberg(unstable, GripenbergOptions{Delta: 0.01})
+	b, err = GripenbergCtx(context.Background(), unstable, GripenbergOptions{Delta: 0.01})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,11 +150,11 @@ func TestScalingHomogeneity(t *testing.T) {
 	}
 	c := 1.7
 	scaled := []*mat.Dense{mat.Scale(c, set[0]), mat.Scale(c, set[1])}
-	b1, err := BruteForceBounds(set, 8)
+	b1, err := BruteForceBoundsCtx(context.Background(), set, 8, BruteForceOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b2, err := BruteForceBounds(scaled, 8)
+	b2, err := BruteForceBoundsCtx(context.Background(), scaled, 8, BruteForceOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,19 +164,19 @@ func TestScalingHomogeneity(t *testing.T) {
 }
 
 func TestEmptySetAndBadArgs(t *testing.T) {
-	if _, err := BruteForceBounds(nil, 3); !errors.Is(err, ErrEmptySet) {
+	if _, err := BruteForceBoundsCtx(context.Background(), nil, 3, BruteForceOptions{}); !errors.Is(err, ErrEmptySet) {
 		t.Fatalf("err = %v", err)
 	}
-	if _, err := Gripenberg(nil, GripenbergOptions{}); !errors.Is(err, ErrEmptySet) {
+	if _, err := GripenbergCtx(context.Background(), nil, GripenbergOptions{}); !errors.Is(err, ErrEmptySet) {
 		t.Fatalf("err = %v", err)
 	}
-	if _, err := BruteForceBounds([]*mat.Dense{mat.Eye(2)}, 0); err == nil {
+	if _, err := BruteForceBoundsCtx(context.Background(), []*mat.Dense{mat.Eye(2)}, 0, BruteForceOptions{}); err == nil {
 		t.Fatal("maxLen=0 accepted")
 	}
-	if _, err := BruteForceBounds([]*mat.Dense{mat.Eye(2), mat.Eye(3)}, 2); err == nil {
+	if _, err := BruteForceBoundsCtx(context.Background(), []*mat.Dense{mat.Eye(2), mat.Eye(3)}, 2, BruteForceOptions{}); err == nil {
 		t.Fatal("mixed dimensions accepted")
 	}
-	if _, err := Gripenberg([]*mat.Dense{mat.Eye(2)}, GripenbergOptions{Delta: -1}); err == nil {
+	if _, err := GripenbergCtx(context.Background(), []*mat.Dense{mat.Eye(2)}, GripenbergOptions{Delta: -1}); err == nil {
 		t.Fatal("negative delta accepted")
 	}
 }
@@ -191,7 +192,7 @@ func TestGripenbergBudgetStillValid(t *testing.T) {
 		})
 	}
 	set := []*mat.Dense{rot(theta), rot(-theta * 0.7)}
-	b, err := Gripenberg(set, GripenbergOptions{Delta: 1e-6, MaxDepth: 30, MaxNodes: 50})
+	b, err := GripenbergCtx(context.Background(), set, GripenbergOptions{Delta: 1e-6, MaxDepth: 30, MaxNodes: 50})
 	if err != nil && !errors.Is(err, ErrBudget) {
 		t.Fatal(err)
 	}
@@ -205,11 +206,11 @@ func TestEstimateIntersectsBrackets(t *testing.T) {
 		mat.FromRows([][]float64{{0.6, 0.3}, {0, 0.4}}),
 		mat.FromRows([][]float64{{0.2, 0}, {0.5, 0.7}}),
 	}
-	est, err := Estimate(set, 6, GripenbergOptions{Delta: 0.01})
+	est, err := EstimateCtx(context.Background(), set, 6, GripenbergOptions{Delta: 0.01})
 	if err != nil && !errors.Is(err, ErrBudget) {
 		t.Fatal(err)
 	}
-	bf, _ := BruteForceBounds(set, 6)
+	bf, _ := BruteForceBoundsCtx(context.Background(), set, 6, BruteForceOptions{})
 	if est.Upper > bf.Upper+1e-12 {
 		t.Fatalf("Estimate upper %v worse than brute force %v", est.Upper, bf.Upper)
 	}
@@ -229,7 +230,7 @@ func TestBruteForceMonotoneUpper(t *testing.T) {
 	}
 	prev := math.Inf(1)
 	for _, l := range []int{1, 2, 4, 6} {
-		b, err := BruteForceBounds(set, l)
+		b, err := BruteForceBoundsCtx(context.Background(), set, l, BruteForceOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -261,14 +262,14 @@ func TestWitnessWordReproducesLowerBound(t *testing.T) {
 		mat.FromRows([][]float64{{1, 1}, {0, 1}}),
 		mat.FromRows([][]float64{{1, 0}, {1, 1}}),
 	}
-	b, err := BruteForceBounds(set, 6)
+	b, err := BruteForceBoundsCtx(context.Background(), set, 6, BruteForceOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := witnessRate(t, set, b.WitnessWord); math.Abs(got-b.Lower) > 1e-9 {
 		t.Fatalf("brute witness rate %v != lower %v (word %v)", got, b.Lower, b.WitnessWord)
 	}
-	g, err := Gripenberg(set, GripenbergOptions{Delta: 0.05, MaxDepth: 12})
+	g, err := GripenbergCtx(context.Background(), set, GripenbergOptions{Delta: 0.05, MaxDepth: 12})
 	if err != nil && !errors.Is(err, ErrBudget) {
 		t.Fatal(err)
 	}
@@ -290,7 +291,7 @@ func TestWitnessWordReproducesLowerBound(t *testing.T) {
 
 func TestWitnessWordSingleton(t *testing.T) {
 	set := []*mat.Dense{mat.Diag(0.5, 0.2)}
-	b, err := BruteForceBounds(set, 3)
+	b, err := BruteForceBoundsCtx(context.Background(), set, 3, BruteForceOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +315,7 @@ func BenchmarkGripenberg(b *testing.B) {
 	set := pmsmLikeSet()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Gripenberg(set, GripenbergOptions{Delta: 0.01, MaxDepth: 20}); err != nil && !errors.Is(err, ErrBudget) {
+		if _, err := GripenbergCtx(context.Background(), set, GripenbergOptions{Delta: 0.01, MaxDepth: 20}); err != nil && !errors.Is(err, ErrBudget) {
 			b.Fatal(err)
 		}
 	}
@@ -324,7 +325,7 @@ func BenchmarkEstimatePreconditioned(b *testing.B) {
 	set := pmsmLikeSet()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Estimate(set, 5, GripenbergOptions{Delta: 0.01, MaxDepth: 20}); err != nil && !errors.Is(err, ErrBudget) {
+		if _, err := EstimateCtx(context.Background(), set, 5, GripenbergOptions{Delta: 0.01, MaxDepth: 20}); err != nil && !errors.Is(err, ErrBudget) {
 			b.Fatal(err)
 		}
 	}

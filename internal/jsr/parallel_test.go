@@ -1,6 +1,7 @@
 package jsr
 
 import (
+	"context"
 	"errors"
 	"math"
 	"runtime"
@@ -45,7 +46,7 @@ func TestGripenbergWorkerInvariance(t *testing.T) {
 		var ref Bounds
 		var refErr error
 		for i, w := range workerSweep() {
-			b, err := Gripenberg(set, GripenbergOptions{Delta: 0.02, MaxDepth: 14, MaxNodes: 50_000, Workers: w})
+			b, err := GripenbergCtx(context.Background(), set, GripenbergOptions{Delta: 0.02, MaxDepth: 14, MaxNodes: 50_000, Workers: w})
 			if err != nil && !errors.Is(err, ErrBudget) {
 				t.Fatal(err)
 			}
@@ -67,7 +68,7 @@ func TestBruteForceWorkerInvariance(t *testing.T) {
 	for name, set := range map[string][]*mat.Dense{"pmsm": pmsmLikeSet(), "golden": goldenPair()} {
 		var ref Bounds
 		for i, w := range workerSweep() {
-			b, err := BruteForceBoundsOpt(set, 8, BruteForceOptions{Workers: w})
+			b, err := BruteForceBoundsCtx(context.Background(), set, 8, BruteForceOptions{Workers: w})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -91,7 +92,7 @@ func TestConstrainedGripenbergWorkerInvariance(t *testing.T) {
 	var ref Bounds
 	var refErr error
 	for i, w := range workerSweep() {
-		b, err := ConstrainedGripenberg(set, g, GripenbergOptions{Delta: 0.02, MaxDepth: 12, MaxNodes: 50_000, Workers: w})
+		b, err := ConstrainedGripenbergCtx(context.Background(), set, g, GripenbergOptions{Delta: 0.02, MaxDepth: 12, MaxNodes: 50_000, Workers: w})
 		if err != nil && !errors.Is(err, ErrBudget) {
 			t.Fatal(err)
 		}
@@ -117,7 +118,7 @@ func TestConstrainedGripenbergWorkerInvariance(t *testing.T) {
 func TestGripenbergPartialBudgetTightensBracket(t *testing.T) {
 	set := goldenPair()
 	phi := (1 + math.Sqrt(5)) / 2
-	b, err := Gripenberg(set, GripenbergOptions{Delta: 1e-4, MaxDepth: 30, MaxNodes: 4})
+	b, err := GripenbergCtx(context.Background(), set, GripenbergOptions{Delta: 1e-4, MaxDepth: 30, MaxNodes: 4})
 	if !errors.Is(err, ErrBudget) {
 		t.Fatalf("err = %v, want ErrBudget", err)
 	}
@@ -139,7 +140,7 @@ func TestConstrainedGripenbergPartialBudgetTightensBracket(t *testing.T) {
 	set := goldenPair()
 	g := CompleteGraph(2)
 	phi := (1 + math.Sqrt(5)) / 2
-	b, err := ConstrainedGripenberg(set, g, GripenbergOptions{Delta: 1e-4, MaxDepth: 30, MaxNodes: 4})
+	b, err := ConstrainedGripenbergCtx(context.Background(), set, g, GripenbergOptions{Delta: 1e-4, MaxDepth: 30, MaxNodes: 4})
 	if !errors.Is(err, ErrBudget) {
 		t.Fatalf("err = %v, want ErrBudget", err)
 	}
@@ -160,7 +161,7 @@ func TestBruteForceStreamingMatchesShallow(t *testing.T) {
 	prevUpper := math.Inf(1)
 	prevLower := 0.0
 	for _, l := range []int{1, 2, 3, 5, 8} {
-		b, err := BruteForceBoundsOpt(set, l, BruteForceOptions{Workers: 4})
+		b, err := BruteForceBoundsCtx(context.Background(), set, l, BruteForceOptions{Workers: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -176,14 +177,14 @@ func TestBruteForceStreamingMatchesShallow(t *testing.T) {
 
 func TestWitnessRateRoundTrip(t *testing.T) {
 	set := pmsmLikeSet()
-	bf, err := BruteForceBounds(set, 7)
+	bf, err := BruteForceBoundsCtx(context.Background(), set, 7, BruteForceOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got, err := WitnessRate(set, bf.WitnessWord); err != nil || math.Abs(got-bf.Lower) > 1e-12 {
 		t.Fatalf("brute-force replay = %v (err %v), want Lower = %v", got, err, bf.Lower)
 	}
-	gp, err := Gripenberg(set, GripenbergOptions{Delta: 0.01, MaxDepth: 20})
+	gp, err := GripenbergCtx(context.Background(), set, GripenbergOptions{Delta: 0.01, MaxDepth: 20})
 	if err != nil && !errors.Is(err, ErrBudget) {
 		t.Fatal(err)
 	}
@@ -205,7 +206,7 @@ func TestEstimateWitnessAttainsLower(t *testing.T) {
 			mat.FromRows([][]float64{{0.2, 0}, {0.5, 0.7}}),
 		},
 	} {
-		est, err := Estimate(set, 6, GripenbergOptions{Delta: 0.01})
+		est, err := EstimateCtx(context.Background(), set, 6, GripenbergOptions{Delta: 0.01})
 		if err != nil && !errors.Is(err, ErrBudget) {
 			t.Fatal(err)
 		}

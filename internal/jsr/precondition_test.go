@@ -1,6 +1,7 @@
 package jsr
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -44,7 +45,7 @@ func TestPreconditionPreservesJSRBracket(t *testing.T) {
 
 func TestPreconditionTightensNormBounds(t *testing.T) {
 	set := nonNormalPair()
-	raw, err := BruteForceBounds(set, 3)
+	raw, err := BruteForceBoundsCtx(context.Background(), set, 3, BruteForceOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +53,7 @@ func TestPreconditionTightensNormBounds(t *testing.T) {
 	if !ok {
 		t.Fatal("preconditioning failed")
 	}
-	pre, err := BruteForceBounds(work, 3)
+	pre, err := BruteForceBoundsCtx(context.Background(), work, 3, BruteForceOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +69,7 @@ func TestPreconditionTightensNormBounds(t *testing.T) {
 func TestEstimateCertifiesNonNormalStableSet(t *testing.T) {
 	// Without preconditioning this set's norm bounds sit far above 1;
 	// Estimate must still certify stability.
-	b, err := Estimate(nonNormalPair(), 4, GripenbergOptions{Delta: 0.02, MaxDepth: 20})
+	b, err := EstimateCtx(context.Background(), nonNormalPair(), 4, GripenbergOptions{Delta: 0.02, MaxDepth: 20})
 	if err != nil && !errors.Is(err, ErrBudget) {
 		t.Fatal(err)
 	}

@@ -27,7 +27,7 @@ func resilienceOpts(workers int) GripenbergOptions {
 func TestGripenbergSnapshotResume(t *testing.T) {
 	for name, set := range map[string][]*mat.Dense{"pmsm": pmsmLikeSet(), "golden": goldenPair()} {
 		for _, w := range workerSweep() {
-			ref, refErr := Gripenberg(set, resilienceOpts(w))
+			ref, refErr := GripenbergCtx(context.Background(), set, resilienceOpts(w))
 			if refErr != nil && !errors.Is(refErr, ErrBudget) {
 				t.Fatal(refErr)
 			}
@@ -38,7 +38,7 @@ func TestGripenbergSnapshotResume(t *testing.T) {
 				states = append(states, st)
 				return nil
 			}
-			b, err := Gripenberg(set, opt)
+			b, err := GripenbergCtx(context.Background(), set, opt)
 			if err != nil && !errors.Is(err, ErrBudget) {
 				t.Fatal(err)
 			}
@@ -52,7 +52,7 @@ func TestGripenbergSnapshotResume(t *testing.T) {
 			for si := range states {
 				ropt := resilienceOpts(w)
 				ropt.Resume = &states[si]
-				rb, rerr := Gripenberg(set, ropt)
+				rb, rerr := GripenbergCtx(context.Background(), set, ropt)
 				if rerr != nil && !errors.Is(rerr, ErrBudget) {
 					t.Fatal(rerr)
 				}
@@ -76,7 +76,7 @@ func TestGripenbergSnapshotResume(t *testing.T) {
 func TestGripenbergInterruptResume(t *testing.T) {
 	set := pmsmLikeSet()
 	for _, w := range workerSweep() {
-		ref, refErr := Gripenberg(set, resilienceOpts(w))
+		ref, refErr := GripenbergCtx(context.Background(), set, resilienceOpts(w))
 		if refErr != nil && !errors.Is(refErr, ErrBudget) {
 			t.Fatal(refErr)
 		}
@@ -109,7 +109,7 @@ func TestGripenbergInterruptResume(t *testing.T) {
 
 		ropt := resilienceOpts(w)
 		ropt.Resume = &states[len(states)-1]
-		rb, rerr := Gripenberg(set, ropt)
+		rb, rerr := GripenbergCtx(context.Background(), set, ropt)
 		if rerr != nil && !errors.Is(rerr, ErrBudget) {
 			t.Fatal(rerr)
 		}
@@ -126,7 +126,7 @@ func TestGripenbergInterruptResume(t *testing.T) {
 func TestGripenbergCheckpointFileRoundTrip(t *testing.T) {
 	set := pmsmLikeSet()
 	path := filepath.Join(t.TempDir(), "grip.ckpt")
-	ref, refErr := Gripenberg(set, resilienceOpts(4))
+	ref, refErr := GripenbergCtx(context.Background(), set, resilienceOpts(4))
 	if refErr != nil && !errors.Is(refErr, ErrBudget) {
 		t.Fatal(refErr)
 	}
@@ -155,7 +155,7 @@ func TestGripenbergCheckpointFileRoundTrip(t *testing.T) {
 	}
 	ropt := resilienceOpts(4)
 	ropt.Resume = &st
-	rb, rerr := Gripenberg(set, ropt)
+	rb, rerr := GripenbergCtx(context.Background(), set, ropt)
 	if rerr != nil && !errors.Is(rerr, ErrBudget) {
 		t.Fatal(rerr)
 	}
@@ -164,7 +164,7 @@ func TestGripenbergCheckpointFileRoundTrip(t *testing.T) {
 	}
 }
 
-// TestGripenbergDeadline exercises the wall-clock option: an
+// TestGripenbergDeadline exercises a context deadline: an
 // already-expired deadline must return a valid (if loose) bracket, an
 // error satisfying both errors.Is(ErrDeadline) and
 // errors.Is(context.DeadlineExceeded), and — because the snapshot hook
@@ -173,12 +173,14 @@ func TestGripenbergDeadline(t *testing.T) {
 	set := pmsmLikeSet()
 	var states []GripenbergState
 	opt := resilienceOpts(2)
-	opt.Deadline = 1 // 1ns: expired before the first level boundary
 	opt.Snapshot = func(st GripenbergState) error {
 		states = append(states, st)
 		return nil
 	}
-	b, err := Gripenberg(set, opt)
+	// 1ns: expired before the first level boundary.
+	ctx, cancel := context.WithTimeout(context.Background(), 1)
+	defer cancel()
+	b, err := GripenbergCtx(ctx, set, opt)
 	if !errors.Is(err, ErrDeadline) {
 		t.Fatalf("err = %v, want ErrDeadline", err)
 	}
@@ -193,11 +195,11 @@ func TestGripenbergDeadline(t *testing.T) {
 	}
 	ropt := resilienceOpts(2)
 	ropt.Resume = &states[len(states)-1]
-	rb, rerr := Gripenberg(set, ropt)
+	rb, rerr := GripenbergCtx(context.Background(), set, ropt)
 	if rerr != nil && !errors.Is(rerr, ErrBudget) {
 		t.Fatal(rerr)
 	}
-	ref, refErr := Gripenberg(set, resilienceOpts(2))
+	ref, refErr := GripenbergCtx(context.Background(), set, resilienceOpts(2))
 	if refErr != nil && !errors.Is(refErr, ErrBudget) {
 		t.Fatal(refErr)
 	}
@@ -213,7 +215,7 @@ func TestGripenbergDeadline(t *testing.T) {
 func TestEstimateBudgetParallel(t *testing.T) {
 	set := goldenPair()
 	for _, w := range workerSweep() {
-		b, err := Estimate(set, 3, GripenbergOptions{Delta: 1e-6, MaxDepth: 30, MaxNodes: 6, Workers: w})
+		b, err := EstimateCtx(context.Background(), set, 3, GripenbergOptions{Delta: 1e-6, MaxDepth: 30, MaxNodes: 6, Workers: w})
 		if !errors.Is(err, ErrBudget) {
 			t.Fatalf("workers=%d: err = %v, want errors.Is(ErrBudget)", w, err)
 		}
@@ -241,9 +243,9 @@ func TestBudgetStopReason(t *testing.T) {
 		for _, w := range []int{1, 2} {
 			tc.opt.Workers = w
 			errs := map[string]error{}
-			_, errs["Gripenberg"] = Gripenberg(set, tc.opt)
-			_, errs["ConstrainedGripenberg"] = ConstrainedGripenberg(set, complete, tc.opt)
-			_, errs["Estimate"] = Estimate(set, 3, tc.opt)
+			_, errs["Gripenberg"] = GripenbergCtx(context.Background(), set, tc.opt)
+			_, errs["ConstrainedGripenberg"] = ConstrainedGripenbergCtx(context.Background(), set, complete, tc.opt)
+			_, errs["Estimate"] = EstimateCtx(context.Background(), set, 3, tc.opt)
 			for site, err := range errs {
 				if !errors.Is(err, tc.want) || !errors.Is(err, ErrBudget) || errors.Is(err, tc.other) {
 					t.Errorf("%s w=%d %s: err = %v, want %v wrapping ErrBudget", tc.name, w, site, err, tc.want)
@@ -363,7 +365,7 @@ func TestGripenbergResumeRejectsMismatchedState(t *testing.T) {
 	var last GripenbergState
 	opt := resilienceOpts(1)
 	opt.Snapshot = func(st GripenbergState) error { last = st; return nil }
-	if _, err := Gripenberg(set, opt); err != nil && !errors.Is(err, ErrBudget) {
+	if _, err := GripenbergCtx(context.Background(), set, opt); err != nil && !errors.Is(err, ErrBudget) {
 		t.Fatal(err)
 	}
 
@@ -371,7 +373,7 @@ func TestGripenbergResumeRejectsMismatchedState(t *testing.T) {
 	wrongK.K = 3
 	ropt := resilienceOpts(1)
 	ropt.Resume = &wrongK
-	if _, err := Gripenberg(set, ropt); err == nil {
+	if _, err := GripenbergCtx(context.Background(), set, ropt); err == nil {
 		t.Fatal("mismatched set cardinality accepted")
 	}
 
@@ -381,7 +383,7 @@ func TestGripenbergResumeRejectsMismatchedState(t *testing.T) {
 	corrupted[0] = 7
 	badWord.Frontier[0] = corrupted
 	ropt.Resume = &badWord
-	if _, err := Gripenberg(set, ropt); err == nil {
+	if _, err := GripenbergCtx(context.Background(), set, ropt); err == nil {
 		t.Fatal("out-of-range frontier index accepted")
 	}
 }

@@ -51,10 +51,6 @@ func TestMapOrder(t *testing.T) {
 	linttest.Run(t, "testdata/maporder", lint.MapOrder)
 }
 
-func TestCtxPropagate(t *testing.T) {
-	linttest.Run(t, "testdata/ctxpropagate", lint.CtxPropagate)
-}
-
 func TestLockCopy(t *testing.T) {
 	linttest.Run(t, "testdata/lockcopy", lint.LockCopy)
 }
@@ -77,7 +73,6 @@ func TestFullSuiteOnFixtures(t *testing.T) {
 		"testdata/clienttimeout",
 		"testdata/errcompare",
 		"testdata/maporder",
-		"testdata/ctxpropagate",
 		"testdata/lockcopy",
 		"testdata/goroleak",
 		"testdata/timeafter",

@@ -17,7 +17,6 @@ func TestDriverWorkerInvariance(t *testing.T) {
 	patterns := []string{
 		"testdata/errcompare",
 		"testdata/maporder",
-		"testdata/ctxpropagate",
 		"testdata/lockcopy",
 		"testdata/goroleak",
 		"testdata/floatcompare",

@@ -210,3 +210,12 @@ func isWaitGroupNamed(named *types.Named) bool {
 	obj := named.Obj()
 	return obj != nil && obj.Pkg() != nil && obj.Pkg().Path() == "sync" && obj.Name() == "WaitGroup"
 }
+
+// namedRecv unwraps a receiver type to its named base.
+func namedRecv(t types.Type) *types.Named {
+	if ptr, ok := t.(*types.Pointer); ok {
+		t = ptr.Elem()
+	}
+	named, _ := t.(*types.Named)
+	return named
+}

@@ -111,7 +111,6 @@ func Checks() []*Check {
 		ClientTimeout,
 		ErrCompare,
 		MapOrder,
-		CtxPropagate,
 		LockCopy,
 		GoroLeak,
 		SyncRename,

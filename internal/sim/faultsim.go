@@ -79,13 +79,6 @@ func EvaluateGuarded(d *core.Design, x0 []float64, plan *faults.Plan, contract g
 	return total, mon.Metrics(), nil
 }
 
-// FaultMonteCarlo evaluates the guarded design over random
-// fault-injected sequences with a background context; see
-// FaultMonteCarloCtx.
-func FaultMonteCarlo(d *core.Design, x0 []float64, base ResponseModel, cost CostFunc, opt FaultOptions) (GuardMetrics, error) {
-	return FaultMonteCarloCtx(context.Background(), d, x0, base, cost, opt)
-}
-
 // FaultMonteCarloCtx evaluates the guarded design over random
 // fault-injected sequences. Sequence i draws its response times AND its
 // entire fault plan from the single RNG seeded Seed+i, and the final

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"testing"
@@ -38,7 +39,7 @@ func TestFaultMonteCarloWorkerInvariance(t *testing.T) {
 			Profile:           faultProfile(),
 			Contract:          faultContract(),
 		}
-		m, err := FaultMonteCarlo(d, x0, base, ErrorCost(), opt)
+		m, err := FaultMonteCarloCtx(context.Background(), d, x0, base, ErrorCost(), opt)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -70,12 +71,12 @@ func TestFaultMonteCarloZeroProfile(t *testing.T) {
 	// partial sums); with one worker it sums in sequence order, which is
 	// exactly the order FaultMonteCarlo's reduction uses for any worker
 	// count.
-	plain, err := MonteCarlo(d, x0, base, ErrorCost(),
+	plain, err := MonteCarloCtx(context.Background(), d, x0, base, ErrorCost(),
 		MonteCarloOptions{Sequences: 30, Jobs: 25, Seed: 3, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	guarded, err := FaultMonteCarlo(d, x0, base, ErrorCost(), FaultOptions{
+	guarded, err := FaultMonteCarloCtx(context.Background(), d, x0, base, ErrorCost(), FaultOptions{
 		MonteCarloOptions: MonteCarloOptions{Sequences: 30, Jobs: 25, Seed: 3, Workers: 2},
 		Profile:           faults.Profile{}, // nothing injected
 		// M = K can never be exceeded and DivergeLimit 0 disables the
@@ -119,7 +120,7 @@ func TestFaultMonteCarloValidation(t *testing.T) {
 			Contract: guard.Contract{M: 1, K: 0}},
 	}
 	for i, opt := range cases {
-		if _, err := FaultMonteCarlo(d, []float64{1, 0}, base, ErrorCost(), opt); err == nil {
+		if _, err := FaultMonteCarloCtx(context.Background(), d, []float64{1, 0}, base, ErrorCost(), opt); err == nil {
 			t.Errorf("case %d accepted invalid options", i)
 		}
 	}

@@ -57,12 +57,6 @@ func maxOf(s []float64) float64 {
 	return m
 }
 
-// CostDistribution evaluates the design over random sequences with a
-// background context; see CostDistributionCtx.
-func CostDistribution(d *core.Design, x0 []float64, model ResponseModel, cost CostFunc, opt MonteCarloOptions) ([]float64, error) {
-	return CostDistributionCtx(context.Background(), d, x0, model, cost, opt)
-}
-
 // CostDistributionCtx evaluates the design over random sequences like
 // MonteCarloCtx but returns every per-sequence cost (index i is the
 // cost of the sequence generated from Seed+i), enabling percentile and

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -37,14 +38,14 @@ func TestCostDistributionMatchesMonteCarlo(t *testing.T) {
 	d := testDesign(t)
 	model := UniformResponse{Rmin: 0.01, Rmax: 0.16}
 	opt := MonteCarloOptions{Sequences: 120, Jobs: 30, Seed: 21}
-	costs, err := CostDistribution(d, []float64{1, 0}, model, ErrorCost(), opt)
+	costs, err := CostDistributionCtx(context.Background(), d, []float64{1, 0}, model, ErrorCost(), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(costs) != 120 {
 		t.Fatalf("costs = %d", len(costs))
 	}
-	m, err := MonteCarlo(d, []float64{1, 0}, model, ErrorCost(), opt)
+	m, err := MonteCarloCtx(context.Background(), d, []float64{1, 0}, model, ErrorCost(), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +70,7 @@ func TestCostDistributionWorkerIndependence(t *testing.T) {
 	d := testDesign(t)
 	model := UniformResponse{Rmin: 0.01, Rmax: 0.16}
 	run := func(workers int) []float64 {
-		costs, err := CostDistribution(d, []float64{1, 0}, model, ErrorCost(),
+		costs, err := CostDistributionCtx(context.Background(), d, []float64{1, 0}, model, ErrorCost(),
 			MonteCarloOptions{Sequences: 64, Jobs: 30, Seed: 21, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
@@ -89,7 +90,7 @@ func TestCostDistributionWorkerIndependence(t *testing.T) {
 
 func TestCostDistributionValidation(t *testing.T) {
 	d := testDesign(t)
-	if _, err := CostDistribution(d, []float64{1, 0}, ConstantResponse(0.05), ErrorCost(),
+	if _, err := CostDistributionCtx(context.Background(), d, []float64{1, 0}, ConstantResponse(0.05), ErrorCost(),
 		MonteCarloOptions{Sequences: 0, Jobs: 5}); err == nil {
 		t.Fatal("bad options accepted")
 	}

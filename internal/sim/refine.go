@@ -8,11 +8,11 @@ import (
 	"adaptivertc/internal/core"
 )
 
-// RefineWorst sharpens a worst-case estimate by coordinate ascent over
-// the switching sequence: starting from the interval pattern induced by
-// `responses`, each position is replaced in turn by every achievable
-// interval and the most expensive choice is kept, until a full pass
-// yields no improvement (or maxPasses is hit). The result is a local
+// RefineWorstCtx sharpens a worst-case estimate by coordinate ascent
+// over the switching sequence: starting from the interval pattern
+// induced by `responses`, each position is replaced in turn by every
+// achievable interval and the most expensive choice is kept, until a
+// full pass yields no improvement (or maxPasses is hit). The result is a local
 // maximum of the cost over the discrete switching space — by
 // construction at least as expensive as the starting sequence.
 //
@@ -20,15 +20,11 @@ import (
 // explores the space blindly; a few refinement passes on the sampled
 // worst typically push `Jw` a further few percent toward the true
 // supremum.
-func RefineWorst(d *core.Design, x0 []float64, responses []float64, cost CostFunc, maxPasses int) ([]float64, float64, error) {
-	return RefineWorstCtx(context.Background(), d, x0, responses, cost, maxPasses)
-}
-
-// RefineWorstCtx is RefineWorst honoring a context. Cancellation
-// returns the sequence and cost refined so far — coordinate ascent only
-// ever improves on its start, so the partial result is still a valid
-// (if less sharpened) worst-case estimate — together with the context's
-// error.
+//
+// Cancellation returns the sequence and cost refined so far —
+// coordinate ascent only ever improves on its start, so the partial
+// result is still a valid (if less sharpened) worst-case estimate —
+// together with the context's error.
 func RefineWorstCtx(ctx context.Context, d *core.Design, x0 []float64, responses []float64, cost CostFunc, maxPasses int) ([]float64, float64, error) {
 	if len(responses) == 0 {
 		return nil, 0, fmt.Errorf("sim: empty sequence")
@@ -79,16 +75,11 @@ func RefineWorstCtx(ctx context.Context, d *core.Design, x0 []float64, responses
 	return seq, best, nil
 }
 
-// WorstCase combines sampling and refinement: a Monte-Carlo sweep
+// WorstCaseCtx combines sampling and refinement: a Monte-Carlo sweep
 // followed by coordinate ascent from the worst sample. With
-// refinePasses <= 0 it reduces to plain MonteCarlo (the paper's
-// sampling-only protocol).
-func WorstCase(d *core.Design, x0 []float64, model ResponseModel, cost CostFunc, opt MonteCarloOptions, refinePasses int) (Metrics, error) {
-	return WorstCaseCtx(context.Background(), d, x0, model, cost, opt, refinePasses)
-}
-
-// WorstCaseCtx is WorstCase honoring a context; cancellation during
-// either phase aborts with the context's error.
+// refinePasses <= 0 it reduces to plain MonteCarloCtx (the paper's
+// sampling-only protocol). Cancellation during either phase aborts with
+// the context's error.
 func WorstCaseCtx(ctx context.Context, d *core.Design, x0 []float64, model ResponseModel, cost CostFunc, opt MonteCarloOptions, refinePasses int) (Metrics, error) {
 	m, err := MonteCarloCtx(ctx, d, x0, model, cost, opt)
 	if err != nil {

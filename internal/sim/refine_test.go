@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"math"
 	"testing"
 )
@@ -12,7 +13,7 @@ func TestRefineWorstNeverDecreases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, refined, err := RefineWorst(d, []float64{1, 0}, responses, ErrorCost(), 5)
+	seq, refined, err := RefineWorstCtx(context.Background(), d, []float64{1, 0}, responses, ErrorCost(), 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,11 +49,11 @@ func TestRefineWorstNeverDecreases(t *testing.T) {
 func TestRefineWorstIdempotentAtLocalMax(t *testing.T) {
 	d := testDesign(t)
 	responses := UniformResponse{Rmin: 0.01, Rmax: 0.16}.Sequence(newSeqRand(3, 0), 20)
-	seq1, c1, err := RefineWorst(d, []float64{1, 0}, responses, ErrorCost(), 10)
+	seq1, c1, err := RefineWorstCtx(context.Background(), d, []float64{1, 0}, responses, ErrorCost(), 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, c2, err := RefineWorst(d, []float64{1, 0}, seq1, ErrorCost(), 10)
+	_, c2, err := RefineWorstCtx(context.Background(), d, []float64{1, 0}, seq1, ErrorCost(), 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,11 +66,11 @@ func TestWorstCaseBeatsPlainMonteCarlo(t *testing.T) {
 	d := testDesign(t)
 	model := UniformResponse{Rmin: 0.01, Rmax: 0.16}
 	opt := MonteCarloOptions{Sequences: 100, Jobs: 30, Seed: 5}
-	plain, err := MonteCarlo(d, []float64{1, 0}, model, ErrorCost(), opt)
+	plain, err := MonteCarloCtx(context.Background(), d, []float64{1, 0}, model, ErrorCost(), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	combined, err := WorstCase(d, []float64{1, 0}, model, ErrorCost(), opt, 4)
+	combined, err := WorstCaseCtx(context.Background(), d, []float64{1, 0}, model, ErrorCost(), opt, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +81,7 @@ func TestWorstCaseBeatsPlainMonteCarlo(t *testing.T) {
 
 func TestRefineWorstValidation(t *testing.T) {
 	d := testDesign(t)
-	if _, _, err := RefineWorst(d, []float64{1, 0}, nil, ErrorCost(), 3); err == nil {
+	if _, _, err := RefineWorstCtx(context.Background(), d, []float64{1, 0}, nil, ErrorCost(), 3); err == nil {
 		t.Fatal("empty sequence accepted")
 	}
 }

@@ -34,7 +34,7 @@ func TestMonteCarloCtxMatchesWrapper(t *testing.T) {
 	d := testDesign(t)
 	model := UniformResponse{Rmin: d.Timing.Rmin, Rmax: d.Timing.Rmax}
 	opt := MonteCarloOptions{Sequences: 60, Jobs: 20, Seed: 7, Workers: 3}
-	a, err := MonteCarlo(d, []float64{1, 0}, model, ErrorCost(), opt)
+	a, err := MonteCarloCtx(context.Background(), d, []float64{1, 0}, model, ErrorCost(), opt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -220,12 +220,6 @@ func ctxInterrupted(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// MonteCarlo evaluates the design over random response-time sequences
-// with a background context; see MonteCarloCtx.
-func MonteCarlo(d *core.Design, x0 []float64, model ResponseModel, cost CostFunc, opt MonteCarloOptions) (Metrics, error) {
-	return MonteCarloCtx(context.Background(), d, x0, model, cost, opt)
-}
-
 // MonteCarloCtx evaluates the design over random response-time
 // sequences. Results are independent of Workers: sequence i is
 // generated from its own rand.Rand seeded Seed+i, and max/mean

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -134,7 +135,7 @@ func TestEvaluateSequenceDivergenceDetection(t *testing.T) {
 
 func TestMonteCarloBasic(t *testing.T) {
 	d := testDesign(t)
-	m, err := MonteCarlo(d, []float64{1, 0}, UniformResponse{Rmin: 0.01, Rmax: 0.16}, ErrorCost(),
+	m, err := MonteCarloCtx(context.Background(), d, []float64{1, 0}, UniformResponse{Rmin: 0.01, Rmax: 0.16}, ErrorCost(),
 		MonteCarloOptions{Sequences: 200, Jobs: 50, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
@@ -156,7 +157,7 @@ func TestMonteCarloBasic(t *testing.T) {
 func TestMonteCarloWorkerIndependence(t *testing.T) {
 	d := testDesign(t)
 	run := func(workers int) Metrics {
-		m, err := MonteCarlo(d, []float64{1, 0}, UniformResponse{Rmin: 0.01, Rmax: 0.16}, ErrorCost(),
+		m, err := MonteCarloCtx(context.Background(), d, []float64{1, 0}, UniformResponse{Rmin: 0.01, Rmax: 0.16}, ErrorCost(),
 			MonteCarloOptions{Sequences: 64, Jobs: 30, Seed: 3, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
@@ -174,11 +175,11 @@ func TestMonteCarloWorkerIndependence(t *testing.T) {
 
 func TestMonteCarloRejectsBadOptions(t *testing.T) {
 	d := testDesign(t)
-	if _, err := MonteCarlo(d, []float64{1, 0}, ConstantResponse(0.05), ErrorCost(),
+	if _, err := MonteCarloCtx(context.Background(), d, []float64{1, 0}, ConstantResponse(0.05), ErrorCost(),
 		MonteCarloOptions{Sequences: 0, Jobs: 10}); err == nil {
 		t.Fatal("zero sequences accepted")
 	}
-	if _, err := MonteCarlo(d, []float64{1, 0}, ConstantResponse(0.05), ErrorCost(),
+	if _, err := MonteCarloCtx(context.Background(), d, []float64{1, 0}, ConstantResponse(0.05), ErrorCost(),
 		MonteCarloOptions{Sequences: 10, Jobs: 0}); err == nil {
 		t.Fatal("zero jobs accepted")
 	}
@@ -190,7 +191,7 @@ func TestNoOverrunCostIsLowerThanWorstCase(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := MonteCarlo(d, []float64{1, 0}, UniformResponse{Rmin: 0.01, Rmax: 0.16}, ErrorCost(),
+	m, err := MonteCarloCtx(context.Background(), d, []float64{1, 0}, UniformResponse{Rmin: 0.01, Rmax: 0.16}, ErrorCost(),
 		MonteCarloOptions{Sequences: 500, Jobs: 50, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
@@ -205,7 +206,7 @@ func TestWorstCostMonotoneInRmaxProperty(t *testing.T) {
 	// the evaluation side by nesting the response supports).
 	d := testDesign(t) // designed for Rmax = 0.16, covers all smaller ranges
 	f := func(seed int64) bool {
-		small, err := MonteCarlo(d, []float64{1, 0}, UniformResponse{Rmin: 0.01, Rmax: 0.1}, ErrorCost(),
+		small, err := MonteCarloCtx(context.Background(), d, []float64{1, 0}, UniformResponse{Rmin: 0.01, Rmax: 0.1}, ErrorCost(),
 			MonteCarloOptions{Sequences: 50, Jobs: 30, Seed: seed})
 		if err != nil {
 			return false
@@ -213,7 +214,7 @@ func TestWorstCostMonotoneInRmaxProperty(t *testing.T) {
 		// Same seeds, wider support that includes the smaller draws is
 		// not guaranteed sample-wise, so compare against the nominal-only
 		// lower envelope instead: worst with overruns ≥ worst without.
-		nominal, err := MonteCarlo(d, []float64{1, 0}, ConstantResponse(0.05), ErrorCost(),
+		nominal, err := MonteCarloCtx(context.Background(), d, []float64{1, 0}, ConstantResponse(0.05), ErrorCost(),
 			MonteCarloOptions{Sequences: 1, Jobs: 30, Seed: seed})
 		if err != nil {
 			return false

@@ -122,6 +122,23 @@ if [ -e "$tmpdir/ck-unstable" ]; then
     exit 1
 fi
 
+echo "== interruption smoke: adactl report stops on SIGINT, exits 5 and writes no report"
+go build -o "$tmpdir/adactl" ./cmd/adactl
+set +e
+timeout --preserve-status -s INT -k 10 1 "$tmpdir/adactl" report -o "$tmpdir/report.md" \
+    > "$tmpdir/report.out" 2>&1
+report_status=$?
+set -e
+if [ "$report_status" -ne 5 ]; then
+    echo "error: interrupted adactl report exited $report_status, want 5" >&2
+    cat "$tmpdir/report.out" >&2
+    exit 1
+fi
+if [ -e "$tmpdir/report.md" ]; then
+    echo "error: interrupted adactl report left a report file" >&2
+    exit 1
+fi
+
 echo "== service smoke: adaserved certifies the paper example, matches jsrtool, caches, and shuts down cleanly"
 go build -o "$tmpdir/adaserved" ./cmd/adaserved
 cat > "$tmpdir/req.json" <<'EOF'
