@@ -2,7 +2,10 @@ package experiments
 
 import (
 	"context"
+	"fmt"
 	"math"
+	"os"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -284,6 +287,30 @@ func TestWeaklyHardShape(t *testing.T) {
 	if out := WeaklyHardString(rows); !strings.Contains(out, "free") {
 		t.Fatal("rendering")
 	}
+	want, err := os.ReadFile("testdata/weaklyhard_k4.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := weaklyHardGolden(rows); got != string(want) {
+		t.Errorf("weakly-hard rows differ from testdata/weaklyhard_k4.golden:\ngot:\n%swant:\n%s", got, want)
+	}
+}
+
+// weaklyHardGolden renders every row's brackets at full precision
+// together with their witness words, one design per line.
+func weaklyHardGolden(rows []WeaklyHardRow) string {
+	var b strings.Builder
+	b.WriteString("# m K design lower upper witness\n")
+	ff := func(x float64) string { return strconv.FormatFloat(x, 'g', -1, 64) }
+	for _, r := range rows {
+		for _, d := range []struct {
+			name string
+			b    jsr.Bounds
+		}{{"adaptive", r.Adaptive}, {"fixedT", r.FixedT}} {
+			fmt.Fprintf(&b, "%d %d %s %s %s %v\n", r.M, r.K, d.name, ff(d.b.Lower), ff(d.b.Upper), d.b.WitnessWord)
+		}
+	}
+	return b.String()
 }
 
 func TestCSVEmitters(t *testing.T) {

@@ -103,9 +103,9 @@ func WeaklyHardString(rows []WeaklyHardRow) string {
 }
 
 // constrainedBracket intersects the brute-force sandwich with the
-// branch-and-bound refinement for one graph.
+// branch-and-bound refinement for one graph; opt.Workers reaches both.
 func constrainedBracket(ctx context.Context, set []*mat.Dense, g *jsr.Graph, opt Options) (jsr.Bounds, error) {
-	bf, err := jsr.ConstrainedBounds(set, g, opt.BruteLen+8)
+	bf, err := jsr.ConstrainedBoundsCtx(ctx, set, g, opt.BruteLen+8, jsr.BruteForceOptions{Workers: opt.Workers})
 	if err != nil {
 		return jsr.Bounds{}, err
 	}

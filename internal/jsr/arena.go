@@ -8,12 +8,12 @@ import (
 )
 
 // This file holds the zero-allocation expansion engine behind
-// GripenbergCtx. The expand loop is the hot path of every certification
-// job: each node costs exactly one small matrix multiply (the child is
-// Ω(h)·parent, with the parent product cached on the frontier entry),
-// at most one spectral radius, and at most one norm — all through
-// preallocated per-worker scratch, so a warm level performs zero heap
-// allocations per node. Results are bit-identical to the straightforward
+// GripenbergCtx and ConstrainedGripenbergCtx. The expand loop is the
+// hot path of every certification job: each node costs exactly one
+// small matrix multiply (the child is Ω(h)·parent, with the parent
+// product cached on the frontier entry), at most one spectral radius,
+// and at most one norm — all through preallocated per-worker scratch,
+// so a warm level performs zero heap allocations per node. Results are bit-identical to the straightforward
 // allocating loop because every numeric kernel (mat.MulInto,
 // mat.TwoNormScratch, mat.SpectralRadiusScratch) shares its
 // computational core with the allocating variant.
@@ -56,9 +56,10 @@ func (p *matPool) ensure(count int) {
 	}
 }
 
-// gripSearch owns the reusable state of one Gripenberg (or constrained)
-// search: two product-buffer pools used in ping-pong by level parity,
-// one scratch workspace per worker slot, and the flat children array.
+// gripSearch owns the reusable state of one Gripenberg search on a
+// switching graph: two product-buffer pools used in ping-pong by level
+// parity, one scratch workspace per worker slot, and the flat children
+// array with its per-node slot offsets.
 //
 // The pools alternate by depth%2: children of level d are written into
 // pools[d%2], while their parents — the frontier, written one level
@@ -69,10 +70,15 @@ func (p *matPool) ensure(count int) {
 // product is ever overwritten.
 type gripSearch struct {
 	set      []*mat.Dense
-	k, n     int
+	g        *Graph
+	n        int
 	pools    [2]matPool
 	scratch  []*mat.Scratch
 	children []gripChild
+	// offs lays out the children by prefix sums of the frontier's
+	// out-degrees: node fi owns slots [offs[fi], offs[fi+1]). On the
+	// complete graph over k matrices that is the fi·k layout.
+	offs []int
 
 	// Per-level state read by fn. Written by expandLevel before the
 	// parallel call; the worker WaitGroup orders these writes before any
@@ -87,76 +93,87 @@ type gripSearch struct {
 	fn func(ctx context.Context, slot, lo, hi int) error
 }
 
-func newGripSearch(set []*mat.Dense, workers int) *gripSearch {
+func newGripSearch(set []*mat.Dense, g *Graph, workers int) *gripSearch {
 	n := set[0].Rows()
-	g := &gripSearch{
+	s := &gripSearch{
 		set:     set,
-		k:       len(set),
+		g:       g,
 		n:       n,
 		pools:   [2]matPool{{n: n}, {n: n}},
 		scratch: make([]*mat.Scratch, workers),
 	}
-	g.fn = func(ctx context.Context, slot, lo, hi int) error {
-		ms := g.scratchFor(slot)
+	s.fn = func(ctx context.Context, slot, lo, hi int) error {
+		ms := s.scratchFor(slot)
 		for fi := lo; fi < hi; fi++ {
 			if cerr := ctx.Err(); cerr != nil {
 				return cerr
 			}
-			if gerr := g.expandNodeGuarded(fi, ms); gerr != nil {
+			if gerr := s.expandNodeGuarded(fi, ms); gerr != nil {
 				return gerr
 			}
 		}
 		return nil
 	}
-	return g
+	return s
 }
 
 // scratchFor lazily builds the slot's workspace. Each slot is owned by
 // exactly one goroutine per level, and the level barrier
 // (sync.WaitGroup in parallelSlots) orders one level's writes before
 // the next level's reads, so the lazy initialization is race-free.
-func (g *gripSearch) scratchFor(slot int) *mat.Scratch {
-	if g.scratch[slot] == nil {
-		g.scratch[slot] = mat.NewScratch(g.n)
+func (s *gripSearch) scratchFor(slot int) *mat.Scratch {
+	if s.scratch[slot] == nil {
+		s.scratch[slot] = mat.NewScratch(s.n)
 	}
-	return g.scratch[slot]
+	return s.scratch[slot]
 }
 
-// expandLevel expands frontier[0:expand] into g.children (length
-// expand·k), sharded across the worker pool with the serial cutover
-// applied. The returned slice aliases g.children and is valid until the
-// next expandLevel call; child products live in the depth-parity pool.
-// lower is the search's lower bound at the start of the level: a child
-// whose spectral-radius bound rate cannot exceed it gets rho = 0 without
-// an eigenvalue solve. prune is the level-start prune threshold
-// lower + δ: a child whose certificate bound cannot exceed it carries
-// prune as its certificate, without a norm computation. Pass -Inf for
-// both to compute every rho and every norm.
-func (g *gripSearch) expandLevel(ctx context.Context, frontier []gripNode, expand, depth, workers int, lower, prune float64) ([]gripChild, error) {
-	need := expand * g.k
-	if cap(g.children) < need {
-		g.children = make([]gripChild, need)
+// expandLevel expands frontier[0:expand] into s.children, one slot per
+// graph edge out of each node (s.offs holds the layout), sharded across
+// the worker pool with the serial cutover applied. The returned slice
+// aliases s.children and is valid until the next expandLevel call;
+// child products live in the depth-parity pool. lower is the search's
+// lower bound at the start of the level: a child whose spectral-radius
+// bound rate cannot exceed it gets rho = 0 without an eigenvalue solve.
+// prune is the level-start prune threshold lower + δ: a child whose
+// certificate bound cannot exceed it carries prune as its certificate,
+// without a norm computation. Pass -Inf for both to compute every rho
+// and every norm.
+func (s *gripSearch) expandLevel(ctx context.Context, frontier []gripNode, expand, depth, workers int, lower, prune float64) ([]gripChild, error) {
+	if cap(s.offs) < expand+1 {
+		s.offs = make([]int, expand+1)
 	}
-	g.children = g.children[:need]
-	pool := &g.pools[depth%2]
+	s.offs = s.offs[:expand+1]
+	for fi, nd := range frontier[:expand] {
+		s.offs[fi+1] = s.offs[fi] + len(s.g.Next[nd.at])
+	}
+	need := s.offs[expand]
+	if cap(s.children) < need {
+		s.children = make([]gripChild, need)
+	}
+	s.children = s.children[:need]
+	pool := &s.pools[depth%2]
 	pool.ensure(need)
-	g.frontier = frontier
-	g.lower = newRateGate(lower, depth)
-	g.prune = newRateGate(prune, depth)
-	g.pool = pool
+	s.frontier = frontier
+	s.lower = newRateGate(lower, depth)
+	s.prune = newRateGate(prune, depth)
+	s.pool = pool
 	if expand <= serialCutoverNodes {
 		workers = 1
 	}
-	err := parallelSlots(ctx, expand, workers, g.fn)
-	return g.children, err
+	err := parallelSlots(ctx, expand, workers, s.fn)
+	return s.children, err
 }
 
-// expandNodeGuarded computes the k children of frontier node fi, in
-// matrix-index order, converting a panic into a *PanicError carrying
-// the node's word. The recover is inlined (rather than routed through
-// expandGuard) so the guard costs no closure allocation per node.
-func (g *gripSearch) expandNodeGuarded(fi int, ms *mat.Scratch) (err error) {
-	nd := g.frontier[fi]
+// expandNodeGuarded computes the children of frontier node fi, in
+// successor order, converting a panic into a *PanicError carrying the
+// node's word. The recover is inlined (rather than routed through
+// expandGuard) so the guard costs no closure allocation per node. A
+// child whose walk cannot close back to its start records rho = 0, like
+// a gated skip: only closed walks repeat forever, so only they bound the
+// JSR from below, and the merge's strict > never lets a 0 raise Lower.
+func (s *gripSearch) expandNodeGuarded(fi int, ms *mat.Scratch) (err error) {
+	nd := s.frontier[fi]
 	defer func() {
 		if r := recover(); r != nil {
 			if pe, ok := r.(*PanicError); ok {
@@ -166,17 +183,20 @@ func (g *gripSearch) expandNodeGuarded(fi int, ms *mat.Scratch) (err error) {
 			err = &PanicError{Value: r, Word: append([]int(nil), nd.word...), Stack: debug.Stack()}
 		}
 	}()
-	out := g.children[fi*g.k : (fi+1)*g.k]
-	bufs := g.pool.bufs[fi*g.k : (fi+1)*g.k]
-	for ai, a := range g.set {
-		p := bufs[ai]
-		mat.MulInto(p, a, nd.prod)
+	lo, hi := s.offs[fi], s.offs[fi+1]
+	out, bufs := s.children[lo:hi], s.pool.bufs[lo:hi]
+	for j, nxt := range s.g.Next[nd.at] {
+		p := bufs[j]
+		mat.MulInto(p, s.set[s.g.Nodes[nxt]], nd.prod)
 		nb := mat.NormBoundsScratch(p, ms)
-		rho, rerr := gatedRadius(p, nb, ms, g.lower)
-		if rerr != nil {
-			return rerr
+		rho := 0.0
+		if closes(s.g, nxt, nd.start) {
+			var rerr error
+			if rho, rerr = gatedRadius(p, nb, ms, s.lower); rerr != nil {
+				return rerr
+			}
 		}
-		out[ai] = gripChild{prod: p, rho: rho, cert: gatedCert(p, nb, ms, nd.cert, g.prune)}
+		out[j] = gripChild{prod: p, rho: rho, cert: gatedCert(p, nb, ms, nd.cert, s.prune), at: nxt}
 	}
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"runtime"
 	"testing"
 
 	"adaptivertc/internal/mat"
@@ -18,7 +19,7 @@ func TestCompleteGraphMatchesUnconstrained(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	con, err := ConstrainedBounds(set, CompleteGraph(2), 6)
+	con, err := ConstrainedBoundsCtx(context.Background(), set, CompleteGraph(2), 6, BruteForceOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +43,7 @@ func TestConstraintForbiddingAlternationLowersJSR(t *testing.T) {
 		Nodes: []int{0, 1},
 		Next:  [][]int{{0}, {1}},
 	}
-	b, err := ConstrainedBounds(set, frozen, 10)
+	b, err := ConstrainedBoundsCtx(context.Background(), set, frozen, 10, BruteForceOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +126,7 @@ func TestWeaklyHardInterpolatesBetweenExtremes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := ConstrainedBounds(set, g, 8)
+		b, err := ConstrainedBoundsCtx(context.Background(), set, g, 8, BruteForceOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -154,18 +155,68 @@ func TestWeaklyHardInterpolatesBetweenExtremes(t *testing.T) {
 
 func TestConstrainedBoundsValidation(t *testing.T) {
 	set := []*mat.Dense{mat.Eye(2)}
-	if _, err := ConstrainedBounds(nil, CompleteGraph(1), 3); err == nil {
+	if _, err := ConstrainedBoundsCtx(context.Background(), nil, CompleteGraph(1), 3, BruteForceOptions{}); err == nil {
 		t.Fatal("empty set accepted")
 	}
-	if _, err := ConstrainedBounds(set, &Graph{}, 3); err == nil {
+	if _, err := ConstrainedBoundsCtx(context.Background(), set, &Graph{}, 3, BruteForceOptions{}); err == nil {
 		t.Fatal("empty graph accepted")
 	}
-	if _, err := ConstrainedBounds(set, CompleteGraph(1), 0); err == nil {
+	if _, err := ConstrainedBoundsCtx(context.Background(), set, CompleteGraph(1), 0, BruteForceOptions{}); err == nil {
 		t.Fatal("maxLen 0 accepted")
 	}
 	bad := &Graph{Nodes: []int{5}, Next: [][]int{{0}}}
-	if _, err := ConstrainedBounds(set, bad, 3); err == nil {
+	if _, err := ConstrainedBoundsCtx(context.Background(), set, bad, 3, BruteForceOptions{}); err == nil {
 		t.Fatal("out-of-range label accepted")
+	}
+}
+
+// countWalks returns the number of walks of g of length 1..maxLen: the
+// products a constrained Eq. 12 sweep to maxLen visits.
+func countWalks(g *Graph, maxLen int) int {
+	ends := make([]int, len(g.Nodes)) // walks of the current length ending at each node
+	for i := range ends {
+		ends[i] = 1
+	}
+	total := 0
+	for l := 1; l <= maxLen; l++ {
+		next := make([]int, len(g.Nodes))
+		for i, c := range ends {
+			total += c
+			for _, j := range g.Next[i] {
+				next[j] += c
+			}
+		}
+		ends = next
+	}
+	return total
+}
+
+// TestConstrainedBoundsMemoryFlatInWalks checks that the constrained
+// sweep streams its walks: lengthening it from 12 to 16 on the (3, 6)
+// weakly-hard graph visits ten times as many walks, and the extra walks
+// must cost less than one allocated byte each. A sweep that stores a
+// level allocates at least a product per walk.
+func TestConstrainedBoundsMemoryFlatInWalks(t *testing.T) {
+	set := pmsmLikeSet()
+	g, err := WeaklyHardGraph(3, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocated := func(maxLen int) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := ConstrainedBoundsCtx(context.Background(), set, g, maxLen, BruteForceOptions{Workers: 1}); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	const short, long = 12, 16
+	bShort, bLong := allocated(short), allocated(long)
+	extraWalks := countWalks(g, long) - countWalks(g, short)
+	if bLong > bShort && bLong-bShort >= uint64(extraWalks) {
+		t.Fatalf("length %d allocates %d B, length %d allocates %d B: %d extra walks cost %.1f B each, want below 1",
+			short, bShort, long, bLong, extraWalks, float64(bLong-bShort)/float64(extraWalks))
 	}
 }
 
@@ -178,7 +229,7 @@ func TestConstrainedGripenbergMatchesBruteForce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bf, err := ConstrainedBounds(set, g, 9)
+	bf, err := ConstrainedBoundsCtx(context.Background(), set, g, 9, BruteForceOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +281,15 @@ func TestConstrainedGripenbergValidation(t *testing.T) {
 // engine's merge and budget semantics exactly.
 func refConstrainedGripenberg(t *testing.T, set []*mat.Dense, g *Graph, delta float64, maxDepth, maxNodes int) Bounds {
 	t.Helper()
-	frMax := func(fr []cgripNode) float64 {
+	// refCNode is a live walk: it ends at graph node at and started at
+	// start.
+	type refCNode struct {
+		at, start int
+		prod      *mat.Dense
+		word      []int
+		cert      float64
+	}
+	frMax := func(fr []refCNode) float64 {
 		m := 0.0
 		for _, nd := range fr {
 			m = math.Max(m, nd.cert)
@@ -239,7 +298,7 @@ func refConstrainedGripenberg(t *testing.T, set []*mat.Dense, g *Graph, delta fl
 	}
 	lower := 0.0
 	var witness []int
-	var frontier []cgripNode
+	var frontier []refCNode
 	for i, lbl := range g.Nodes {
 		p := set[lbl]
 		if closes(g, i, i) {
@@ -251,11 +310,11 @@ func refConstrainedGripenberg(t *testing.T, set []*mat.Dense, g *Graph, delta fl
 				lower, witness = rho, []int{lbl}
 			}
 		}
-		frontier = append(frontier, cgripNode{at: i, start: i, prod: p, word: []int{lbl}, cert: mat.TwoNorm(p)})
+		frontier = append(frontier, refCNode{at: i, start: i, prod: p, word: []int{lbl}, cert: mat.TwoNorm(p)})
 	}
 	depth, nodes := 1, len(frontier)
 	for len(frontier) > 0 && depth < maxDepth {
-		var kept []cgripNode
+		var kept []refCNode
 		for _, nd := range frontier {
 			if nd.cert > lower+delta {
 				kept = append(kept, nd)
@@ -276,7 +335,7 @@ func refConstrainedGripenberg(t *testing.T, set []*mat.Dense, g *Graph, delta fl
 		depth++
 		exp := 1 / float64(depth)
 		type refChild struct {
-			node      cgripNode
+			node      refCNode
 			rho       float64
 			cyc       bool
 			parentIdx int
@@ -285,7 +344,7 @@ func refConstrainedGripenberg(t *testing.T, set []*mat.Dense, g *Graph, delta fl
 		for fi, nd := range frontier[:expand] {
 			for _, nxt := range g.Next[nd.at] {
 				p := mat.Mul(set[g.Nodes[nxt]], nd.prod)
-				c := refChild{parentIdx: fi, node: cgripNode{
+				c := refChild{parentIdx: fi, node: refCNode{
 					at: nxt, start: nd.start, prod: p,
 					word: childWord(nd.word, g.Nodes[nxt]),
 					cert: math.Min(nd.cert, math.Pow(mat.TwoNorm(p), exp)),
@@ -306,7 +365,7 @@ func refConstrainedGripenberg(t *testing.T, set []*mat.Dense, g *Graph, delta fl
 				lower, witness = lb, c.node.word
 			}
 		}
-		var next []cgripNode
+		var next []refCNode
 		for _, c := range children {
 			if c.node.cert > lower+delta {
 				next = append(next, c.node)

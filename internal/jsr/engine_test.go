@@ -248,46 +248,54 @@ func TestEngineMatchesReferenceByteForByte(t *testing.T) {
 	}
 }
 
-// refBruteForce is a deliberately naive Eq. 12 sandwich: breadth-first
-// levels of fresh mat.Mul products, a fresh mat.SpectralRadius and
-// mat.TwoNorm for every product, nothing skipped, no workers. Within a
-// level the first maximizer in lexicographic word order is the witness.
-func refBruteForce(t *testing.T, set []*mat.Dense, maxLen int) Bounds {
+// refBruteForce is a deliberately naive Eq. 12 sandwich over the walks
+// of g: breadth-first levels of fresh mat.Mul products, a fresh
+// mat.TwoNorm for every product and a fresh mat.SpectralRadius for every
+// walk that closes back to its start, nothing skipped, no workers.
+// Within a level the first walk, in walk order, with the largest ρ is
+// the witness; across levels the shortest one with the largest rate.
+func refBruteForce(t *testing.T, set []*mat.Dense, g *Graph, maxLen int) Bounds {
 	t.Helper()
-	level := append([]*mat.Dense(nil), set...)
-	words := make([][]int, len(set))
-	for i := range set {
-		words[i] = []int{i}
+	type walk struct {
+		prod      *mat.Dense
+		word      []int
+		at, start int
+	}
+	var level []walk
+	for i, lbl := range g.Nodes {
+		level = append(level, walk{prod: set[lbl], word: []int{lbl}, at: i, start: i})
 	}
 	lower, upper := 0.0, math.Inf(1)
 	var witness []int
 	for l := 1; l <= maxLen; l++ {
 		bestRho, maxNorm := 0.0, 0.0
 		var bestWord []int
-		for pi, p := range level {
-			rho, err := mat.SpectralRadius(p)
+		for _, w := range level {
+			maxNorm = math.Max(maxNorm, mat.TwoNorm(w.prod))
+			if !closes(g, w.at, w.start) {
+				continue
+			}
+			rho, err := mat.SpectralRadius(w.prod)
 			if err != nil {
-				t.Fatalf("rho of %v: %v", words[pi], err)
+				t.Fatalf("rho of %v: %v", w.word, err)
 			}
 			if rho > bestRho {
-				bestRho, bestWord = rho, words[pi]
+				bestRho, bestWord = rho, w.word
 			}
-			maxNorm = math.Max(maxNorm, mat.TwoNorm(p))
 		}
 		exp := 1 / float64(l)
 		if lb := math.Pow(bestRho, exp); lb > lower {
 			lower, witness = lb, bestWord
 		}
 		upper = math.Min(upper, math.Pow(maxNorm, exp))
-		var next []*mat.Dense
-		var nextWords [][]int
-		for pi, p := range level {
-			for ai, a := range set {
-				next = append(next, mat.Mul(a, p))
-				nextWords = append(nextWords, childWord(words[pi], ai))
+		var next []walk
+		for _, w := range level {
+			for _, nxt := range g.Next[w.at] {
+				lbl := g.Nodes[nxt]
+				next = append(next, walk{prod: mat.Mul(set[lbl], w.prod), word: childWord(w.word, lbl), at: nxt, start: w.start})
 			}
 		}
-		level, words = next, nextWords
+		level = next
 	}
 	if upper < lower {
 		upper = lower
@@ -311,7 +319,8 @@ func TestBruteForceMatchesReferenceByteForByte(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			want := refBruteForce(t, tc.set, tc.maxLen)
+			complete := CompleteGraph(len(tc.set))
+			want := refBruteForce(t, tc.set, complete, tc.maxLen)
 			for _, w := range workerSweep() {
 				got, err := BruteForceBoundsCtx(context.Background(), tc.set, tc.maxLen, BruteForceOptions{Workers: w})
 				if err != nil {
@@ -320,15 +329,57 @@ func TestBruteForceMatchesReferenceByteForByte(t *testing.T) {
 				if !sameBounds(got, want) {
 					t.Fatalf("w=%d: engine %+v != reference %+v", w, got, want)
 				}
+				// On the complete graph every walk closes and the levels
+				// hold the same products in the same order.
+				con, err := ConstrainedBoundsCtx(context.Background(), tc.set, complete, tc.maxLen, BruteForceOptions{Workers: w})
+				if err != nil {
+					t.Fatalf("w=%d constrained: %v", w, err)
+				}
+				if !sameBounds(con, want) {
+					t.Fatalf("w=%d: constrained engine %+v != reference %+v", w, con, want)
+				}
 			}
-			// On the complete graph every walk closes and the levels hold
-			// the same products in the same order.
-			con, err := ConstrainedBounds(tc.set, CompleteGraph(len(tc.set)), tc.maxLen)
+		})
+	}
+}
+
+// TestConstrainedBoundsMatchesReferenceByteForByte pins the constrained
+// Eq. 12 sweep, gates and all, to the naive reference on weakly-hard
+// graphs at every worker count: the sets of
+// TestConstrainedEngineMatchesReferenceByteForByte, and the two tie
+// families, whose all-zero walks close and tie across levels.
+func TestConstrainedBoundsMatchesReferenceByteForByte(t *testing.T) {
+	cases := []struct {
+		name   string
+		set    []*mat.Dense
+		m, k   int
+		maxLen int
+	}{
+		{"pmsm-1of3", pmsmLikeSet(), 1, 3, 12},
+		{"pmsm-2of5", pmsmLikeSet(), 2, 5, 10},
+		{"golden-1of3", goldenPair(), 1, 3, 12},
+		{"nonnormal-2of4", nonNormalPair(), 2, 4, 10},
+		{"normal-1of2", normalBoundarySet(1e-15), 1, 2, 12},
+		{"rank-one-2of4", rankOneBoundarySet(1e-15), 2, 4, 10},
+		{"dominant-1of3", dominantBoundarySet(1e-15), 1, 3, 12},
+		{"tie-level1-1of3", levelTieSet(), 1, 3, 5},
+		{"tie-level2-1of2", pairTieSet(), 1, 2, 6},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			g, err := WeaklyHardGraph(tc.m, tc.k)
 			if err != nil {
-				t.Fatalf("constrained: %v", err)
+				t.Fatal(err)
 			}
-			if !sameBounds(con, want) {
-				t.Fatalf("constrained engine %+v != reference %+v", con, want)
+			want := refBruteForce(t, tc.set, g, tc.maxLen)
+			for _, w := range workerSweep() {
+				got, err := ConstrainedBoundsCtx(context.Background(), tc.set, g, tc.maxLen, BruteForceOptions{Workers: w})
+				if err != nil {
+					t.Fatalf("w=%d: %v", w, err)
+				}
+				if !sameBounds(got, want) {
+					t.Fatalf("w=%d: engine %+v != reference %+v", w, got, want)
+				}
 			}
 		})
 	}
@@ -389,7 +440,7 @@ func TestTieSetsTieExactly(t *testing.T) {
 		maxLen  int
 		witness []int
 	}{"level1": {lt, 5, []int{0}}, "level2": {pt, 6, []int{0, 1}}} {
-		if got := refBruteForce(t, tc.set, tc.maxLen).WitnessWord; !slices.Equal(got, tc.witness) {
+		if got := refBruteForce(t, tc.set, CompleteGraph(len(tc.set)), tc.maxLen).WitnessWord; !slices.Equal(got, tc.witness) {
 			t.Fatalf("%s: reference witness %v, want %v", name, got, tc.witness)
 		}
 	}
@@ -445,7 +496,7 @@ func TestBruteForceMatchesReferenceRandomized(t *testing.T) {
 		} else {
 			set = benchExpandSet(n, k, rng.Int63())
 		}
-		want := refBruteForce(t, set, maxLen)
+		want := refBruteForce(t, set, CompleteGraph(k), maxLen)
 		for _, w := range []int{1, 2, 3, 5} {
 			got, err := BruteForceBoundsCtx(context.Background(), set, maxLen, BruteForceOptions{Workers: w})
 			if err != nil {
@@ -604,31 +655,44 @@ func TestResumeEllipsoidMismatchRejected(t *testing.T) {
 
 func TestExpandLevelZeroAllocsWarm(t *testing.T) {
 	set := pmsmLikeSet()
-	frontier, seedLower, _, err := seedFrontier(set, set)
+	weaklyHard, err := WeaklyHardGraph(2, 5)
 	if err != nil {
-		t.Fatalf("seed: %v", err)
+		t.Fatal(err)
 	}
-	g := newGripSearch(set, 1)
-	ctx := context.Background()
-	inf := math.Inf(-1)
-	// Warm both parity pools and the slot-0 scratch.
-	for _, depth := range []int{2, 3} {
-		if _, err := g.expandLevel(ctx, frontier, len(frontier), depth, 1, inf, inf); err != nil {
-			t.Fatalf("warmup depth %d: %v", depth, err)
-		}
-	}
-	// -Inf solves every child and computes every norm; the seed lower
-	// bound and its prune threshold run both gates, including the
-	// Gelfand product in the scratch's square buffer.
-	for _, lp := range [][2]float64{{inf, inf}, {seedLower, seedLower + 1e-3}} {
-		allocs := testing.AllocsPerRun(50, func() {
-			if _, err := g.expandLevel(ctx, frontier, len(frontier), 2, 1, lp[0], lp[1]); err != nil {
-				panic(err)
+	// On a weakly-hard graph the out-degrees differ and some children's
+	// walks cannot close; a warm level still allocates nothing.
+	for _, tc := range []struct {
+		name string
+		g    *Graph
+	}{{"complete", CompleteGraph(len(set))}, {"weakly-hard-2of5", weaklyHard}} {
+		t.Run(tc.name, func(t *testing.T) {
+			frontier, seedLower, _, err := seedFrontier(set, set, tc.g)
+			if err != nil {
+				t.Fatalf("seed: %v", err)
+			}
+			s := newGripSearch(set, tc.g, 1)
+			ctx := context.Background()
+			inf := math.Inf(-1)
+			// Warm both parity pools and the slot-0 scratch.
+			for _, depth := range []int{2, 3} {
+				if _, err := s.expandLevel(ctx, frontier, len(frontier), depth, 1, inf, inf); err != nil {
+					t.Fatalf("warmup depth %d: %v", depth, err)
+				}
+			}
+			// -Inf solves every closing child and computes every norm; the
+			// seed lower bound and its prune threshold run both gates,
+			// including the Gelfand product in the scratch's square buffer.
+			for _, lp := range [][2]float64{{inf, inf}, {seedLower, seedLower + 1e-3}} {
+				allocs := testing.AllocsPerRun(50, func() {
+					if _, err := s.expandLevel(ctx, frontier, len(frontier), 2, 1, lp[0], lp[1]); err != nil {
+						panic(err)
+					}
+				})
+				if allocs != 0 {
+					t.Errorf("lower=%v prune=%v: warm expandLevel allocates %.1f per level, want 0", lp[0], lp[1], allocs)
+				}
 			}
 		})
-		if allocs != 0 {
-			t.Errorf("lower=%v prune=%v: warm expandLevel allocates %.1f per level, want 0", lp[0], lp[1], allocs)
-		}
 	}
 }
 
@@ -671,12 +735,13 @@ const pmsmGateDepth = 5
 // alone, below the parent's certificate.
 func checkExpandGates(t *testing.T, work, raw []*mat.Dense, depth int, boundBranch bool) {
 	t.Helper()
-	frontier, _, _, err := seedFrontier(work, raw)
+	k := len(work)
+	complete := CompleteGraph(k)
+	frontier, _, _, err := seedFrontier(work, raw, complete)
 	if err != nil {
 		t.Fatalf("seed: %v", err)
 	}
-	k := len(work)
-	g := newGripSearch(work, 1)
+	g := newGripSearch(work, complete, 1)
 	ms := mat.NewScratch(work[0].Rows())
 	ctx := context.Background()
 	inf := math.Inf(1)
@@ -772,19 +837,24 @@ func checkExpandGates(t *testing.T, work, raw []*mat.Dense, depth int, boundBran
 // cloneChildren expands every node of frontier at depth with both gates
 // off and returns all children as the next frontier, with products
 // copied out of the search's pools.
-func cloneChildren(t testing.TB, g *gripSearch, frontier []gripNode, depth int) []gripNode {
+func cloneChildren(t testing.TB, s *gripSearch, frontier []gripNode, depth int) []gripNode {
 	t.Helper()
-	k := len(g.set)
-	children, err := g.expandLevel(context.Background(), frontier, len(frontier), depth, 1, math.Inf(-1), math.Inf(-1))
+	children, err := s.expandLevel(context.Background(), frontier, len(frontier), depth, 1, math.Inf(-1), math.Inf(-1))
 	if err != nil {
 		t.Fatalf("build depth %d: %v", depth, err)
 	}
 	next := make([]gripNode, len(children))
-	for ci := range children {
+	fi := 0
+	for ci, c := range children {
+		for s.offs[fi+1] <= ci {
+			fi++
+		}
 		next[ci] = gripNode{
-			prod: children[ci].prod.Clone(),
-			word: childWord(frontier[ci/k].word, ci%k),
-			cert: children[ci].cert,
+			prod:  c.prod.Clone(),
+			word:  childWord(frontier[fi].word, s.g.Nodes[c.at]),
+			at:    c.at,
+			start: frontier[fi].start,
+			cert:  c.cert,
 		}
 	}
 	return next
@@ -839,7 +909,8 @@ func benchmarkExpand(b *testing.B, n int, gated bool) {
 	set := benchExpandSet(n, 4, 42)
 	// Build a depth-3 frontier outside the pools so expansion never
 	// clobbers its own parents across benchmark iterations.
-	frontier, seedLower, _, err := seedFrontier(set, set)
+	complete := CompleteGraph(len(set))
+	frontier, seedLower, _, err := seedFrontier(set, set, complete)
 	if err != nil {
 		b.Fatalf("seed: %v", err)
 	}
@@ -847,7 +918,7 @@ func benchmarkExpand(b *testing.B, n int, gated bool) {
 	if gated {
 		lower, prune = seedLower, seedLower+1e-3
 	}
-	g := newGripSearch(set, 1)
+	g := newGripSearch(set, complete, 1)
 	ctx := context.Background()
 	for depth := 2; depth <= 3; depth++ {
 		frontier = cloneChildren(b, g, frontier, depth)

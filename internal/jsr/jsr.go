@@ -21,6 +21,13 @@
 //     when the frontier drains (G. Gripenberg, "Computing the joint
 //     spectral radius", 1996).
 //
+// Both run over the walks of a switching graph (Graph): the
+// unconstrained set is the complete graph (CompleteGraph), and
+// ConstrainedBoundsCtx and ConstrainedGripenbergCtx run the same two
+// engines on a caller's graph, such as the weakly-hard automaton of
+// WeaklyHardGraph. Only closed walks, which may repeat forever, bound
+// the JSR from below.
+//
 // Both return certified bounds, not estimates: the upper bounds are
 // valid regardless of truncation depth. Both are parallel: independent
 // subtrees of the product tree are sharded across a worker pool, and
@@ -364,22 +371,24 @@ func (a *bruteAcc) raise(l int, rho float64) {
 	}
 }
 
-// fold folds one level-l product into the accumulator. A product whose
-// bounds cannot matter is folded with rho = 0 (no eigenvalue solve) or
-// nv = 0 (no power iteration): its ρ bound cannot beat the level's
-// running maximum, or its rate cannot beat a shorter level's, or its
-// norm bound cannot beat the running norm maximum. levelBest.fold keeps
-// strictly greater candidates only, so a skipped product would not have
-// won with its true value either, or it would have won only a level
-// that bruteFinalize passes over. The scratch kernels are bit-identical
-// to the allocating ones.
-func (a *bruteAcc) fold(l int, p *mat.Dense, word []int, ms *mat.Scratch) error {
+// fold folds one level-l product into the accumulator; closed reports
+// whether its walk closes back to its start. A product whose bounds
+// cannot matter is folded with rho = 0 (no eigenvalue solve) or nv = 0
+// (no power iteration): its walk is open, so repeating it is not
+// admissible, or its ρ bound cannot beat the level's running maximum,
+// or its rate cannot beat a shorter level's, or its norm bound cannot
+// beat the running norm maximum. levelBest.fold keeps strictly greater
+// candidates only, so a skipped product would not have won with its
+// true value either, or it would have won only a level that
+// bruteFinalize passes over. The scratch kernels are bit-identical to
+// the allocating ones.
+func (a *bruteAcc) fold(l int, p *mat.Dense, word []int, closed bool, ms *mat.Scratch) error {
 	lb := &a.best[l]
 	nb := mat.NormBoundsScratch(p, ms)
 	// gatedRadius's two bounds, each tried against both gates.
 	rho := 0.0
 	same, shorter := newRateGate(lb.rho, 1), a.gate[l]
-	if same.above(nb.Radius) && shorter.above(nb.Radius) {
+	if closed && same.above(nb.Radius) && shorter.above(nb.Radius) {
 		if sq := mat.SquareRadiusBoundScratch(p, nb, ms); same.above(sq) && shorter.above(sq) {
 			var err error
 			if rho, err = mat.SpectralRadiusScratch(p, ms); err != nil {
@@ -398,32 +407,12 @@ func (a *bruteAcc) fold(l int, p *mat.Dense, word []int, ms *mat.Scratch) error 
 	return nil
 }
 
-// foldLevel folds one fully materialized breadth-first level l into the
-// accumulator, in enumeration order.
-func (a *bruteAcc) foldLevel(l int, level []*mat.Dense, words [][]int, ms *mat.Scratch) error {
-	for pi, p := range level {
-		if err := a.fold(l, p, words[pi], ms); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// expandLevel materializes the next breadth-first level in
-// lexicographic word order.
-func expandLevel(set []*mat.Dense, level []*mat.Dense, words [][]int) ([]*mat.Dense, [][]int) {
-	next := make([]*mat.Dense, 0, len(level)*len(set))
-	nextWords := make([][]int, 0, len(level)*len(set))
-	for pi, p := range level {
-		for ai, a := range set {
-			next = append(next, mat.Mul(a, p))
-			w := make([]int, len(words[pi])+1)
-			copy(w, words[pi])
-			w[len(w)-1] = ai
-			nextWords = append(nextWords, w)
-		}
-	}
-	return next, nextWords
+// bruteWalk is a shallow-phase walk of the switching graph: its
+// product and label word, and the graph nodes where it starts and ends.
+type bruteWalk struct {
+	prod      *mat.Dense
+	word      []int
+	at, start int
 }
 
 // bruteFinalize assembles the Eq. 12 sandwich from the accumulators of
@@ -467,54 +456,71 @@ func BruteForceBoundsCtx(ctx context.Context, set []*mat.Dense, maxLen int, opt 
 	if _, err := validateSet(set); err != nil {
 		return Bounds{}, err
 	}
+	return bruteForce(ctx, set, CompleteGraph(len(set)), maxLen, opt)
+}
+
+// bruteForce is the Eq. 12 enumerator behind BruteForceBoundsCtx and
+// ConstrainedBoundsCtx, over the walks of g of length 1..maxLen in walk
+// order: by start node, then successor by successor in g.Next order. On
+// the complete graph that is lexicographic word order. Every walk's
+// norm bounds Upper; only walks that close back to their start bound
+// Lower. set and g are validated by the caller.
+func bruteForce(ctx context.Context, set []*mat.Dense, g *Graph, maxLen int, opt BruteForceOptions) (Bounds, error) {
 	if maxLen < 1 {
 		return Bounds{}, fmt.Errorf("jsr: maxLen must be ≥ 1, got %d", maxLen)
 	}
 	workers := resolveWorkers(opt.Workers)
-	k := len(set)
-
-	// splitDepth is where breadth-first seeding stops and depth-first
-	// streaming starts. The value depends on the worker count, but the
-	// result does not: every word's product is assembled by the same
-	// left-multiplication chain and every level is visited in the same
-	// lexicographic order in either phase.
-	splitDepth := 1
-	for pow := k; splitDepth < maxLen && pow < 4*workers && pow*k <= bruteChunkCap; splitDepth++ {
-		pow *= k
-	}
-
 	acc := newBruteAcc(maxLen)
 	n := set[0].Rows()
 
-	// Shallow phase: levels 1..splitDepth, breadth-first in
-	// lexicographic word order; the last level seeds the chunks.
+	// Shallow phase: breadth-first levels in walk order, up to the split
+	// depth, where depth-first streaming starts: the first level that
+	// reaches maxLen, holds 4·workers walks, or whose next level would
+	// exceed bruteChunkCap. The last level seeds the chunks. The split
+	// depends on the worker count, but the result does not: every walk's
+	// product is assembled by the same left-multiplication chain and
+	// every level is visited in the same walk order in either phase.
 	ms := mat.NewScratch(n)
-	level := make([]*mat.Dense, k)
-	words := make([][]int, k)
-	for i := range set {
-		level[i] = set[i]
-		words[i] = []int{i}
+	level := make([]bruteWalk, len(g.Nodes))
+	for i, lbl := range g.Nodes {
+		level[i] = bruteWalk{prod: set[lbl], word: []int{lbl}, at: i, start: i}
 	}
-	for l := 1; ; l++ {
+	splitDepth := 1
+	for ; ; splitDepth++ {
 		if err := ctx.Err(); err != nil {
-			return bruteFinalize(acc.best, l-1), deadlineErr(ctx, err)
+			return bruteFinalize(acc.best, splitDepth-1), deadlineErr(ctx, err)
 		}
-		if err := acc.foldLevel(l, level, words, ms); err != nil {
-			return Bounds{}, err
+		for _, w := range level {
+			if err := acc.fold(splitDepth, w.prod, w.word, closes(g, w.at, w.start), ms); err != nil {
+				return Bounds{}, err
+			}
 		}
-		if l == splitDepth || l == maxLen {
+		if splitDepth == maxLen || len(level) >= 4*workers {
 			break
 		}
-		level, words = expandLevel(set, level, words)
+		size := 0
+		for _, w := range level {
+			size += len(g.Next[w.at])
+		}
+		if size > bruteChunkCap {
+			break
+		}
+		next := make([]bruteWalk, 0, size)
+		for _, w := range level {
+			for _, nxt := range g.Next[w.at] {
+				lbl := g.Nodes[nxt]
+				next = append(next, bruteWalk{prod: mat.Mul(set[lbl], w.prod), word: childWord(w.word, lbl), at: nxt, start: w.start})
+			}
+		}
+		level = next
 	}
 
 	// Deep phase: each worker slot streams its contiguous range of chunks
 	// depth-first, in order, into one accumulator forked from the shallow
 	// one and carried across its chunks, so its running maxima and
 	// shorter-level gates keep what earlier chunks found. The slots merge
-	// in range order, so the per-level "first maximizer" is the
-	// lexicographically first one, exactly as a sequential sweep would
-	// pick it.
+	// in range order, so the per-level "first maximizer" is the first one
+	// in walk order, exactly as a sequential sweep would pick it.
 	if splitDepth < maxLen {
 		parts := make([][]levelBest, workers)
 		err := parallelSlots(ctx, len(level), workers, func(ctx context.Context, slot, lo, hi int) error {
@@ -533,20 +539,21 @@ func BruteForceBoundsCtx(ctx context.Context, set []*mat.Dense, maxLen int, opt 
 			}
 			path := make([]int, maxLen)
 			part := acc.fork()
-			var dfs func(prod *mat.Dense, length int) error
-			dfs = func(prod *mat.Dense, length int) error {
-				for ai := 0; ai < k; ai++ {
+			var dfs func(prod *mat.Dense, length, at, start int) error
+			dfs = func(prod *mat.Dense, length, at, start int) error {
+				for _, nxt := range g.Next[at] {
 					if err := ctx.Err(); err != nil {
 						return err
 					}
 					p := prods[length+1]
-					mat.MulInto(p, set[ai], prod)
-					path[length] = ai
-					if err := part.fold(length+1, p, path[:length+1], ms); err != nil {
+					lbl := g.Nodes[nxt]
+					mat.MulInto(p, set[lbl], prod)
+					path[length] = lbl
+					if err := part.fold(length+1, p, path[:length+1], closes(g, nxt, start), ms); err != nil {
 						return err
 					}
 					if length+1 < maxLen {
-						if err := dfs(p, length+1); err != nil {
+						if err := dfs(p, length+1, nxt, start); err != nil {
 							return err
 						}
 					}
@@ -557,9 +564,10 @@ func BruteForceBoundsCtx(ctx context.Context, set []*mat.Dense, maxLen int, opt 
 				if err := ctx.Err(); err != nil {
 					return err
 				}
-				copy(path, words[ci])
-				if err := expandGuard(words[ci], func() error {
-					return dfs(level[ci], splitDepth)
+				w := level[ci]
+				copy(path, w.word)
+				if err := expandGuard(w.word, func() error {
+					return dfs(w.prod, splitDepth, w.at, w.start)
 				}); err != nil {
 					return err
 				}
@@ -674,9 +682,13 @@ type GripenbergState struct {
 	Ellipsoid bool
 }
 
+// gripNode is a live branch: a walk of the switching graph that
+// started at graph node start and ends at at, with its product and
+// label word.
 type gripNode struct {
-	prod *mat.Dense
-	word []int
+	prod      *mat.Dense
+	word      []int
+	at, start int
 	// cert is the branch certificate min over prefixes of ‖P‖^{1/len}:
 	// every infinite continuation of this word has asymptotic growth
 	// rate at most cert, so a branch with cert ≤ lower+δ cannot raise
@@ -685,12 +697,14 @@ type gripNode struct {
 }
 
 // gripChild is one freshly expanded product of a level-synchronous
-// expansion pass; the word is reconstructed from the child index during
-// the merge, so workers never allocate it.
+// expansion pass, ending at graph node at; the word is reconstructed
+// from the parent and at's label during the merge, so workers never
+// allocate it.
 type gripChild struct {
 	prod *mat.Dense
 	rho  float64
 	cert float64
+	at   int
 }
 
 func frontierMax(fr []gripNode) float64 {
@@ -718,27 +732,31 @@ func cutBounds(lower, delta float64, witness []int, frontier []gripNode) Bounds 
 	return Bounds{Lower: lower, Upper: math.Max(lower+delta, frontierMax(frontier)), WitnessWord: witness}
 }
 
-// seedFrontier builds the depth-1 frontier of singleton products and
-// the initial lower bound, lowest index winning ties. The frontier
-// (products and norm certificates) is built from work — the searched,
-// possibly preconditioned set — while the lower-bound spectral radii
-// are taken from raw, the caller's matrices, so the reported Lower is
-// always a rate attained on the caller's set. For unpreconditioned
-// searches work and raw are the same slice.
-func seedFrontier(work, raw []*mat.Dense) ([]gripNode, float64, []int, error) {
+// seedFrontier builds the depth-1 frontier of one-node walks, one per
+// graph node, and the initial lower bound from the nodes with a self
+// loop, lowest index winning ties. The frontier (products and norm
+// certificates) is built from work — the searched, possibly
+// preconditioned set — while the lower-bound spectral radii are taken
+// from raw, the caller's matrices, so the reported Lower is always a
+// rate attained on the caller's set. For unpreconditioned searches work
+// and raw are the same slice.
+func seedFrontier(work, raw []*mat.Dense, g *Graph) ([]gripNode, float64, []int, error) {
 	lower := 0.0
 	var witness []int
-	frontier := make([]gripNode, 0, len(work))
-	for i, a := range work {
-		rho, err := mat.SpectralRadius(raw[i])
-		if err != nil {
-			return nil, 0, nil, err
+	frontier := make([]gripNode, 0, len(g.Nodes))
+	for i, lbl := range g.Nodes {
+		if closes(g, i, i) {
+			rho, err := mat.SpectralRadius(raw[lbl])
+			if err != nil {
+				return nil, 0, nil, err
+			}
+			if rho > lower {
+				lower = rho
+				witness = []int{lbl}
+			}
 		}
-		if rho > lower {
-			lower = rho
-			witness = []int{i}
-		}
-		frontier = append(frontier, gripNode{prod: a, word: []int{i}, cert: norm(a)})
+		a := work[lbl]
+		frontier = append(frontier, gripNode{prod: a, word: []int{lbl}, at: i, start: i, cert: norm(a)})
 	}
 	return frontier, lower, witness, nil
 }
@@ -761,7 +779,9 @@ func captureGripState(k, depth, nodes int, lower float64, witness []int, frontie
 // node's product is the same left-multiplication chain and each
 // certificate the same incremental min/pow fold the original expansion
 // performed, so the rebuilt frontier is bit-identical to the one that
-// was snapshotted.
+// was snapshotted. Snapshots come from the complete graph only, whose
+// node i carries label i, so a word's walk starts at its first label
+// and ends at its last.
 func rebuildFrontier(set []*mat.Dense, st *GripenbergState) ([]gripNode, error) {
 	if st.K != len(set) {
 		return nil, fmt.Errorf("jsr: resume state is for %d matrices, set has %d", st.K, len(set))
@@ -785,7 +805,7 @@ func rebuildFrontier(set []*mat.Dense, st *GripenbergState) ([]gripNode, error) 
 			prod = mat.Mul(set[ai], prod)
 			cert = math.Min(cert, math.Pow(norm(prod), 1/float64(l+2)))
 		}
-		frontier[i] = gripNode{prod: prod, word: append([]int(nil), word...), cert: cert}
+		frontier[i] = gripNode{prod: prod, word: append([]int(nil), word...), at: word[len(word)-1], start: word[0], cert: cert}
 	}
 	return frontier, nil
 }
@@ -793,15 +813,23 @@ func rebuildFrontier(set []*mat.Dense, st *GripenbergState) ([]gripNode, error) 
 // mergeSurvivors keeps the children whose certificates survive the
 // final per-level lower bound (at least as strong as the sequential
 // running prune, and worker-count independent), materializing their
-// words.
-func mergeSurvivors(frontier []gripNode, children []gripChild, k int, bound float64) []gripNode {
+// words. offs is the children's layout (gripSearch.offs); the parent
+// cursor fi advances with it.
+func mergeSurvivors(frontier []gripNode, children []gripChild, offs []int, g *Graph, bound float64) []gripNode {
 	next := make([]gripNode, 0, len(children))
+	fi := 0
 	for ci := range children {
+		for offs[fi+1] <= ci {
+			fi++
+		}
 		if c := &children[ci]; c.cert > bound {
+			parent := &frontier[fi]
 			next = append(next, gripNode{
-				prod: c.prod,
-				word: childWord(frontier[ci/k].word, ci%k),
-				cert: c.cert,
+				prod:  c.prod,
+				word:  childWord(parent.word, g.Nodes[c.at]),
+				at:    c.at,
+				start: parent.start,
+				cert:  c.cert,
 			})
 		}
 	}
@@ -832,6 +860,18 @@ func GripenbergCtx(ctx context.Context, set []*mat.Dense, opt GripenbergOptions)
 	if _, err := validateSet(set); err != nil {
 		return Bounds{}, err
 	}
+	return gripenberg(ctx, set, CompleteGraph(len(set)), opt)
+}
+
+// gripenberg is the search behind GripenbergCtx and
+// ConstrainedGripenbergCtx, over the walks of g: each branch is a walk,
+// its children follow the walk's out-edges, and only children whose
+// walk closes back to its start raise the lower bound. On the complete
+// graph every walk closes and every child list is the whole set in
+// index order, which is the unconstrained search. set and g are
+// validated by the caller; Snapshot and Resume assume the complete
+// graph.
+func gripenberg(ctx context.Context, set []*mat.Dense, g *Graph, opt GripenbergOptions) (Bounds, error) {
 	opt, err := opt.withDefaults()
 	if err != nil {
 		return Bounds{}, err
@@ -874,14 +914,14 @@ func GripenbergCtx(ctx context.Context, set []*mat.Dense, opt GripenbergOptions)
 		depth, nodes, lower = opt.Resume.Depth, opt.Resume.Nodes, opt.Resume.Lower
 		witness = append([]int(nil), opt.Resume.Witness...)
 	} else {
-		frontier, lower, witness, err = seedFrontier(work, set)
+		frontier, lower, witness, err = seedFrontier(work, set, g)
 		if err != nil {
 			return Bounds{}, err
 		}
-		depth, nodes = 1, k
+		depth, nodes = 1, len(frontier)
 	}
 
-	g := newGripSearch(work, opt.Workers)
+	s := newGripSearch(work, g, opt.Workers)
 
 	for len(frontier) > 0 && depth < opt.MaxDepth {
 		// The loop top is a level boundary: snapshot it first, so even
@@ -908,12 +948,17 @@ func GripenbergCtx(ctx context.Context, set []*mat.Dense, opt GripenbergOptions)
 			break
 		}
 
-		// Budget: expand whole nodes only, and as many of them as the
-		// remaining budget affords. A partial level still tightens
-		// lower (and the certificates folded below) before ErrBudget.
-		expand := len(frontier)
-		if remaining := opt.MaxNodes - nodes; expand*k > remaining {
-			expand = remaining / k
+		// Budget: expand the longest prefix of whole nodes whose
+		// out-degrees fit the remaining budget. A partial level still
+		// tightens lower (and the certificates folded below) before
+		// ErrBudget.
+		expand, grown := 0, 0
+		for ; expand < len(frontier); expand++ {
+			d := len(g.Next[frontier[expand].at])
+			if grown+d > opt.MaxNodes-nodes {
+				break
+			}
+			grown += d
 		}
 		if expand == 0 {
 			return cutBounds(lower, opt.Delta, witness, frontier), ErrNodeBudget
@@ -921,7 +966,7 @@ func GripenbergCtx(ctx context.Context, set []*mat.Dense, opt GripenbergOptions)
 
 		depth++
 		exp := 1 / float64(depth)
-		children, err := g.expandLevel(ctx, frontier, expand, depth, opt.Workers, lower, lower+opt.Delta)
+		children, err := s.expandLevel(ctx, frontier, expand, depth, opt.Workers, lower, lower+opt.Delta)
 		if err != nil {
 			if isCtxErr(err) {
 				// Mid-level cut: discard the partial level and report
@@ -931,40 +976,41 @@ func GripenbergCtx(ctx context.Context, set []*mat.Dense, opt GripenbergOptions)
 			}
 			return Bounds{}, err
 		}
-		nodes += expand * k
+		nodes += len(children)
 
 		// Merge pass 1: raise the lower bound; the scan order makes the
-		// lowest-index maximizer the witness. Preconditioned searches
-		// replay each improving candidate on the raw set: similarity
-		// preserves spectral radii exactly in real arithmetic but not in
-		// floating point, and Lower must be the rate the witness attains
-		// on the caller's matrices. The replay keeps Lower a running
-		// max, so interrupted brackets stay nested inside finished ones.
-		if ell {
-			for ci := range children {
-				if lb := math.Pow(children[ci].rho, exp); lb > lower {
-					w := childWord(frontier[ci/k].word, ci%k)
-					if r, rerr := WitnessRate(set, w); rerr == nil && r > lower {
-						lower, witness = r, w
-					}
+		// lowest-index maximizer the witness, and the cursor fi tracks
+		// each child's parent. Preconditioned searches replay each
+		// improving candidate on the raw set: similarity preserves
+		// spectral radii exactly in real arithmetic but not in floating
+		// point, and Lower must be the rate the witness attains on the
+		// caller's matrices. The replay keeps Lower a running max, so
+		// interrupted brackets stay nested inside finished ones.
+		bestIdx, bestParent := -1, 0
+		for ci, fi := 0, 0; ci < len(children); ci++ {
+			for s.offs[fi+1] <= ci {
+				fi++
+			}
+			lb := math.Pow(children[ci].rho, exp)
+			if !(lb > lower) {
+				continue
+			}
+			if ell {
+				w := childWord(frontier[fi].word, g.Nodes[children[ci].at])
+				if r, rerr := WitnessRate(set, w); rerr == nil && r > lower {
+					lower, witness = r, w
 				}
+				continue
 			}
-		} else {
-			bestIdx := -1
-			for ci := range children {
-				if lb := math.Pow(children[ci].rho, exp); lb > lower {
-					lower = lb
-					bestIdx = ci
-				}
-			}
-			if bestIdx >= 0 {
-				witness = childWord(frontier[bestIdx/k].word, bestIdx%k)
-			}
+			lower, bestIdx, bestParent = lb, ci, fi
+		}
+		if bestIdx >= 0 {
+			witness = childWord(frontier[bestParent].word, g.Nodes[children[bestIdx].at])
 		}
 
 		// Merge pass 2: keep children that survive the final per-level
 		// lower bound.
-		next := mergeSurvivors(frontier, children, k, lower+opt.Delta)
+		next := mergeSurvivors(frontier, children, s.offs, g, lower+opt.Delta)
 
 		if expand < len(frontier) {
 			// Budget exhausted mid-level: unexpanded nodes stay live, so

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"adaptivertc/internal/checkpoint"
 	"adaptivertc/internal/mat"
@@ -277,6 +278,43 @@ func TestEstimateDeadlineParallel(t *testing.T) {
 	}
 }
 
+// TestConstrainedBoundsDeadline checks ConstrainedBoundsCtx's cut
+// contract on a weakly-hard graph: a context cancelled before the sweep
+// or during it yields errors.Is(ErrDeadline) and the context's cause,
+// with a bracket that contains the uncut sweep's, at one and two
+// workers.
+func TestConstrainedBoundsDeadline(t *testing.T) {
+	set := pmsmLikeSet()
+	g, err := WeaklyHardGraph(3, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// 18 levels: about 900k walks, far longer than the cancel delay.
+	const maxLen = 18
+	full, err := ConstrainedBoundsCtx(context.Background(), set, g, maxLen, BruteForceOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range []int{1, 2} {
+		for _, mid := range []bool{false, true} {
+			ctx, cancel := context.WithCancel(context.Background())
+			if mid {
+				time.AfterFunc(5*time.Millisecond, cancel)
+			} else {
+				cancel()
+			}
+			b, err := ConstrainedBoundsCtx(ctx, set, g, maxLen, BruteForceOptions{Workers: w})
+			cancel()
+			if !errors.Is(err, ErrDeadline) || !errors.Is(err, context.Canceled) {
+				t.Fatalf("w=%d mid=%v: err = %v, want ErrDeadline wrapping context.Canceled", w, mid, err)
+			}
+			if b.Lower > full.Lower || b.Upper < full.Upper {
+				t.Fatalf("w=%d mid=%v: cut bracket %v does not contain the uncut %v", w, mid, b, full)
+			}
+		}
+	}
+}
+
 // TestExpandGuardConvertsPanic pins the panic→error conversion: the
 // offending product word rides along and already-converted panics pass
 // through unchanged.
@@ -385,5 +423,29 @@ func TestGripenbergResumeRejectsMismatchedState(t *testing.T) {
 	ropt.Resume = &badWord
 	if _, err := GripenbergCtx(context.Background(), set, ropt); err == nil {
 		t.Fatal("out-of-range frontier index accepted")
+	}
+}
+
+// TestGripenbergResumeOverBudget resumes a snapshot whose spent node
+// budget already exceeds the resuming run's MaxNodes: the search must
+// stop at once with ErrNodeBudget and the snapshot's bracket, not slice
+// a negative level.
+func TestGripenbergResumeOverBudget(t *testing.T) {
+	set := goldenPair()
+	var last GripenbergState
+	opt := resilienceOpts(1)
+	opt.Snapshot = func(st GripenbergState) error { last = st; return nil }
+	if _, err := GripenbergCtx(context.Background(), set, opt); err != nil && !errors.Is(err, ErrBudget) {
+		t.Fatal(err)
+	}
+	ropt := resilienceOpts(1)
+	ropt.MaxNodes = 1
+	ropt.Resume = &last
+	b, err := GripenbergCtx(context.Background(), set, ropt)
+	if !errors.Is(err, ErrNodeBudget) {
+		t.Fatalf("err = %v, want ErrNodeBudget", err)
+	}
+	if b.Lower != last.Lower || b.Upper < b.Lower {
+		t.Fatalf("bracket %+v, want Lower = the snapshot's %v", b, last.Lower)
 	}
 }

@@ -1,8 +1,9 @@
 #!/bin/sh
 # JSR benchmark snapshot: runs the pinned JSR-path benchmarks (worker
-# sweep, certificate hot path, and the zero-alloc expand kernel) and
-# rewrites BENCH_jsr.json, the committed record of the engine's
-# throughput and allocation behavior.
+# sweep, certificate hot path, the zero-alloc expand kernel, and the
+# weakly-hard analysis, whose constrained searches run on the same
+# engines) and rewrites BENCH_jsr.json, the committed record of the
+# engine's throughput and allocation behavior.
 #
 # Each benchmark runs -count times and the snapshot records the MINIMUM
 # ns/op across runs: the minimum is the least noisy estimator of the
@@ -23,7 +24,7 @@ cd "$(dirname "$0")/.."
 out="${1:-BENCH_jsr.json}"
 benchtime="${BENCHTIME:-5x}"
 count="${COUNT:-3}"
-pattern='^(BenchmarkJSRWorkers|BenchmarkStabilityCertificate|BenchmarkDesignSynthesis|BenchmarkJSRExpand|BenchmarkBruteForcePMSM)$'
+pattern='^(BenchmarkJSRWorkers|BenchmarkStabilityCertificate|BenchmarkDesignSynthesis|BenchmarkJSRExpand|BenchmarkBruteForcePMSM|BenchmarkWeaklyHard)$'
 
 raw="$(go test -run '^$' -bench "$pattern" -benchtime "$benchtime" -count "$count" -benchmem . ./internal/jsr)"
 printf '%s\n' "$raw"
