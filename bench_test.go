@@ -288,7 +288,7 @@ func BenchmarkDrift(b *testing.B) {
 // BenchmarkJitter regenerates the sensor-jitter robustness sweep.
 func BenchmarkJitter(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Jitter([]float64{0, 0.5}, 50, 30, 1); err != nil {
+		if _, err := experiments.Jitter(context.Background(), []float64{0, 0.5}, sim.MonteCarloOptions{Sequences: 50, Jobs: 30, Seed: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -86,7 +86,7 @@ func main() {
 	case "drift":
 		err = runDrift(args)
 	case "jitter":
-		err = runJitter(args)
+		err = runJitter(ctx, args)
 	case "quantize":
 		err = runQuantize(ctx, args)
 	case "observer":
@@ -599,7 +599,7 @@ func runDrift(args []string) error {
 }
 
 // runJitter sweeps sensor-jitter amplitudes on the PMSM design.
-func runJitter(args []string) error {
+func runJitter(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("jitter", flag.ExitOnError)
 	runs := fs.Int("runs", 500, "random runs per amplitude")
 	jobs := fs.Int("jobs", 50, "jobs per run")
@@ -607,7 +607,8 @@ func runJitter(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	rows, err := experiments.Jitter([]float64{0, 0.05, 0.1, 0.2, 0.5, 1.0}, *runs, *jobs, *seed)
+	rows, err := experiments.Jitter(ctx, []float64{0, 0.05, 0.1, 0.2, 0.5, 1.0},
+		sim.MonteCarloOptions{Sequences: *runs, Jobs: *jobs, Seed: *seed})
 	if err != nil {
 		return err
 	}

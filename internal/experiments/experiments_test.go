@@ -5,12 +5,14 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
 
 	"adaptivertc/internal/core"
 	"adaptivertc/internal/jsr"
+	"adaptivertc/internal/sim"
 )
 
 func jsrBounds(lo, hi float64) jsr.Bounds { return jsr.Bounds{Lower: lo, Upper: hi} }
@@ -375,7 +377,7 @@ func TestJitterShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration experiment")
 	}
-	rows, err := Jitter([]float64{0, 0.5}, 100, 40, 1)
+	rows, err := Jitter(context.Background(), []float64{0, 0.5}, sim.MonteCarloOptions{Sequences: 100, Jobs: 40, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -394,6 +396,27 @@ func TestJitterShape(t *testing.T) {
 	}
 	if out := JitterString(rows); !strings.Contains(out, "jitter/Ts") {
 		t.Fatal("rendering")
+	}
+}
+
+// TestJitterWorkerInvariance: every amplitude is one seeded sim.Sweep
+// folded in index order, so the rows are bit-identical for every
+// worker count.
+func TestJitterWorkerInvariance(t *testing.T) {
+	var ref []JitterRow
+	for i, workers := range []int{1, 2, 3} {
+		rows, err := Jitter(context.Background(), []float64{0, 0.5},
+			sim.MonteCarloOptions{Sequences: 30, Jobs: 20, Seed: 4, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			ref = rows
+			continue
+		}
+		if !reflect.DeepEqual(rows, ref) {
+			t.Fatalf("workers=%d diverges from workers=1:\n got %+v\nwant %+v", workers, rows, ref)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -9,6 +10,7 @@ import (
 	"adaptivertc/internal/control"
 	"adaptivertc/internal/core"
 	"adaptivertc/internal/plants"
+	"adaptivertc/internal/sim"
 )
 
 // JitterRow reports closed-loop degradation when the true inter-release
@@ -17,7 +19,7 @@ import (
 // "with negligible jitter".
 type JitterRow struct {
 	JitterFrac float64 // jitter amplitude as a fraction of Ts
-	WorstCost  float64 // worst Σ‖e‖² over random runs
+	WorstCost  float64 // worst Σ‖e‖² over random runs; +Inf if any diverged
 	MeanCost   float64
 	Divergent  int
 }
@@ -25,14 +27,11 @@ type JitterRow struct {
 // Jitter runs the robustness sweep on the PMSM adaptive design
 // (Rmax = 1.6·T, Ts = T/5): each interval h is perturbed to
 // h + ε·Ts·U(-1,1) for ε in jitterFracs while the controller still
-// assumes the grid value.
-func Jitter(jitterFracs []float64, runs, jobs int, seed int64) ([]JitterRow, error) {
-	if runs <= 0 {
-		runs = 500
-	}
-	if jobs <= 0 {
-		jobs = 50
-	}
+// assumes the grid value. Every amplitude is one sim.Sweep of
+// opt.Sequences runs of opt.Jobs jobs, reduced by sim.Summarize, so
+// the rows are bit-identical for every opt.Workers. Cancellation aborts
+// with the context's error and no rows.
+func Jitter(ctx context.Context, jitterFracs []float64, opt sim.MonteCarloOptions) ([]JitterRow, error) {
 	plant := plants.PMSM(plants.DefaultPMSMParams())
 	w := pmsmWeights()
 	tm, err := core.NewTiming(table2T, 5, table2T/10, 1.6*table2T)
@@ -46,57 +45,51 @@ func Jitter(jitterFracs []float64, runs, jobs int, seed int64) ([]JitterRow, err
 		return nil, err
 	}
 	x0 := pmsmInitialState()
-	ts := tm.Ts()
 
 	rows := make([]JitterRow, 0, len(jitterFracs))
 	for _, frac := range jitterFracs {
-		row := JitterRow{JitterFrac: frac, WorstCost: math.Inf(-1)}
-		sum, count := 0.0, 0
-		for run := 0; run < runs; run++ {
-			rng := rand.New(rand.NewSource(seed + int64(run)))
-			loop, err := core.NewLoop(d, x0)
-			if err != nil {
-				return nil, err
-			}
-			cost := 0.0
-			diverged := false
-			for k := 0; k < jobs; k++ {
-				r := tm.Rmin + rng.Float64()*(tm.Rmax-tm.Rmin)
-				idx := tm.IntervalIndex(r)
-				h := tm.T + float64(idx)*ts
-				actual := h + frac*ts*(2*rng.Float64()-1)
-				y := loop.Output()
-				for _, v := range y {
-					cost += v * v
-				}
-				if err := loop.StepJittered(idx, actual); err != nil {
-					return nil, err
-				}
-				for _, v := range loop.State() {
-					if math.Abs(v) > 1e12 || math.IsNaN(v) {
-						diverged = true
-					}
-				}
-				if diverged {
-					break
-				}
-			}
-			if diverged {
-				row.Divergent++
-				continue
-			}
-			count++
-			sum += cost
-			if cost > row.WorstCost {
-				row.WorstCost = cost
-			}
+		costs, err := sim.Sweep(ctx, opt, func(_ int, rng *rand.Rand) (float64, error) {
+			return jitterRun(d, x0, frac, opt.Jobs, rng)
+		})
+		if err != nil {
+			return nil, err
 		}
-		if count > 0 {
-			row.MeanCost = sum / float64(count)
-		}
-		rows = append(rows, row)
+		m, _ := sim.Summarize(costs)
+		rows = append(rows, JitterRow{JitterFrac: frac, WorstCost: m.WorstCost, MeanCost: m.MeanCost, Divergent: m.Divergent})
 	}
 	return rows, nil
+}
+
+// jitterRun drives one run of jobs uniformly drawn responses through a
+// fresh loop whose actual intervals miss the grid by frac·Ts·U(-1,1),
+// and returns Σ‖y‖² (+Inf once the state diverges). Each job draws its
+// response, then its jitter, from rng.
+func jitterRun(d *core.Design, x0 []float64, frac float64, jobs int, rng *rand.Rand) (float64, error) {
+	tm := d.Timing
+	ts := tm.Ts()
+	loop, err := core.NewLoop(d, x0)
+	if err != nil {
+		return 0, err
+	}
+	cost := 0.0
+	for k := 0; k < jobs; k++ {
+		r := tm.Rmin + rng.Float64()*(tm.Rmax-tm.Rmin)
+		idx := tm.IntervalIndex(r)
+		h := tm.T + float64(idx)*ts
+		actual := h + frac*ts*(2*rng.Float64()-1)
+		for _, v := range loop.Output() {
+			cost += v * v
+		}
+		if err := loop.StepJittered(idx, actual); err != nil {
+			return 0, err
+		}
+		for _, v := range loop.State() {
+			if math.Abs(v) > 1e12 || math.IsNaN(v) {
+				return math.Inf(1), nil
+			}
+		}
+	}
+	return cost, nil
 }
 
 // JitterString renders the sweep.

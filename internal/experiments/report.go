@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"adaptivertc/internal/buildinfo"
+	"adaptivertc/internal/sim"
 )
 
 // Report regenerates every experiment in this repository and writes a
@@ -104,7 +105,8 @@ func Report(ctx context.Context, opt Options, w io.Writer) error {
 	code(DriftString(dr))
 
 	section("Extension — sensor-jitter robustness")
-	ji, err := Jitter([]float64{0, 0.05, 0.1, 0.2, 0.5, 1.0}, opt.Sequences/10+10, opt.Jobs, opt.Seed)
+	ji, err := Jitter(ctx, []float64{0, 0.05, 0.1, 0.2, 0.5, 1.0},
+		sim.MonteCarloOptions{Sequences: opt.Sequences/10 + 10, Jobs: opt.Jobs, Seed: opt.Seed, Workers: opt.Workers})
 	if err != nil {
 		return fmt.Errorf("jitter: %w", err)
 	}

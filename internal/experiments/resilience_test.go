@@ -7,6 +7,8 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+
+	"adaptivertc/internal/sim"
 )
 
 // resumeOpts keeps the resume tests cheap: equivalence is exact (the
@@ -51,6 +53,10 @@ func TestEntryPointsCancelled(t *testing.T) {
 		{"BurstComparison", func() error { _, err := BurstComparison(ctx, opt); return err }},
 		{"ObserverComparison", func() error { _, err := ObserverComparison(ctx, opt); return err }},
 		{"WeaklyHard", func() error { _, err := WeaklyHard(ctx, 2, opt); return err }},
+		{"Jitter", func() error {
+			_, err := Jitter(ctx, []float64{0, 0.5}, sim.MonteCarloOptions{Sequences: 20, Jobs: 10, Seed: 1})
+			return err
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -4,7 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sync"
+	"math/rand"
 
 	"adaptivertc/internal/core"
 	"adaptivertc/internal/faults"
@@ -80,118 +80,50 @@ func EvaluateGuarded(d *core.Design, x0 []float64, plan *faults.Plan, contract g
 }
 
 // FaultMonteCarloCtx evaluates the guarded design over random
-// fault-injected sequences. Sequence i draws its response times AND its
-// entire fault plan from the single RNG seeded Seed+i, and the final
-// reduction walks sequences in index order over per-sequence costs —
-// every float is added in the same order no matter how sequences were
-// distributed over workers — so results (costs, worst sequence and
-// every guard counter) are bit-identical for every worker count.
-// Cancellation aborts the sweep with the context's error and no partial
-// metrics.
+// fault-injected sequences: a Sweep of EvaluateGuarded reduced by
+// Summarize. Sequence i draws its response times and its entire fault
+// plan from the single RNG seeded Seed+i, costs fold in index order and
+// the integer guard counters are summed per index, so every metric is
+// bit-identical for every worker count. Cancellation aborts the sweep
+// with the context's error and no partial metrics.
 func FaultMonteCarloCtx(ctx context.Context, d *core.Design, x0 []float64, base ResponseModel, cost CostFunc, opt FaultOptions) (GuardMetrics, error) {
-	if opt.Sequences <= 0 || opt.Jobs <= 0 {
-		return GuardMetrics{}, fmt.Errorf("sim: need positive Sequences and Jobs, got %d, %d", opt.Sequences, opt.Jobs)
-	}
 	if err := opt.Profile.Validate(); err != nil {
 		return GuardMetrics{}, err
 	}
 	if err := opt.Contract.Validate(); err != nil {
 		return GuardMetrics{}, err
 	}
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = defaultWorkers()
-	}
-	if workers > opt.Sequences {
-		workers = opt.Sequences
-	}
-
 	q := d.Plant.OutputDim()
 	ts := d.Timing.Ts()
-
-	// Workers write disjoint indices (sequence i belongs to worker
-	// i%workers), so the slices need no locking; guard counters merge
-	// associatively per worker.
-	costs := make([]float64, opt.Sequences)
-	guards := make([]guard.Metrics, workers)
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := w; i < opt.Sequences; i += workers {
-				if cerr := ctx.Err(); cerr != nil {
-					errs[w] = cerr
-					return
-				}
-				rng := newSeqRand(opt.Seed, i)
-				plan, err := opt.Profile.Plan(rng, base, d.Timing.Rmax, opt.Jobs, q, ts)
-				if err != nil {
-					errs[w] = err
-					return
-				}
-				c, gm, err := EvaluateGuarded(d, x0, plan, opt.Contract, cost)
-				if err != nil {
-					errs[w] = err
-					return
-				}
-				costs[i] = c
-				guards[w].Add(gm)
-			}
-		}(w)
+	plan := func(rng *rand.Rand) (*faults.Plan, error) {
+		return opt.Profile.Plan(rng, base, d.Timing.Rmax, opt.Jobs, q, ts)
 	}
-	wg.Wait()
-	var ctxErr error
-	for _, err := range errs {
-		if err == nil {
-			continue
+	guards := make([]guard.Metrics, max(opt.Sequences, 0))
+	costs, err := Sweep(ctx, opt.MonteCarloOptions, func(i int, rng *rand.Rand) (float64, error) {
+		p, err := plan(rng)
+		if err != nil {
+			return 0, err
 		}
-		if ctxInterrupted(err) {
-			if ctxErr == nil {
-				ctxErr = err
-			}
-			continue
-		}
+		c, gm, err := EvaluateGuarded(d, x0, p, opt.Contract, cost)
+		guards[i] = gm
+		return c, err
+	})
+	if err != nil {
 		return GuardMetrics{}, err
 	}
-	if ctxErr != nil {
-		return GuardMetrics{}, ctxErr
-	}
-
-	m := GuardMetrics{Metrics: Metrics{Sequences: opt.Sequences, WorstCost: math.Inf(-1)}}
+	sum, worst := Summarize(costs)
+	m := GuardMetrics{Metrics: sum}
 	for _, g := range guards {
 		m.Guard.Add(g)
 	}
-	total, count, worstIdx := 0.0, 0, -1
-	for i, c := range costs {
-		if math.IsInf(c, 1) {
-			m.Divergent++
-			if !math.IsInf(m.WorstCost, 1) {
-				m.WorstCost = c
-				worstIdx = i
-			}
-			continue
-		}
-		count++
-		total += c
-		if c > m.WorstCost {
-			m.WorstCost = c
-			worstIdx = i
-		}
-	}
-	if count > 0 {
-		m.MeanCost = total / float64(count)
-	}
-	if worstIdx >= 0 {
+	if worst >= 0 {
 		// Regenerate the worst plan instead of retaining every response
 		// sequence during the sweep.
-		rng := newSeqRand(opt.Seed, worstIdx)
-		plan, err := opt.Profile.Plan(rng, base, d.Timing.Rmax, opt.Jobs, q, ts)
+		p, err := plan(newSeqRand(opt.Seed, worst))
 		if err != nil {
 			return GuardMetrics{}, err
 		}
-		m.WorstSeq = plan.Resp
+		m.WorstSeq = p.Resp
 	}
 	return m, nil
 }

@@ -67,10 +67,8 @@ func TestFaultMonteCarloZeroProfile(t *testing.T) {
 	d := testDesign(t)
 	base := UniformResponse{Rmin: d.Timing.Rmin, Rmax: d.Timing.Rmax}
 	x0 := []float64{1, 0}
-	// Plain MonteCarlo's mean depends on its worker count (per-worker
-	// partial sums); with one worker it sums in sequence order, which is
-	// exactly the order FaultMonteCarlo's reduction uses for any worker
-	// count.
+	// Both runs fold their costs with Summarize in sequence order, so
+	// the worker counts need not match.
 	plain, err := MonteCarloCtx(context.Background(), d, x0, base, ErrorCost(),
 		MonteCarloOptions{Sequences: 30, Jobs: 25, Seed: 3, Workers: 1})
 	if err != nil {

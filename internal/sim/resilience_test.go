@@ -48,10 +48,8 @@ func TestMonteCarloCtxMatchesWrapper(t *testing.T) {
 }
 
 func TestCostDistributionCtxCancelled(t *testing.T) {
-	d := testDesign(t)
-	model := UniformResponse{Rmin: d.Timing.Rmin, Rmax: d.Timing.Rmax}
-	_, err := CostDistributionCtx(cancelledCtx(), d, []float64{1, 0}, model, ErrorCost(),
-		MonteCarloOptions{Sequences: 100, Jobs: 20, Seed: 1, Workers: 3})
+	model := UniformResponse{Rmin: 0.01, Rmax: 0.16}
+	_, err := sweepCosts(cancelledCtx(), t, model, MonteCarloOptions{Sequences: 100, Jobs: 20, Seed: 1, Workers: 3})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

@@ -6,9 +6,10 @@
 //
 //	Jw = max_σm Σ_k ‖e[k]‖²
 //
-// (§VI) or a quadratic LQG cost. Sequence generation is deterministic
-// given a seed, and evaluation parallelizes across sequences without
-// changing the result.
+// (§VI) or a quadratic LQG cost. Every such experiment runs on one
+// seeded sweep (Sweep) and one index-ordered reduction (Summarize):
+// sequence i is drawn from an RNG seeded Seed+i, so results are
+// bit-identical for every worker count.
 package sim
 
 import (
@@ -157,10 +158,6 @@ func QuadCost(q, r *mat.Dense) CostFunc {
 // divergeLimit declares a trajectory numerically divergent.
 const divergeLimit = 1e12
 
-// defaultWorkers returns the degree of parallelism used when
-// MonteCarloOptions.Workers is unset.
-func defaultWorkers() int { return runtime.GOMAXPROCS(0) }
-
 // newSeqRand returns the RNG owned by sequence i: results never depend
 // on how sequences are distributed over workers.
 func newSeqRand(seed int64, i int) *rand.Rand {
@@ -220,15 +217,22 @@ func ctxInterrupted(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// MonteCarloCtx evaluates the design over random response-time
-// sequences. Results are independent of Workers: sequence i is
-// generated from its own rand.Rand seeded Seed+i, and max/mean
-// reductions commute. Cancellation aborts the sweep and returns the
-// context's error: a mean over a partial sample set would be biased, so
-// no partial Metrics are reported.
-func MonteCarloCtx(ctx context.Context, d *core.Design, x0 []float64, model ResponseModel, cost CostFunc, opt MonteCarloOptions) (Metrics, error) {
+// Sweep is the seeded Monte-Carlo sweep every sequence experiment runs
+// on. It evaluates opt.Sequences sequences, handing sequence i its own
+// rand.Rand seeded Seed+i, strided over opt.Workers goroutines (≤ 0
+// means GOMAXPROCS), and returns the costs in index order. Since each
+// cost depends only on its index, the slice is bit-identical for every
+// worker count. Sequences and Jobs must be positive; Jobs is the
+// sequence length eval draws.
+//
+// The first error aborts the sweep. Real failures take precedence over
+// cancellation, and both are reported from the lowest-numbered worker,
+// so the returned error does not depend on scheduling. A cancelled
+// sweep returns the context's error and no costs: a mean over a partial
+// sample set would be biased.
+func Sweep(ctx context.Context, opt MonteCarloOptions, eval func(i int, rng *rand.Rand) (float64, error)) ([]float64, error) {
 	if opt.Sequences <= 0 || opt.Jobs <= 0 {
-		return Metrics{}, fmt.Errorf("sim: need positive Sequences and Jobs, got %d, %d", opt.Sequences, opt.Jobs)
+		return nil, fmt.Errorf("sim: need positive Sequences and Jobs, got %d, %d", opt.Sequences, opt.Jobs)
 	}
 	workers := opt.Workers
 	if workers <= 0 {
@@ -237,86 +241,97 @@ func MonteCarloCtx(ctx context.Context, d *core.Design, x0 []float64, model Resp
 	if workers > opt.Sequences {
 		workers = opt.Sequences
 	}
-
-	type partial struct {
-		worst     float64
-		worstSeq  []float64
-		sum       float64
-		divergent int
-		count     int
-		err       error
-	}
-	parts := make([]partial, workers)
+	// Sequence i belongs to worker i%workers, so the writes to costs are
+	// disjoint and need no locking.
+	costs := make([]float64, opt.Sequences)
+	errs := make([]error, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			p := &parts[w]
-			p.worst = math.Inf(-1)
 			for i := w; i < opt.Sequences; i += workers {
 				if cerr := ctx.Err(); cerr != nil {
-					p.err = cerr
+					errs[w] = cerr
 					return
 				}
-				rng := rand.New(rand.NewSource(opt.Seed + int64(i)))
-				seq := model.Sequence(rng, opt.Jobs)
-				c, err := EvaluateSequence(d, x0, seq, cost)
+				c, err := eval(i, newSeqRand(opt.Seed, i))
 				if err != nil {
-					p.err = err
+					errs[w] = err
 					return
 				}
-				if math.IsInf(c, 1) {
-					p.divergent++
-					if !math.IsInf(p.worst, 1) {
-						p.worst = c
-						p.worstSeq = seq
-					}
-					continue
-				}
-				p.count++
-				p.sum += c
-				if c > p.worst {
-					p.worst = c
-					p.worstSeq = seq
-				}
+				costs[i] = c
 			}
 		}(w)
 	}
 	wg.Wait()
-
-	// Real failures take precedence over cancellation noise; both scans
-	// walk workers in index order so the reported error is deterministic.
 	var ctxErr error
-	for _, p := range parts {
-		if p.err == nil {
+	for _, err := range errs {
+		if err == nil {
 			continue
 		}
-		if ctxInterrupted(p.err) {
-			if ctxErr == nil {
-				ctxErr = p.err
+		if !ctxInterrupted(err) {
+			return nil, err
+		}
+		if ctxErr == nil {
+			ctxErr = err
+		}
+	}
+	if ctxErr != nil {
+		return nil, ctxErr
+	}
+	return costs, nil
+}
+
+// Summarize folds per-sequence costs in index order into Metrics and
+// returns the index of the worst sequence (-1 if none qualifies). The
+// first divergent (+Inf) sequence sets the worst case; otherwise the
+// first strict maximum wins. The mean is taken over the finite costs.
+// WorstSeq is left for the caller, which can regenerate it from the
+// worst index.
+func Summarize(costs []float64) (Metrics, int) {
+	m := Metrics{Sequences: len(costs), WorstCost: math.Inf(-1)}
+	total, count, worst := 0.0, 0, -1
+	for i, c := range costs {
+		if math.IsInf(c, 1) {
+			m.Divergent++
+			if !math.IsInf(m.WorstCost, 1) {
+				m.WorstCost = c
+				worst = i
 			}
 			continue
 		}
-		return Metrics{}, p.err
-	}
-	if ctxErr != nil {
-		return Metrics{}, ctxErr
-	}
-
-	m := Metrics{Sequences: opt.Sequences, WorstCost: math.Inf(-1)}
-	total, count := 0.0, 0
-	for _, p := range parts {
-		m.Divergent += p.divergent
-		total += p.sum
-		count += p.count
-		if p.worst > m.WorstCost || (math.IsInf(p.worst, 1) && !math.IsInf(m.WorstCost, 1)) {
-			m.WorstCost = p.worst
-			m.WorstSeq = p.worstSeq
+		count++
+		total += c
+		if c > m.WorstCost {
+			m.WorstCost = c
+			worst = i
 		}
 	}
 	if count > 0 {
 		m.MeanCost = total / float64(count)
+	}
+	return m, worst
+}
+
+// MonteCarloCtx evaluates the design over random response-time
+// sequences: a Sweep of EvaluateSequence reduced by Summarize. Sequence
+// i is drawn from its own rand.Rand seeded Seed+i and the costs are
+// folded in index order, so every field of the result, WorstSeq
+// included, is bit-identical for every worker count. Cancellation
+// aborts the sweep and returns the context's error and no Metrics.
+func MonteCarloCtx(ctx context.Context, d *core.Design, x0 []float64, model ResponseModel, cost CostFunc, opt MonteCarloOptions) (Metrics, error) {
+	costs, err := Sweep(ctx, opt, func(_ int, rng *rand.Rand) (float64, error) {
+		return EvaluateSequence(d, x0, model.Sequence(rng, opt.Jobs), cost)
+	})
+	if err != nil {
+		return Metrics{}, err
+	}
+	m, worst := Summarize(costs)
+	if worst >= 0 {
+		// Regenerate the worst sequence from its seed so the sweep
+		// retains no sequences.
+		m.WorstSeq = model.Sequence(newSeqRand(opt.Seed, worst), opt.Jobs)
 	}
 	return m, nil
 }

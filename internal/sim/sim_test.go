@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -154,22 +155,55 @@ func TestMonteCarloBasic(t *testing.T) {
 	}
 }
 
+// TestMonteCarloWorkerIndependence: every field of the Metrics, the
+// mean and the worst sequence included, is bit-identical for every
+// worker count — also when some sequences diverge and others do not.
 func TestMonteCarloWorkerIndependence(t *testing.T) {
-	d := testDesign(t)
-	run := func(workers int) Metrics {
-		m, err := MonteCarloCtx(context.Background(), d, []float64{1, 0}, UniformResponse{Rmin: 0.01, Rmax: 0.16}, ErrorCost(),
-			MonteCarloOptions{Sequences: 64, Jobs: 30, Seed: 3, Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return m
+	// A static gain that holds the plant at short intervals but lets
+	// some long-interval sequences diverge.
+	plant := lti.MustSystem(
+		mat.FromRows([][]float64{{0, 1}, {1, -0.8}}),
+		mat.ColVec(0, 1),
+		mat.Eye(2),
+	)
+	fragile, err := core.NewDesign(plant, core.MustTiming(0.1, 5, 0.01, 0.5),
+		core.FixedDesigner(control.Static(mat.RowVec(6.5, 3.25))))
+	if err != nil {
+		t.Fatal(err)
 	}
-	a, b := run(1), run(7)
-	if math.Abs(a.WorstCost-b.WorstCost) > 1e-12 {
-		t.Fatalf("worst differs across worker counts: %v vs %v", a.WorstCost, b.WorstCost)
+	cases := []struct {
+		name  string
+		d     *core.Design
+		model ResponseModel
+		opt   MonteCarloOptions
+	}{
+		{"stable", testDesign(t), UniformResponse{Rmin: 0.01, Rmax: 0.16},
+			MonteCarloOptions{Sequences: 64, Jobs: 30, Seed: 3}},
+		{"partially divergent", fragile, UniformResponse{Rmin: 0.01, Rmax: 0.5},
+			MonteCarloOptions{Sequences: 64, Jobs: 400, Seed: 1}},
 	}
-	if math.Abs(a.MeanCost-b.MeanCost) > 1e-9*(1+a.MeanCost) {
-		t.Fatalf("mean differs across worker counts: %v vs %v", a.MeanCost, b.MeanCost)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var ref Metrics
+			for i, workers := range []int{1, 2, 3, 7} {
+				opt := tc.opt
+				opt.Workers = workers
+				m, err := MonteCarloCtx(context.Background(), tc.d, []float64{1, 0}, tc.model, ErrorCost(), opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if i == 0 {
+					ref = m
+					continue
+				}
+				if !reflect.DeepEqual(m, ref) {
+					t.Fatalf("workers=%d diverges from workers=1:\n got %+v\nwant %+v", workers, m, ref)
+				}
+			}
+			if tc.name == "partially divergent" && (ref.Divergent == 0 || ref.Divergent == ref.Sequences) {
+				t.Fatalf("%d of %d sequences diverged, want some but not all", ref.Divergent, ref.Sequences)
+			}
+		})
 	}
 }
 

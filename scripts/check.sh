@@ -139,6 +139,23 @@ if [ -e "$tmpdir/report.md" ]; then
     exit 1
 fi
 
+echo "== interruption smoke: adactl jitter stops on SIGINT, exits 5 and prints no table"
+set +e
+timeout --preserve-status -s INT -k 10 1 "$tmpdir/adactl" jitter -runs 20000 \
+    > "$tmpdir/jitter.out" 2>&1
+jitter_status=$?
+set -e
+if [ "$jitter_status" -ne 5 ]; then
+    echo "error: interrupted adactl jitter exited $jitter_status, want 5" >&2
+    cat "$tmpdir/jitter.out" >&2
+    exit 1
+fi
+if grep -q 'jitter/Ts' "$tmpdir/jitter.out"; then
+    echo "error: interrupted adactl jitter printed a table" >&2
+    cat "$tmpdir/jitter.out" >&2
+    exit 1
+fi
+
 echo "== service smoke: adaserved certifies the paper example, matches jsrtool, caches, and shuts down cleanly"
 go build -o "$tmpdir/adaserved" ./cmd/adaserved
 cat > "$tmpdir/req.json" <<'EOF'
