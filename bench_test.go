@@ -11,6 +11,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"adaptivertc/internal/control"
@@ -147,13 +148,18 @@ func BenchmarkStabilityCertificate(b *testing.B) {
 // adaptive PMSM Ω-set (brute-force sandwich + Gripenberg, the Table II
 // hot path). Per the engine's determinism contract the sub-benchmarks
 // differ only in wall clock, never in the bounds they compute; the w1
-// row is the sequential baseline for the speedup comparison.
+// row is the sequential baseline for the speedup comparison. Counts
+// above GOMAXPROCS are skipped: they would measure oversubscription,
+// not scaling.
 func BenchmarkJSRWorkers(b *testing.B) {
 	d := pmsmDesign(b, 5)
 	set := d.OmegaSet()
 	var refLo, refHi float64
 	haveRef := false
 	for _, w := range []int{1, 2, 4, 8} {
+		if w > runtime.GOMAXPROCS(0) {
+			break
+		}
 		b.Run(fmt.Sprintf("w%d", w), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := jsr.BruteForceBoundsCtx(context.Background(), set, 5, jsr.BruteForceOptions{Workers: w}); err != nil {

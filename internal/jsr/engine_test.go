@@ -961,3 +961,21 @@ func BenchmarkBruteForcePMSM(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkEstimatePMSM times the served call on the lifted PMSM Ns = 5
+// set: EstimateCtx at api's default budgets (brute length 6, δ = 1e-3,
+// depth 30, 2,000,000 nodes), preconditioning included.
+func BenchmarkEstimatePMSM(b *testing.B) {
+	set := pmsmLiftedSet(b)
+	for _, w := range []int{1, 2} {
+		b.Run(fmt.Sprintf("w%d", w), func(b *testing.B) {
+			opt := GripenbergOptions{Delta: 1e-3, MaxDepth: 30, MaxNodes: 2_000_000, Workers: w}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := EstimateCtx(context.Background(), set, 6, opt); err != nil && !errors.Is(err, ErrBudget) {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

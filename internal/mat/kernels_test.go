@@ -1,6 +1,8 @@
 package mat
 
 import (
+	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -38,6 +40,58 @@ func sparsifiedRandom(rng *rand.Rand, n int) *Dense {
 	return m
 }
 
+// posInf is a variable so that posInf − posInf is computed at run time.
+var posInf = math.Inf(1)
+
+// machineNaN returns the NaN the floating-point unit generates (∞ − ∞).
+// When two NaNs with different bits meet in one sum, IEEE 754 leaves
+// open which one the result carries, and the compiler's operand order
+// picks it; mulGeneric and mulNaive already disagree there. With every
+// NaN equal to the generated one the bits are decided by the source
+// alone. That is also the only NaN the certifier's arithmetic can meet:
+// requests are validated finite, so any NaN is generated on the way.
+func machineNaN() float64 { return posInf - posInf }
+
+// specialNine returns a 9×9 matrix whose bits the exact-zero skip
+// decides. Column zeroCol is zero (+0 or −0) in rows 0..4, and those
+// rows and row zeroCol carry ±Inf or NaN in other columns: a skipped
+// term there would have been 0·Inf = NaN. A product whose left factor
+// has that zero column meets the non-finite entries of row zeroCol of
+// its right factor, and the Gram product c[i][j] = Σₖ a[k][i]·a[k][j]
+// meets them in the same rows. Row 8 is all +0, so against an
+// all-negative vector every term of its matvec sum is −0 and only the
+// sum's +0 start makes the result +0. Subnormals and −0 are sprinkled
+// elsewhere. With nonFinite false the ±Inf and NaN entries are left
+// out, so norms stay finite.
+func specialNine(rng *rand.Rand, nonFinite bool) *Dense {
+	const zeroCol = 2
+	m := sparsifiedRandom(rng, 9)
+	for r := 0; r < 5; r++ {
+		m.data[r*9+zeroCol] = 0
+		if r%2 == 1 {
+			m.data[r*9+zeroCol] = math.Copysign(0, -1)
+		}
+	}
+	for c := 0; c < 9; c++ {
+		m.data[8*9+c] = 0
+	}
+	tiny := []float64{math.SmallestNonzeroFloat64, -4 * math.SmallestNonzeroFloat64, 2.2e-310, math.Copysign(0, -1)}
+	for i := 0; i < 6; i++ {
+		m.data[rng.Intn(72)] = tiny[rng.Intn(len(tiny))]
+	}
+	if nonFinite {
+		special := []float64{math.Inf(1), math.Inf(-1), machineNaN()}
+		for _, r := range []int{0, 1, 3, zeroCol} {
+			c := rng.Intn(8)
+			if c >= zeroCol {
+				c++
+			}
+			m.data[r*9+c] = special[rng.Intn(len(special))]
+		}
+	}
+	return m
+}
+
 func sameBits(a, b *Dense) bool {
 	if a.rows != b.rows || a.cols != b.cols {
 		return false
@@ -52,7 +106,7 @@ func sameBits(a, b *Dense) bool {
 
 // TestMulIntoBitIdenticalToNaive drives Mul, MulInto into a fresh
 // destination, and MulInto into a dirty reused destination through all
-// sizes n=1..12 — covering each unrolled kernel (4, 6, 8) and the
+// sizes n=1..12 — covering each unrolled kernel (4, 6, 8, 9) and the
 // generic path — and demands bit-for-bit identity with the naive
 // reference product.
 func TestMulIntoBitIdenticalToNaive(t *testing.T) {
@@ -83,11 +137,14 @@ func TestMulIntoBitIdenticalToNaive(t *testing.T) {
 }
 
 // TestKernelsMatchGenericDirectly pins each unrolled kernel against
-// mulGeneric without going through dispatch, so a kernelFor routing bug
-// cannot mask a kernel bug.
+// the generic loop it replaces without going through dispatch, so a
+// routing bug cannot mask a kernel bug: the products (4, 6, 8, 9)
+// against mulGeneric, gram9 against transposeInto + mulGeneric, and
+// mulVec9 against mulVecGeneric. At n = 9 a second family places −0,
+// subnormals and ±Inf/NaN where the exact-zero skip decides the bits.
 func TestKernelsMatchGenericDirectly(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	kernels := map[int]func(c, a, b []float64){4: mul4x4, 6: mul6x6, 8: mul8x8}
+	kernels := map[int]func(c, a, b []float64){4: mul4x4, 6: mul6x6, 8: mul8x8, 9: mul9x9}
 	for n, kern := range kernels {
 		for trial := 0; trial < 50; trial++ {
 			a := sparsifiedRandom(rng, n)
@@ -101,6 +158,76 @@ func TestKernelsMatchGenericDirectly(t *testing.T) {
 			}
 		}
 	}
+	negative := []float64{-1, -2, -3, -4, -5, -6, -7, -8, -9}
+	for trial := 0; trial < 100; trial++ {
+		family := "sparse"
+		a, b := sparsifiedRandom(rng, 9), sparsifiedRandom(rng, 9)
+		x := b.data[:9]
+		if trial%2 == 1 {
+			family = "special"
+			a, b, x = specialNine(rng, true), specialNine(rng, true), negative
+		}
+		checkKernel9(t, fmt.Sprintf("%s trial=%d", family, trial), a, b, x)
+	}
+}
+
+// checkKernel9 compares the three n = 9 kernels bit for bit with the
+// generic loops they replace and with mulNaive.
+func checkKernel9(t *testing.T, name string, a, b *Dense, x []float64) {
+	t.Helper()
+	want := New(9, 9)
+	mulGeneric(want, a, b)
+	got := New(9, 9)
+	mul9x9(got.data, a.data, b.data)
+	if !sameBits(got, want) || !sameBits(got, mulNaive(a, b)) {
+		t.Fatalf("%s: mul9x9 differs from mulGeneric/mulNaive", name)
+	}
+
+	at := New(9, 9)
+	transposeInto(at, a)
+	wantGram := New(9, 9)
+	mulGeneric(wantGram, at, a)
+	gram := New(9, 9)
+	gram9(gram.data, a.data)
+	if !sameBits(gram, wantGram) || !sameBits(gram, mulNaive(at, a)) {
+		t.Fatalf("%s: gram9 differs from transposeInto+mulGeneric/mulNaive", name)
+	}
+
+	wantVec := make([]float64, 9)
+	mulVecGeneric(wantVec, a, x)
+	vec := make([]float64, 9)
+	mulVec9(vec, a.data, x)
+	for i := range vec {
+		if math.Float64bits(vec[i]) != math.Float64bits(wantVec[i]) {
+			t.Fatalf("%s: mulVec9 row %d = %v, mulVecGeneric %v", name, i, vec[i], wantVec[i])
+		}
+	}
+}
+
+// FuzzKernel9 checks the three n = 9 kernels bit for bit against the
+// generic loops and mulNaive on arbitrary operands. The input holds a,
+// b (81 entries each) and x (9 entries) as little-endian float64 bits;
+// missing bytes read as +0, so short inputs exercise the zero skip.
+// Input NaNs are replaced by machineNaN (see there for why).
+func FuzzKernel9(f *testing.F) {
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		vals := make([]float64, 2*81+9)
+		for i := range vals {
+			var word [8]byte
+			if 8*i < len(data) {
+				copy(word[:], data[8*i:])
+			}
+			vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(word[:]))
+			if math.IsNaN(vals[i]) {
+				vals[i] = machineNaN()
+			}
+		}
+		a, b := New(9, 9), New(9, 9)
+		copy(a.data, vals[:81])
+		copy(b.data, vals[81:162])
+		checkKernel9(t, "fuzz", a, b, vals[162:])
+	})
 }
 
 func TestMulIntoRectangular(t *testing.T) {
@@ -158,6 +285,11 @@ func TestTwoNormScratchBitIdentical(t *testing.T) {
 		s := NewScratch(n)
 		for trial := 0; trial < 20; trial++ {
 			a := sparsifiedRandom(rng, n)
+			if n == 9 && trial >= 10 {
+				// The special family: −0 and subnormals, and from
+				// trial 15 on ±Inf/NaN where the zero skip decides.
+				a = specialNine(rng, trial >= 15)
+			}
 			want := TwoNorm(a)
 			got := TwoNormScratch(a, s)
 			if math.Float64bits(got) != math.Float64bits(want) {
