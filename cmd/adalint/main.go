@@ -1,8 +1,9 @@
 // Command adalint runs the project's static-analysis suite over Go
 // packages. The driver loads and type-checks every matched package,
-// fans the checks out across worker goroutines, and merges the
-// findings into one deterministic report — as text, JSON, or SARIF
-// 2.1.0.
+// runs the checks over each in turn, and prints the findings as one
+// deterministic, position-sorted text report, one per line:
+//
+//	file:line:col: [check] message
 //
 // Usage:
 //
@@ -10,14 +11,6 @@
 //
 //	-checks name,name   run a subset of checks (default: all)
 //	-list               list registered checks and exit
-//	-json               emit findings as a JSON array
-//	-sarif              emit a SARIF 2.1.0 log (for CI upload)
-//	-baseline file      filter findings accepted in the baseline file;
-//	                    stale entries are themselves reported
-//	-write-baseline file
-//	                    write the current findings as the new baseline
-//	                    and exit 0
-//	-workers n          analysis goroutines (0 = all cores)
 //	-version            print version and exit
 //
 // Packages follow go-tool patterns relative to the module root:
@@ -38,7 +31,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -49,33 +41,6 @@ import (
 	"adaptivertc/internal/lint"
 )
 
-// jsonFinding is the -json wire form of one finding.
-type jsonFinding struct {
-	File    string `json:"file"`
-	Line    int    `json:"line"`
-	Column  int    `json:"column"`
-	Check   string `json:"check"`
-	Message string `json:"message"`
-}
-
-// writeJSON renders findings as a JSON array (never null: a clean run
-// is an empty array, which downstream jq pipelines can iterate).
-func writeJSON(w io.Writer, findings []lint.Finding) error {
-	out := make([]jsonFinding, 0, len(findings))
-	for _, f := range findings {
-		out = append(out, jsonFinding{
-			File:    f.Pos.Filename,
-			Line:    f.Pos.Line,
-			Column:  f.Pos.Column,
-			Check:   f.Check,
-			Message: f.Message,
-		})
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
-}
-
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
@@ -85,11 +50,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	checkList := fs.String("checks", "", "comma-separated subset of checks to run (default: all)")
 	list := fs.Bool("list", false, "list registered checks and exit")
-	jsonOut := fs.Bool("json", false, "emit findings as a JSON array")
-	sarifOut := fs.Bool("sarif", false, "emit a SARIF 2.1.0 log")
-	baselinePath := fs.String("baseline", "", "baseline file of accepted findings")
-	writeBaseline := fs.String("write-baseline", "", "write current findings to this baseline file and exit 0")
-	workers := fs.Int("workers", 0, "analysis worker goroutines (0 = all cores); findings are identical for every value")
 	version := fs.Bool("version", false, "print version and exit")
 	if err := fs.Parse(args); err != nil {
 		return 1
@@ -104,10 +64,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stdout, "%-14s %s\n", c.Name, c.Doc)
 		}
 		return 0
-	}
-	if *jsonOut && *sarifOut {
-		fmt.Fprintln(stderr, "adalint: -json and -sarif are mutually exclusive")
-		return 1
 	}
 
 	checks := lint.Checks()
@@ -135,61 +91,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 
-	opt := lint.Options{Checks: checks, Workers: *workers}
-	if *baselinePath != "" {
-		b, err := lint.LoadBaseline(*baselinePath)
-		if err != nil {
-			fmt.Fprintf(stderr, "adalint: %v\n", err)
-			return 1
-		}
-		opt.Baseline = b
-	}
-
-	res, err := lint.Run(cwd, patterns, opt)
+	findings, err := lint.Run(cwd, patterns, checks)
 	if err != nil {
 		fmt.Fprintf(stderr, "adalint: %v\n", err)
 		return 1
 	}
-
-	if *writeBaseline != "" {
-		loader, err := lint.NewLoader(cwd)
-		if err != nil {
-			fmt.Fprintf(stderr, "adalint: %v\n", err)
-			return 1
-		}
-		b := lint.NewBaseline(res.Findings, loader.ModuleDir)
-		if err := b.Write(*writeBaseline); err != nil {
-			fmt.Fprintf(stderr, "adalint: %v\n", err)
-			return 1
-		}
-		fmt.Fprintf(stderr, "adalint: wrote %d baseline entries to %s\n", len(b.Entries), *writeBaseline)
-		return 0
+	for _, f := range findings {
+		fmt.Fprintln(stdout, f)
 	}
-
-	switch {
-	case *sarifOut:
-		loader, err := lint.NewLoader(cwd)
-		if err != nil {
-			fmt.Fprintf(stderr, "adalint: %v\n", err)
-			return 1
-		}
-		data, err := lint.ToSARIF(res.Findings, checks, buildinfo.Version(), loader.ModuleDir)
-		if err != nil {
-			fmt.Fprintf(stderr, "adalint: %v\n", err)
-			return 1
-		}
-		fmt.Fprintln(stdout, string(data))
-	case *jsonOut:
-		if err := writeJSON(stdout, res.Findings); err != nil {
-			fmt.Fprintf(stderr, "adalint: %v\n", err)
-			return 1
-		}
-	default:
-		for _, f := range res.Findings {
-			fmt.Fprintln(stdout, f)
-		}
-	}
-	if len(res.Findings) > 0 {
+	if len(findings) > 0 {
 		return 2
 	}
 	return 0

@@ -23,7 +23,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"fmt"
 	"hash"
 	"math"
 
@@ -36,23 +35,6 @@ type Sum [sha256.Size]byte
 // String returns the lowercase hex form of the sum — the identifier
 // used for cache file names and job ids.
 func (s Sum) String() string { return hex.EncodeToString(s[:]) }
-
-// ParseSum decodes the 64-hex-digit form String produces. It is the
-// inverse used wherever a sum crosses a process boundary as text —
-// job ids in URLs, the distributed peer-cache fetch path — and
-// rejects anything that is not exactly one canonical sum.
-func ParseSum(s string) (Sum, error) {
-	var sum Sum
-	if len(s) != 2*len(sum) {
-		return Sum{}, fmt.Errorf("inputhash: sum %q has length %d, want %d", s, len(s), 2*len(sum))
-	}
-	b, err := hex.DecodeString(s)
-	if err != nil {
-		return Sum{}, fmt.Errorf("inputhash: sum %q is not hex: %w", s, err)
-	}
-	copy(sum[:], b)
-	return sum, nil
-}
 
 // A Digest accumulates canonically encoded values into a SHA-256 sum.
 // The zero value is not usable; call New.

@@ -159,21 +159,3 @@ func TestDigestDomainSeparation(t *testing.T) {
 		t.Error("length prefixes fail to disambiguate concatenation")
 	}
 }
-
-func TestParseSumRoundTrip(t *testing.T) {
-	d := New("roundtrip")
-	d.Uint64(7)
-	want := d.Sum()
-	got, err := ParseSum(want.String())
-	if err != nil {
-		t.Fatalf("ParseSum: %v", err)
-	}
-	if got != want {
-		t.Fatalf("round trip changed the sum: %v != %v", got, want)
-	}
-	for _, bad := range []string{"", "abc", want.String() + "00", "zz" + want.String()[2:]} {
-		if _, err := ParseSum(bad); err == nil {
-			t.Errorf("ParseSum(%q): want error", bad)
-		}
-	}
-}

@@ -1,44 +1,18 @@
 package lint
 
-import (
-	"fmt"
-	"runtime"
-	"sort"
-	"sync"
-)
-
-// Options configures one driver run.
-type Options struct {
-	// Checks is the suite to run; nil means Checks() (everything).
-	Checks []*Check
-	// Workers bounds the analysis fan-out; <= 0 means GOMAXPROCS.
-	Workers int
-	// Baseline holds accepted findings; nil means nothing is accepted.
-	Baseline *Baseline
-}
-
-// Result is the outcome of a driver run.
-type Result struct {
-	// Findings are the unsuppressed, unbaselined findings plus one
-	// finding per stale baseline entry, in global position order.
-	Findings []Finding
-	// Baselined counts findings filtered out by the baseline.
-	Baselined int
-	// Packages counts the packages analyzed.
-	Packages int
-}
+import "sort"
 
 // Run is the adalint driver: it loads every package matched by
-// patterns (relative to dir), fans the check suite out across worker
-// goroutines — one package per task — and merges the per-package
-// findings into one deterministic, position-sorted report.
+// patterns (relative to dir), runs checks over each in turn — nil
+// means Checks(), everything — and merges the per-package findings
+// into one deterministic, position-sorted report.
 //
-// Loading is serial: the loader memoizes type-checked imports in
-// shared state, and most of the module is reached transitively from
-// the first few packages anyway. The analysis passes — pure functions
-// of one package's immutable syntax trees and type information — are
-// where the per-package fan-out is safe and profitable.
-func Run(dir string, patterns []string, opt Options) (*Result, error) {
+// The driver is serial. Loading dominates a run, and it is serial by
+// nature: the loader memoizes type-checked imports in shared state,
+// and most of the module is reached transitively from the first few
+// packages anyway. Fanning the analysis passes out across goroutines
+// measured no faster on a 2-core host.
+func Run(dir string, patterns []string, checks []*Check) ([]Finding, error) {
 	loader, err := NewLoader(dir)
 	if err != nil {
 		return nil, err
@@ -47,12 +21,10 @@ func Run(dir string, patterns []string, opt Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	checks := opt.Checks
 	if checks == nil {
 		checks = Checks()
 	}
-
-	var pkgs []*Package
+	var all []Finding
 	for _, d := range dirs {
 		pkg, err := loader.LoadDir(d)
 		if err != nil {
@@ -61,60 +33,10 @@ func Run(dir string, patterns []string, opt Options) (*Result, error) {
 		if pkg == nil {
 			continue // no non-test Go files
 		}
-		pkgs = append(pkgs, pkg)
-	}
-
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(pkgs) {
-		workers = len(pkgs)
-	}
-	perPkg := make([][]Finding, len(pkgs))
-	if workers <= 1 {
-		for i, pkg := range pkgs {
-			perPkg[i] = RunChecks(pkg, checks)
-		}
-	} else {
-		next := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range next {
-					perPkg[i] = RunChecks(pkgs[i], checks)
-				}
-			}()
-		}
-		for i := range pkgs {
-			next <- i
-		}
-		close(next)
-		wg.Wait()
-	}
-
-	var all []Finding
-	for _, fs := range perPkg {
-		all = append(all, fs...)
-	}
-	res := &Result{Packages: len(pkgs)}
-	if opt.Baseline != nil {
-		kept, baselined, stale := opt.Baseline.Filter(all, loader.ModuleDir)
-		all = kept
-		res.Baselined = baselined
-		for _, e := range stale {
-			all = append(all, Finding{
-				Pos:     e.position(loader.ModuleDir),
-				Check:   "baseline",
-				Message: fmt.Sprintf("stale baseline entry: no current [%s] finding matches %q; remove it so the baseline cannot mask a regression", e.Check, e.Message),
-			})
-		}
+		all = append(all, RunChecks(pkg, checks)...)
 	}
 	sortFindings(all)
-	res.Findings = all
-	return res, nil
+	return all, nil
 }
 
 // sortFindings orders findings by file, line, column, check, message.

@@ -30,7 +30,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 	"strings"
 )
 
@@ -125,8 +124,8 @@ func Checks() []*Check {
 // nothing is dead weight at best — and at worst a directive that
 // silently stopped guarding the line it was written for (the code
 // moved, the check was renamed, the finding was fixed). Accounting
-// findings cannot themselves be suppressed; remove the directive or
-// baseline the finding.
+// findings cannot themselves be suppressed; fix or remove the
+// directive.
 var UnusedIgnore = &Check{
 	Name: "unusedignore",
 	Doc:  "//lint:ignore directive that suppresses nothing, or names an unregistered check",
@@ -255,18 +254,6 @@ func RunChecks(pkg *Package, checks []*Check) []Finding {
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i].Pos, out[j].Pos
-		if a.Filename != b.Filename {
-			return a.Filename < b.Filename
-		}
-		if a.Line != b.Line {
-			return a.Line < b.Line
-		}
-		if a.Column != b.Column {
-			return a.Column < b.Column
-		}
-		return out[i].Check < out[j].Check
-	})
+	sortFindings(out)
 	return out
 }

@@ -72,9 +72,10 @@ func TestCheckByName(t *testing.T) {
 	}
 }
 
-// TestFixturesAllFlagged is the integration contract behind
-// scripts/check.sh: scanning any violation fixture must produce
-// findings (a clean fixture scan would mean adalint silently rotted).
+// TestFixturesAllFlagged is the fixture gate: every registered check
+// ships a violation fixture under testdata/<check>, and the check run
+// alone on it must report findings (a clean fixture scan would mean
+// the check silently rotted).
 func TestFixturesAllFlagged(t *testing.T) {
 	loader, err := lint.NewLoader(".")
 	if err != nil {
