@@ -201,28 +201,41 @@ func dominantBoundarySet(grade float64) []*mat.Dense {
 }
 
 func TestEngineMatchesReferenceByteForByte(t *testing.T) {
+	served, _, ok := Precondition(pmsmLiftedSet(t))
+	if !ok {
+		t.Fatal("Precondition found no common quadratic Lyapunov function for the PMSM set")
+	}
 	cases := []struct {
 		name     string
 		set      []*mat.Dense
 		delta    float64
 		maxDepth int
 		maxNodes int
+		workers  []int // nil runs workerSweep()
 	}{
-		{"pmsm", pmsmLikeSet(), 0.02, 12, 500_000},
-		{"golden", goldenPair(), 0.05, 10, 500_000},
+		{"pmsm", pmsmLikeSet(), 0.02, 12, 500_000, nil},
+		{"golden", goldenPair(), 0.05, 10, 500_000, nil},
 		// δ below an ulp keeps the branches whose certificates beat
 		// Lower by rounding alone, so the search runs at the boundary.
-		{"normal", normalBoundarySet(1e-15), 1e-17, 10, 500_000},
-		{"rank-one", rankOneBoundarySet(0), 1e-17, 10, 500_000},
-		{"dominant", dominantBoundarySet(1e-15), 1e-17, 10, 500_000},
+		{"normal", normalBoundarySet(1e-15), 1e-17, 10, 500_000, nil},
+		{"rank-one", rankOneBoundarySet(0), 1e-17, 10, 500_000, nil},
+		{"dominant", dominantBoundarySet(1e-15), 1e-17, 10, 500_000, nil},
 		// Tiny budget: exercises the partial-level ErrBudget path.
-		{"pmsm-budget", pmsmLikeSet(), 0.005, 14, 40},
-		{"golden-budget", goldenPair(), 1e-4, 12, 4},
+		{"pmsm-budget", pmsmLikeSet(), 0.005, 14, 40, nil},
+		{"golden-budget", goldenPair(), 1e-4, 12, 4, nil},
+		// The served size: the preconditioned lifted PMSM Ns = 5 set
+		// (four 9×9 modes) at the service's default depth, δ and node
+		// budget, where the pre-product gate skips most children.
+		{"pmsm-ns5-9x9", served, 1e-3, 30, 2_000_000, []int{1, 2}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			want := refGripenberg(t, tc.set, tc.delta, tc.maxDepth, tc.maxNodes)
-			for _, w := range workerSweep() {
+			workers := tc.workers
+			if workers == nil {
+				workers = workerSweep()
+			}
+			for _, w := range workers {
 				opt := GripenbergOptions{
 					Delta: tc.delta, MaxDepth: tc.maxDepth, MaxNodes: tc.maxNodes,
 					Workers: w, DisableEllipsoid: true,
@@ -977,5 +990,32 @@ func BenchmarkEstimatePMSM(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// TestGripenbergAllocsServedSet pins the allocations of one whole
+// search at the served size: GripenbergCtx at workers = 1 over the
+// preconditioned lifted PMSM Ns = 5 set with the service's default
+// depth, δ and node budget, as EstimateCtx runs it. Children the
+// pre-product gate rules out take no product buffer, survivors' words
+// go into two reused slabs, and every pool is per search, so the count
+// is a small constant per search rather than per node: mostly the
+// product buffers of the widest levels of either parity. Measured at
+// 2,732 on linux/amd64 (14,333 before the gate and the slabs); the
+// bound leaves 3% for other platforms.
+func TestGripenbergAllocsServedSet(t *testing.T) {
+	const maxAllocs = 2800
+	work, _, ok := Precondition(pmsmLiftedSet(t))
+	if !ok {
+		t.Fatal("Precondition found no common quadratic Lyapunov function for the PMSM set")
+	}
+	opt := GripenbergOptions{Delta: 1e-3, MaxDepth: 30, MaxNodes: 2_000_000, Workers: 1, DisableEllipsoid: true}
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := GripenbergCtx(context.Background(), work, opt); err != nil && !errors.Is(err, ErrBudget) {
+			panic(err)
+		}
+	})
+	if allocs > maxAllocs {
+		t.Fatalf("one search allocates %.0f times, want at most %d", allocs, maxAllocs)
 	}
 }

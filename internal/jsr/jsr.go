@@ -813,26 +813,49 @@ func rebuildFrontier(set []*mat.Dense, st *GripenbergState) ([]gripNode, error) 
 // mergeSurvivors keeps the children whose certificates survive the
 // final per-level lower bound (at least as strong as the sequential
 // running prune, and worker-count independent), materializing their
-// words. offs is the children's layout (gripSearch.offs); the parent
-// cursor fi advances with it.
-func mergeSurvivors(frontier []gripNode, children []gripChild, offs []int, g *Graph, bound float64) []gripNode {
-	next := make([]gripNode, 0, len(children))
+// words. The children are those of the last expandLevel at depth, laid
+// out by s.offs; the parent cursor fi advances with it. The survivors
+// go into the search's frontier slice of depth's parity and their words
+// into its word slab of that parity, so both are valid until the merge
+// two levels later; frontier, the parents, lives in the other parity
+// or outside the search.
+func (s *gripSearch) mergeSurvivors(frontier []gripNode, children []gripChild, depth int, bound float64) []gripNode {
+	live := 0
+	for ci := range children {
+		if children[ci].cert > bound {
+			live++
+		}
+	}
+	par := depth % 2
+	if cap(s.words[par]) < live*depth {
+		// Twice the need: words grow by one label per level, so a
+		// frontier that keeps its size outgrows an exact slab every
+		// time its parity comes round.
+		s.words[par] = make([]int, 2*live*depth)
+	}
+	slab := s.words[par][:live*depth]
+	next := s.fronts[par][:0]
 	fi := 0
 	for ci := range children {
-		for offs[fi+1] <= ci {
+		for s.offs[fi+1] <= ci {
 			fi++
 		}
 		if c := &children[ci]; c.cert > bound {
 			parent := &frontier[fi]
+			word := slab[:depth:depth]
+			slab = slab[depth:]
+			copy(word, parent.word)
+			word[depth-1] = s.g.Nodes[c.at]
 			next = append(next, gripNode{
 				prod:  c.prod,
-				word:  childWord(parent.word, g.Nodes[c.at]),
+				word:  word,
 				at:    c.at,
 				start: parent.start,
 				cert:  c.cert,
 			})
 		}
 	}
+	s.fronts[par] = next
 	return next
 }
 
@@ -1010,7 +1033,7 @@ func gripenberg(ctx context.Context, set []*mat.Dense, g *Graph, opt GripenbergO
 
 		// Merge pass 2: keep children that survive the final per-level
 		// lower bound.
-		next := mergeSurvivors(frontier, children, s.offs, g, lower+opt.Delta)
+		next := s.mergeSurvivors(frontier, children, depth, lower+opt.Delta)
 
 		if expand < len(frontier) {
 			// Budget exhausted mid-level: unexpanded nodes stay live, so

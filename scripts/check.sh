@@ -30,6 +30,9 @@ go test ./internal/api -run '^$' -fuzz '^FuzzDecodeRequest$' -fuzztime 20s
 echo "== fuzz the n = 9 kernels against the generic loops (time-boxed)"
 go test ./internal/mat -run '^$' -fuzz '^FuzzKernel9$' -fuzztime 10s
 
+echo "== fuzz the pre-product Frobenius bound against the product's norm bounds (time-boxed)"
+go test ./internal/mat -run '^$' -fuzz '^FuzzProductFroBound$' -fuzztime 10s
+
 echo "== bench self-test (bench/ is its own module, so go test ./... never reaches it)"
 (cd bench && go test -short ./...)
 
