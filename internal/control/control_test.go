@@ -405,3 +405,13 @@ func TestStepIntoValidation(t *testing.T) {
 	}()
 	c.StepInto(make([]float64, 1), make([]float64, 1), make([]float64, 2), []float64{1})
 }
+
+func randomDense(rng *rand.Rand, r, c int) *mat.Dense {
+	m := mat.New(r, c)
+	for i := 0; i < r; i++ {
+		for j := 0; j < c; j++ {
+			m.Set(i, j, rng.NormFloat64())
+		}
+	}
+	return m
+}

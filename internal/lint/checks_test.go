@@ -51,10 +51,6 @@ func TestMapOrder(t *testing.T) {
 	linttest.Run(t, "testdata/maporder", lint.MapOrder)
 }
 
-func TestLockCopy(t *testing.T) {
-	linttest.Run(t, "testdata/lockcopy", lint.LockCopy)
-}
-
 func TestGoroLeak(t *testing.T) {
 	linttest.Run(t, "testdata/goroleak", lint.GoroLeak)
 }
@@ -73,7 +69,6 @@ func TestFullSuiteOnFixtures(t *testing.T) {
 		"testdata/clienttimeout",
 		"testdata/errcompare",
 		"testdata/maporder",
-		"testdata/lockcopy",
 		"testdata/goroleak",
 		"testdata/timeafter",
 	} {

@@ -15,7 +15,7 @@ func TestRunMergesInPositionOrder(t *testing.T) {
 	patterns := []string{
 		"testdata/errcompare",
 		"testdata/maporder",
-		"testdata/lockcopy",
+		"testdata/timeafter",
 		"testdata/goroleak",
 		"testdata/floatcompare",
 	}

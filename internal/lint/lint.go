@@ -110,7 +110,6 @@ func Checks() []*Check {
 		ClientTimeout,
 		ErrCompare,
 		MapOrder,
-		LockCopy,
 		GoroLeak,
 		SyncRename,
 		TimeAfter,

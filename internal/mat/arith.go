@@ -40,14 +40,6 @@ func AddInPlace(a, b *Dense) *Dense {
 	return a
 }
 
-// ScaleInPlace computes a *= s, returning a.
-func ScaleInPlace(s float64, a *Dense) *Dense {
-	for i := range a.data {
-		a.data[i] *= s
-	}
-	return a
-}
-
 // Mul returns the matrix product a * b.
 func Mul(a, b *Dense) *Dense {
 	if a.cols != b.rows {

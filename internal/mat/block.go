@@ -111,49 +111,3 @@ func BlockDiag(ms ...*Dense) *Dense {
 	}
 	return out
 }
-
-// Kron returns the Kronecker product a ⊗ b.
-func Kron(a, b *Dense) *Dense {
-	out := New(a.rows*b.rows, a.cols*b.cols)
-	for i := 0; i < a.rows; i++ {
-		for j := 0; j < a.cols; j++ {
-			av := a.data[i*a.cols+j]
-			//lint:ignore floatcompare exact-zero sparsity skip: any nonzero value, however small, multiplies normally
-			if av == 0 {
-				continue
-			}
-			for p := 0; p < b.rows; p++ {
-				for q := 0; q < b.cols; q++ {
-					out.data[(i*b.rows+p)*out.cols+j*b.cols+q] = av * b.data[p*b.cols+q]
-				}
-			}
-		}
-	}
-	return out
-}
-
-// Vec stacks the columns of m into a single column vector (the "vec"
-// operator of Kronecker calculus).
-func Vec(m *Dense) *Dense {
-	v := New(m.rows*m.cols, 1)
-	for j := 0; j < m.cols; j++ {
-		for i := 0; i < m.rows; i++ {
-			v.data[j*m.rows+i] = m.data[i*m.cols+j]
-		}
-	}
-	return v
-}
-
-// Unvec reverses Vec for a target of r rows and c columns.
-func Unvec(v *Dense, r, c int) *Dense {
-	if v.cols != 1 || v.rows != r*c {
-		panic(fmt.Sprintf("mat: Unvec %d×%d into %d×%d", v.rows, v.cols, r, c))
-	}
-	m := New(r, c)
-	for j := 0; j < c; j++ {
-		for i := 0; i < r; i++ {
-			m.data[i*c+j] = v.data[j*r+i]
-		}
-	}
-	return m
-}

@@ -1,10 +1,6 @@
 package mat
 
-import (
-	"math/rand"
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
 func TestSliceAndSetBlock(t *testing.T) {
 	m := FromRows([][]float64{
@@ -101,64 +97,5 @@ func TestBlockDiag(t *testing.T) {
 	want := Diag(1, 2, 3)
 	if !m.Equal(want) {
 		t.Fatalf("BlockDiag = %v", m)
-	}
-}
-
-func TestKronKnown(t *testing.T) {
-	a := FromRows([][]float64{{1, 2}, {3, 4}})
-	b := Eye(2)
-	k := Kron(a, b)
-	want := FromRows([][]float64{
-		{1, 0, 2, 0},
-		{0, 1, 0, 2},
-		{3, 0, 4, 0},
-		{0, 3, 0, 4},
-	})
-	if !k.Equal(want) {
-		t.Fatalf("Kron = %v", k)
-	}
-}
-
-func TestKronMixedProductProperty(t *testing.T) {
-	// (A⊗B)(C⊗D) = (AC)⊗(BD).
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		a := randomDense(rng, 2, 3)
-		c := randomDense(rng, 3, 2)
-		b := randomDense(rng, 2, 2)
-		d := randomDense(rng, 2, 2)
-		lhs := Mul(Kron(a, b), Kron(c, d))
-		rhs := Kron(Mul(a, c), Mul(b, d))
-		return lhs.EqualApprox(rhs, 1e-10)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestVecUnvecRoundTrip(t *testing.T) {
-	m := FromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
-	v := Vec(m)
-	if v.Rows() != 6 || v.At(0, 0) != 1 || v.At(1, 0) != 4 || v.At(2, 0) != 2 {
-		t.Fatalf("Vec = %v", v)
-	}
-	if !Unvec(v, 2, 3).Equal(m) {
-		t.Fatal("Unvec(Vec(m)) != m")
-	}
-}
-
-func TestVecKroneckerIdentity(t *testing.T) {
-	// vec(AXB) = (Bᵀ⊗A) vec(X).
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		a := randomDense(rng, 2, 3)
-		x := randomDense(rng, 3, 2)
-		b := randomDense(rng, 2, 4)
-		lhs := Vec(MulMany(a, x, b))
-		rhs := Mul(Kron(b.T(), a), Vec(x))
-		return lhs.EqualApprox(rhs, 1e-10)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -47,22 +47,3 @@ func IsPosSemiDef(a *Dense, tol float64) bool {
 	shifted := Add(a, Scale(tol, Eye(a.rows)))
 	return IsPosDef(shifted)
 }
-
-// SolveLyapunovDiscrete solves the discrete Lyapunov equation
-// AᵀXA - X + Q = 0 for X, via the Kronecker-product linear system
-// (I - Aᵀ⊗Aᵀ) vec(X) = vec(Q). Intended for the small matrices of this
-// repository (n ≤ ~12, giving n² ≤ 144 unknowns).
-func SolveLyapunovDiscrete(a, q *Dense) (*Dense, error) {
-	mustSquare("SolveLyapunovDiscrete", a)
-	sameDims("SolveLyapunovDiscrete", a, q)
-	n := a.rows
-	at := a.T()
-	// vec(Aᵀ X A) = (Aᵀ ⊗ Aᵀ) vec(X).
-	k := Kron(at, at)
-	lhs := Sub(Eye(n*n), k)
-	x, err := Solve(lhs, Vec(q))
-	if err != nil {
-		return nil, err
-	}
-	return Symmetrize(Unvec(x, n, n)), nil
-}

@@ -58,56 +58,3 @@ func TestIsPosDef(t *testing.T) {
 		t.Fatal("indefinite matrix accepted as PSD")
 	}
 }
-
-func TestSolveLyapunovDiscreteKnown(t *testing.T) {
-	// Scalar: a²x - x + q = 0 → x = q/(1-a²).
-	a := FromRows([][]float64{{0.5}})
-	q := FromRows([][]float64{{3}})
-	x, err := SolveLyapunovDiscrete(a, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := 3 / (1 - 0.25)
-	if diff := x.At(0, 0) - want; diff > 1e-12 || diff < -1e-12 {
-		t.Fatalf("Lyapunov scalar = %v, want %v", x.At(0, 0), want)
-	}
-}
-
-func TestSolveLyapunovDiscreteResidual(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 1 + rng.Intn(5)
-		a := randomDense(rng, n, n)
-		// Scale to be Schur stable so the equation has a unique PSD solution.
-		rho, err := SpectralRadius(a)
-		if err != nil {
-			return false
-		}
-		if rho >= 0.95 {
-			a = Scale(0.9/rho, a)
-		}
-		q := randomSPD(rng, n)
-		x, err := SolveLyapunovDiscrete(a, q)
-		if err != nil {
-			return false
-		}
-		res := Add(Sub(MulMany(a.T(), x, a), x), q)
-		return MaxAbs(res) < 1e-7*(1+MaxAbs(x))
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestLyapunovSolutionIsPosDefForStableA(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	a := Scale(0.3, randomDense(rng, 4, 4))
-	q := randomSPD(rng, 4)
-	x, err := SolveLyapunovDiscrete(a, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !IsPosDef(x) {
-		t.Fatal("Lyapunov solution for stable A and PD Q must be PD")
-	}
-}

@@ -63,8 +63,7 @@ func TestExpAdditivityCommuting(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 2 + rng.Intn(4)
-		m := randomDense(rng, n, n)
-		ScaleInPlace(0.5, m)
+		m := Scale(0.5, randomDense(rng, n, n))
 		a := m
 		b := Mul(m, m) // commutes with m
 		lhs := Exp(Add(a, b))
@@ -93,8 +92,7 @@ func TestExpInverseProperty(t *testing.T) {
 
 func TestExpMatchesSeriesSmall(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	a := randomDense(rng, 4, 4)
-	ScaleInPlace(0.01, a)
+	a := Scale(0.01, randomDense(rng, 4, 4))
 	// Taylor series to 12 terms is extremely accurate for tiny norms.
 	sum := Eye(4)
 	term := Eye(4)

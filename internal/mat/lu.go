@@ -145,12 +145,3 @@ func Inverse(a *Dense) (*Dense, error) {
 
 // Det returns the determinant of a square matrix.
 func Det(a *Dense) float64 { return FactorLU(a).Det() }
-
-// SolveVec solves a*x = b for a vector right-hand side.
-func SolveVec(a *Dense, b []float64) ([]float64, error) {
-	x, err := Solve(a, FromSlice(len(b), 1, b))
-	if err != nil {
-		return nil, err
-	}
-	return x.Col(0), nil
-}

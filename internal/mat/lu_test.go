@@ -66,8 +66,8 @@ func TestSingularDetection(t *testing.T) {
 	if _, err := Inverse(a); !errors.Is(err, ErrSingular) {
 		t.Fatalf("Inverse of singular = %v, want ErrSingular", err)
 	}
-	if _, err := SolveVec(a, []float64{1, 1}); !errors.Is(err, ErrSingular) {
-		t.Fatalf("SolveVec of singular = %v, want ErrSingular", err)
+	if _, err := Solve(a, ColVec(1, 1)); !errors.Is(err, ErrSingular) {
+		t.Fatalf("Solve of singular = %v, want ErrSingular", err)
 	}
 }
 
@@ -103,17 +103,6 @@ func TestDetProductProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestSolveVec(t *testing.T) {
-	a := FromRows([][]float64{{3, 0}, {0, 2}})
-	x, err := SolveVec(a, []float64{6, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if x[0] != 2 || x[1] != 2 {
-		t.Fatalf("SolveVec = %v", x)
 	}
 }
 

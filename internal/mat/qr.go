@@ -93,52 +93,6 @@ func (f *QR) Q() *Dense {
 	return q
 }
 
-// SolveLS solves the least-squares problem min ||A*x - b||₂ for
-// full-column-rank A.
-func (f *QR) SolveLS(b *Dense) (*Dense, error) {
-	if b.rows != f.m {
-		panic(fmt.Sprintf("mat: QR.SolveLS with rhs of %d rows, want %d", b.rows, f.m))
-	}
-	for _, d := range f.rdia {
-		//lint:ignore floatcompare exactly singular R (a zero diagonal was stored for a zero column); near-singularity is the caller's concern
-		if d == 0 {
-			return nil, ErrSingular
-		}
-	}
-	m, n, nc := f.m, f.n, b.cols
-	x := b.Clone()
-	qr := f.qr.data
-	// Apply Householder reflectors to b: x = Qᵀ b.
-	for k := 0; k < n; k++ {
-		//lint:ignore floatcompare a zero Householder diagonal marks a skipped (zero) column; no reflector was stored
-		if qr[k*n+k] == 0 {
-			continue
-		}
-		for j := 0; j < nc; j++ {
-			s := 0.0
-			for i := k; i < m; i++ {
-				s += qr[i*n+k] * x.data[i*nc+j]
-			}
-			s = -s / qr[k*n+k]
-			for i := k; i < m; i++ {
-				x.data[i*nc+j] += s * qr[i*n+k]
-			}
-		}
-	}
-	// Back substitution with R.
-	out := New(n, nc)
-	for i := n - 1; i >= 0; i-- {
-		for j := 0; j < nc; j++ {
-			s := x.data[i*nc+j]
-			for k := i + 1; k < n; k++ {
-				s -= qr[i*n+k] * out.data[k*nc+j]
-			}
-			out.data[i*nc+j] = s / f.rdia[i]
-		}
-	}
-	return out, nil
-}
-
 // Rank estimates the numerical rank of a matrix via QR with a relative
 // tolerance on the diagonal of R. (For the small, well-scaled matrices
 // in this repository a column-pivot-free QR is adequate; controllability

@@ -1,7 +1,6 @@
 package mat
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -37,52 +36,6 @@ func TestQRUpperTriangular(t *testing.T) {
 				t.Fatalf("R[%d,%d] = %v, want 0", i, j, r.At(i, j))
 			}
 		}
-	}
-}
-
-func TestSolveLSExact(t *testing.T) {
-	// Square nonsingular system: least squares equals exact solve.
-	a := FromRows([][]float64{{2, 0}, {1, 3}})
-	b := ColVec(4, 7)
-	x, err := FactorQR(a).SolveLS(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(x.At(0, 0)-2) > 1e-12 || math.Abs(x.At(1, 0)-5.0/3) > 1e-12 {
-		t.Fatalf("SolveLS = %v", x)
-	}
-}
-
-func TestSolveLSOverdetermined(t *testing.T) {
-	// Fit y = c0 + c1 x through (0,1), (1,3), (2,5): exact line 1 + 2x.
-	a := FromRows([][]float64{{1, 0}, {1, 1}, {1, 2}})
-	b := ColVec(1, 3, 5)
-	x, err := FactorQR(a).SolveLS(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(x.At(0, 0)-1) > 1e-12 || math.Abs(x.At(1, 0)-2) > 1e-12 {
-		t.Fatalf("LS fit = %v", x)
-	}
-}
-
-func TestSolveLSResidualOrthogonality(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		m := 4 + rng.Intn(4)
-		n := 1 + rng.Intn(3)
-		a := randomDense(rng, m, n)
-		b := randomDense(rng, m, 1)
-		x, err := FactorQR(a).SolveLS(b)
-		if err != nil {
-			return true // rank-deficient draw; nothing to check
-		}
-		res := Sub(Mul(a, x), b)
-		// Aᵀ(Ax - b) = 0 characterizes the least-squares minimizer.
-		return MaxAbs(Mul(a.T(), res)) < 1e-8
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
 	}
 }
 

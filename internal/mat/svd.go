@@ -112,64 +112,3 @@ func SingularValues(a *Dense) ([]float64, error) {
 	_, s, _, err := SVD(a)
 	return s, err
 }
-
-// Cond returns the 2-norm condition number σ_max/σ_min; +Inf for
-// singular matrices.
-func Cond(a *Dense) (float64, error) {
-	s, err := SingularValues(a)
-	if err != nil {
-		return 0, err
-	}
-	//lint:ignore floatcompare division guard: an exactly zero smallest singular value means κ = ∞
-	if s[len(s)-1] == 0 {
-		return math.Inf(1), nil
-	}
-	return s[0] / s[len(s)-1], nil
-}
-
-// PInv returns the Moore–Penrose pseudo-inverse A⁺ = V diag(1/σᵢ) Uᵀ,
-// truncating singular values below rtol·σ_max (rtol ≤ 0 selects a
-// default of 1e-12).
-func PInv(a *Dense, rtol float64) (*Dense, error) {
-	if rtol <= 0 {
-		rtol = 1e-12
-	}
-	u, s, v, err := SVD(a)
-	if err != nil {
-		return nil, err
-	}
-	k := len(s)
-	// V diag(1/σ) Uᵀ with truncation.
-	vs := v.Clone()
-	for j := 0; j < k; j++ {
-		inv := 0.0
-		if s[0] > 0 && s[j] > rtol*s[0] {
-			inv = 1 / s[j]
-		}
-		for i := 0; i < v.Rows(); i++ {
-			vs.Set(i, j, vs.At(i, j)*inv)
-		}
-	}
-	return Mul(vs, u.T()), nil
-}
-
-// RankSVD estimates the numerical rank by counting singular values
-// above rtol·σ_max — the gold-standard rank test, used to cross-check
-// the cheaper QR-based Rank.
-func RankSVD(a *Dense, rtol float64) (int, error) {
-	s, err := SingularValues(a)
-	if err != nil {
-		return 0, err
-	}
-	//lint:ignore floatcompare guard before the relative threshold rtol*s[0]: the zero matrix has rank 0
-	if s[0] == 0 {
-		return 0, nil
-	}
-	r := 0
-	for _, v := range s {
-		if v > rtol*s[0] {
-			r++
-		}
-	}
-	return r, nil
-}

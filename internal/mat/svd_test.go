@@ -147,115 +147,29 @@ func TestSVDFrobeniusIdentityProperty(t *testing.T) {
 	}
 }
 
-func TestCond(t *testing.T) {
-	c, err := Cond(Diag(10, 1))
-	if err != nil || math.Abs(c-10) > 1e-10 {
-		t.Fatalf("Cond = %v (err %v)", c, err)
-	}
-	c, err = Cond(Diag(1, 0))
-	if err != nil || !math.IsInf(c, 1) {
-		t.Fatalf("Cond singular = %v", c)
-	}
-	// Orthogonal matrices have condition number 1.
-	theta := 0.9
-	q := FromRows([][]float64{
-		{math.Cos(theta), -math.Sin(theta)},
-		{math.Sin(theta), math.Cos(theta)},
-	})
-	c, err = Cond(q)
-	if err != nil || math.Abs(c-1) > 1e-10 {
-		t.Fatalf("Cond rotation = %v", c)
-	}
-}
-
 func TestRankSVDAgreesWithQRRank(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		m := 2 + rng.Intn(4)
 		n := 2 + rng.Intn(4)
-		r := 1 + rng.Intn(minInt(m, n))
+		r := 1 + rng.Intn(min(m, n))
 		// Random rank-r matrix as a product of full-rank factors.
 		a := Mul(randomDense(rng, m, r), randomDense(rng, r, n))
-		got, err := RankSVD(a, 1e-9)
+		s, err := SingularValues(a)
 		if err != nil {
 			return false
+		}
+		// SVD rank: singular values above 1e-9·σ_max.
+		got := 0
+		for _, v := range s {
+			if v > 1e-9*s[0] {
+				got++
+			}
 		}
 		return got == r && Rank(a, 1e-9) == r
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func TestPInvSquareNonsingular(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	a := randomDense(rng, 4, 4)
-	for i := 0; i < 4; i++ {
-		a.Set(i, i, a.At(i, i)+5)
-	}
-	pinv, err := PInv(a, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inv, err := Inverse(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !pinv.EqualApprox(inv, 1e-8*(1+MaxAbs(inv))) {
-		t.Fatal("PInv of nonsingular matrix differs from Inverse")
-	}
-}
-
-func TestPInvMoorePenroseProperties(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		m := 2 + rng.Intn(4)
-		n := 2 + rng.Intn(4)
-		a := randomDense(rng, m, n)
-		p, err := PInv(a, 0)
-		if err != nil {
-			return false
-		}
-		// A A⁺ A = A and A⁺ A A⁺ = A⁺; A A⁺ and A⁺ A symmetric.
-		tol := 1e-8 * (1 + MaxAbs(a) + MaxAbs(p))
-		if !MulMany(a, p, a).EqualApprox(a, tol) {
-			return false
-		}
-		if !MulMany(p, a, p).EqualApprox(p, tol) {
-			return false
-		}
-		ap := Mul(a, p)
-		pa := Mul(p, a)
-		return ap.EqualApprox(ap.T(), tol) && pa.EqualApprox(pa.T(), tol)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestPInvRankDeficient(t *testing.T) {
-	// Rank-1: pseudo-inverse has the reciprocal singular value.
-	a := Mul(ColVec(3, 4), RowVec(1, 0)) // σ = 5
-	p, err := PInv(a, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !MulMany(a, p, a).EqualApprox(a, 1e-9) {
-		t.Fatal("A A⁺ A != A for rank-deficient A")
-	}
-	s, err := SingularValues(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(s[0]-0.2) > 1e-10 {
-		t.Fatalf("σ(A⁺) = %v, want 0.2", s[0])
 	}
 }
 

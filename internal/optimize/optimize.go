@@ -1,12 +1,9 @@
-// Package optimize provides the small derivative-free optimizers used
-// to tune controller gains per input-output interval: Nelder–Mead
-// simplex search, golden-section line search, and exhaustive grid
-// search. All are deterministic.
+// Package optimize provides the derivative-free Nelder–Mead simplex
+// search used to tune PI gains per input-output interval. It is
+// deterministic.
 package optimize
 
 import (
-	"errors"
-	"fmt"
 	"math"
 	"sort"
 )
@@ -182,89 +179,4 @@ func NelderMead(f Objective, x0 []float64, opt NelderMeadOptions) Result {
 	}
 	order()
 	return Result{X: simplex[0], F: fv[0], Iterations: it, Evals: evals, Converged: converged}
-}
-
-// ErrBadBracket is returned by GoldenSection for an empty interval.
-var ErrBadBracket = errors.New("optimize: golden section requires a < b")
-
-// GoldenSection minimizes a univariate function on [a, b] to within tol
-// using golden-section search. f is assumed unimodal on the interval;
-// otherwise a local minimum is returned.
-func GoldenSection(f func(float64) float64, a, b, tol float64) (xmin, fmin float64, err error) {
-	if a >= b {
-		return 0, 0, ErrBadBracket
-	}
-	if tol <= 0 {
-		tol = 1e-9
-	}
-	invPhi := (math.Sqrt(5) - 1) / 2
-	c := b - invPhi*(b-a)
-	d := a + invPhi*(b-a)
-	fc, fd := f(c), f(d)
-	for b-a > tol {
-		if fc < fd {
-			b, d, fd = d, c, fc
-			c = b - invPhi*(b-a)
-			fc = f(c)
-		} else {
-			a, c, fc = c, d, fd
-			d = a + invPhi*(b-a)
-			fd = f(d)
-		}
-	}
-	x := (a + b) / 2
-	return x, f(x), nil
-}
-
-// GridSearch evaluates f on the Cartesian product of the given axes and
-// returns the best point. Axes must be non-empty.
-func GridSearch(f Objective, axes [][]float64) Result {
-	if len(axes) == 0 {
-		//lint:ignore nakedpanic the empty-argument condition has no dynamic values to report
-		panic("optimize: GridSearch with no axes")
-	}
-	for i, ax := range axes {
-		if len(ax) == 0 {
-			panic(fmt.Sprintf("optimize: GridSearch axis %d of %d is empty", i, len(axes)))
-		}
-	}
-	idx := make([]int, len(axes))
-	x := make([]float64, len(axes))
-	best := Result{F: math.Inf(1), Converged: true}
-	for {
-		for i, ax := range axes {
-			x[i] = ax[idx[i]]
-		}
-		v := f(x)
-		best.Evals++
-		if !math.IsNaN(v) && v < best.F {
-			best.F = v
-			best.X = append([]float64(nil), x...)
-		}
-		// Odometer increment.
-		i := 0
-		for ; i < len(axes); i++ {
-			idx[i]++
-			if idx[i] < len(axes[i]) {
-				break
-			}
-			idx[i] = 0
-		}
-		if i == len(axes) {
-			return best
-		}
-	}
-}
-
-// Linspace returns n evenly spaced values from lo to hi inclusive.
-func Linspace(lo, hi float64, n int) []float64 {
-	if n < 2 {
-		return []float64{lo}
-	}
-	out := make([]float64, n)
-	step := (hi - lo) / float64(n-1)
-	for i := range out {
-		out[i] = lo + float64(i)*step
-	}
-	return out
 }

@@ -1,7 +1,6 @@
 package optimize
 
 import (
-	"errors"
 	"math"
 	"testing"
 	"testing/quick"
@@ -73,62 +72,5 @@ func TestNelderMeadQuadraticProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestGoldenSection(t *testing.T) {
-	x, fx, err := GoldenSection(func(x float64) float64 { return (x - 1.7) * (x - 1.7) }, 0, 10, 1e-8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(x-1.7) > 1e-6 || fx > 1e-12 {
-		t.Fatalf("golden section = (%v, %v)", x, fx)
-	}
-}
-
-func TestGoldenSectionBadBracket(t *testing.T) {
-	_, _, err := GoldenSection(math.Sin, 2, 2, 1e-6)
-	if !errors.Is(err, ErrBadBracket) {
-		t.Fatalf("err = %v", err)
-	}
-}
-
-func TestGridSearch(t *testing.T) {
-	f := func(x []float64) float64 { return math.Abs(x[0]-2) + math.Abs(x[1]+1) }
-	res := GridSearch(f, [][]float64{
-		Linspace(-5, 5, 11),
-		Linspace(-5, 5, 11),
-	})
-	if res.X[0] != 2 || res.X[1] != -1 {
-		t.Fatalf("grid best = %v", res.X)
-	}
-	if res.Evals != 121 {
-		t.Fatalf("evals = %d, want 121", res.Evals)
-	}
-}
-
-func TestGridSearchSkipsNaN(t *testing.T) {
-	f := func(x []float64) float64 {
-		if x[0] < 0 {
-			return math.NaN()
-		}
-		return x[0]
-	}
-	res := GridSearch(f, [][]float64{Linspace(-2, 2, 5)})
-	if res.X[0] != 0 {
-		t.Fatalf("grid best = %v", res.X)
-	}
-}
-
-func TestLinspace(t *testing.T) {
-	got := Linspace(0, 1, 5)
-	want := []float64{0, 0.25, 0.5, 0.75, 1}
-	for i := range want {
-		if math.Abs(got[i]-want[i]) > 1e-15 {
-			t.Fatalf("Linspace = %v", got)
-		}
-	}
-	if got := Linspace(3, 9, 1); len(got) != 1 || got[0] != 3 {
-		t.Fatalf("Linspace n=1 = %v", got)
 	}
 }

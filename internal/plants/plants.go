@@ -1,7 +1,7 @@
 // Package plants defines the benchmark plants used throughout the
 // reproduction: the unstable SISO system of Table I, the permanent
-// magnet synchronous motor of Table II, and a handful of classic
-// textbook plants used by the examples and tests.
+// magnet synchronous motor of Table II, and the full-state double
+// integrator used by the examples and tests.
 //
 // The paper does not reprint the numeric plant matrices (the PMSM is
 // borrowed from [18, Example 2]); the models here are standard
@@ -93,16 +93,6 @@ func PMSMCurrentSensed(p PMSMParams) *lti.System {
 	return lti.MustSystem(full.A, full.B, c)
 }
 
-// DoubleIntegrator returns ẍ = u with position output — the canonical
-// quickstart plant.
-func DoubleIntegrator() *lti.System {
-	return lti.MustSystem(
-		mat.FromRows([][]float64{{0, 1}, {0, 0}}),
-		mat.ColVec(0, 1),
-		mat.RowVec(1, 0),
-	)
-}
-
 // DoubleIntegratorFullState is the double integrator with both states
 // measured, for state-feedback designs.
 func DoubleIntegratorFullState() *lti.System {
@@ -110,60 +100,5 @@ func DoubleIntegratorFullState() *lti.System {
 		mat.FromRows([][]float64{{0, 1}, {0, 0}}),
 		mat.ColVec(0, 1),
 		mat.Eye(2),
-	)
-}
-
-// DCMotor returns a two-state DC motor (current, speed) with speed
-// output: a stable, well-damped SISO plant.
-func DCMotor() *lti.System {
-	const (
-		ra = 1.0  // armature resistance [Ω]
-		la = 0.5  // armature inductance [H]
-		km = 0.01 // torque constant
-		j  = 0.01 // inertia
-		b  = 0.1  // friction
-	)
-	return lti.MustSystem(
-		mat.FromRows([][]float64{
-			{-ra / la, -km / la},
-			{km / j, -b / j},
-		}),
-		mat.ColVec(1/la, 0),
-		mat.RowVec(0, 1),
-	)
-}
-
-// InvertedPendulum returns the linearized cart-pole around the upright
-// equilibrium with full state output [p, ṗ, θ, θ̇] — a classic
-// unstable MIMO-state benchmark for state-feedback designs.
-func InvertedPendulum() *lti.System {
-	const (
-		mc = 0.5  // cart mass [kg]
-		mp = 0.2  // pole mass [kg]
-		l  = 0.3  // pole half-length [m]
-		g  = 9.81 // gravity
-	)
-	denom := mc + mp
-	a := mat.FromRows([][]float64{
-		{0, 1, 0, 0},
-		{0, 0, -mp * g / denom, 0},
-		{0, 0, 0, 1},
-		{0, 0, (denom) * g / (denom * l), 0},
-	})
-	b := mat.ColVec(0, 1/denom, 0, -1/(denom*l))
-	return lti.MustSystem(a, b, mat.Eye(4))
-}
-
-// CruiseControl returns a first-order vehicle-speed plant
-// v̇ = (-b v + u)/m with speed output.
-func CruiseControl() *lti.System {
-	const (
-		m = 1000.0 // vehicle mass [kg]
-		b = 50.0   // drag coefficient
-	)
-	return lti.MustSystem(
-		mat.FromRows([][]float64{{-b / m}}),
-		mat.FromRows([][]float64{{1 / m}}),
-		mat.Eye(1),
 	)
 }

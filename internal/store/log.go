@@ -46,27 +46,6 @@ var ErrCorrupt = errors.New("store: corrupt record")
 // ErrClosed is returned by operations on a closed log.
 var ErrClosed = errors.New("store: closed")
 
-// Store is the storage interface shared by the certificate cache and
-// job-checkpoint persistence (and, later, the distributed tier). A
-// *Log is the canonical implementation.
-type Store interface {
-	// Get returns the value for key. ok reports presence; a non-nil
-	// error wrapping ErrCorrupt means the key exists but its bytes are
-	// damaged.
-	Get(key string) (value []byte, ok bool, err error)
-	// Put durably records key→value: when Put returns nil the record
-	// is fsynced (acknowledged) and must survive any crash.
-	Put(key string, value []byte) error
-	// Delete durably removes key. Deleting an absent key is a no-op.
-	Delete(key string) error
-	// Keys returns every live key in lexical order.
-	Keys() []string
-	// Sync flushes any unacknowledged appends.
-	Sync() error
-	// Close flushes and releases the log.
-	Close() error
-}
-
 // Stats is a snapshot of the log's counters and health.
 type Stats struct {
 	Appends        int64 // put/tombstone frames written
@@ -97,10 +76,6 @@ type Options struct {
 	FS FS
 	// SegmentBytes is the rotation threshold; ≤ 0 selects 64 MiB.
 	SegmentBytes int64
-	// NoSyncOnPut disables the per-Put fsync. Only tests that measure
-	// the sync discipline itself set this; both production users
-	// require acknowledged-means-durable.
-	NoSyncOnPut bool
 	// CompactFraction is the dead/total ratio among sealed segments
 	// that triggers compaction; ≤ 0 selects 0.5.
 	CompactFraction float64
@@ -162,8 +137,6 @@ type Log struct {
 	compactNotBefore time.Time
 	compactBackoff   time.Duration
 }
-
-var _ Store = (*Log)(nil)
 
 // segName renders the canonical file name for a sequence number.
 func segName(seq uint64) string { return fmt.Sprintf("%016x%s", seq, segSuffix) }
@@ -490,21 +463,20 @@ func (l *Log) appendLocked(frame []byte, rec record) error {
 	act.size += int64(n)
 	l.stats.Appends++
 	l.applyLocked(rec, loc{seg: act, off: off, n: int64(len(frame)) - frameHeaderSize})
-	if !l.opt.NoSyncOnPut {
-		if err := l.active.Sync(); err != nil {
-			// The frame is complete on the page cache but not durable:
-			// the caller must not treat it as acknowledged. The in-memory
-			// state keeps the record (it may well survive), which is
-			// exactly the may-or-may-not persistence an errored Put
-			// promises.
-			return fmt.Errorf("store: sync %s: %w", act.path, err)
-		}
-		l.stats.Syncs++
+	if err := l.active.Sync(); err != nil {
+		// The frame is complete on the page cache but not durable:
+		// the caller must not treat it as acknowledged. The in-memory
+		// state keeps the record (it may well survive), which is
+		// exactly the may-or-may-not persistence an errored Put
+		// promises.
+		return fmt.Errorf("store: sync %s: %w", act.path, err)
 	}
+	l.stats.Syncs++
 	return nil
 }
 
-// Put implements Store.
+// Put durably records key→value: when Put returns nil the record is
+// fsynced (acknowledged) and must survive any crash.
 func (l *Log) Put(key string, value []byte) error {
 	if err := validKey(key); err != nil {
 		return err
@@ -525,8 +497,8 @@ func (l *Log) Put(key string, value []byte) error {
 	return nil
 }
 
-// Delete implements Store. Deleting a key the index does not hold is a
-// no-op — no tombstone is written, so probes cannot bloat the log.
+// Delete durably removes key. Deleting a key the index does not hold
+// is a no-op — no tombstone is written, so probes cannot bloat the log.
 func (l *Log) Delete(key string) error {
 	if err := validKey(key); err != nil {
 		return err
@@ -550,9 +522,11 @@ func (l *Log) Delete(key string) error {
 	return nil
 }
 
-// Get implements Store. The returned bytes are verified against the
-// frame's checksum on every read, so bit rot between writes and reads
-// surfaces as ErrCorrupt instead of a silently wrong certificate.
+// Get returns the value for key. ok reports presence; a non-nil error
+// wrapping ErrCorrupt means the key exists but its bytes are damaged.
+// The returned bytes are verified against the frame's checksum on every
+// read, so bit rot between writes and reads surfaces as ErrCorrupt
+// instead of a silently wrong certificate.
 func (l *Log) Get(key string) ([]byte, bool, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -581,7 +555,7 @@ func (l *Log) Get(key string) ([]byte, bool, error) {
 	return out, true, nil
 }
 
-// Keys implements Store.
+// Keys returns every live key in lexical order.
 func (l *Log) Keys() []string {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -600,22 +574,8 @@ func (l *Log) Len() int {
 	return len(l.index)
 }
 
-// Sync implements Store.
-func (l *Log) Sync() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return ErrClosed
-	}
-	if err := l.active.Sync(); err != nil {
-		return fmt.Errorf("store: sync: %w", err)
-	}
-	l.stats.Syncs++
-	return nil
-}
-
-// Close implements Store. It waits for an in-flight compaction, then
-// syncs and closes the active segment.
+// Close flushes and releases the log. It waits for an in-flight
+// compaction, then syncs and closes the active segment.
 func (l *Log) Close() error {
 	l.mu.Lock()
 	if l.closed {

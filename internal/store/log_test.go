@@ -134,6 +134,37 @@ func TestEmptyAndInvalidKeys(t *testing.T) {
 	}
 }
 
+// TestEveryPutAndDeleteSyncsOnce pins "acknowledged means durable":
+// each acknowledged Put and Delete issues exactly one fsync, and a
+// Delete of an absent key writes nothing and syncs nothing.
+func TestEveryPutAndDeleteSyncsOnce(t *testing.T) {
+	l := mustOpen(t, t.TempDir(), Options{NoAutoCompact: true})
+	defer l.Close()
+	step := func(what string, op func() error, wantSyncs int64) {
+		t.Helper()
+		before := l.Stats().Syncs
+		if err := op(); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if got := l.Stats().Syncs - before; got != wantSyncs {
+			t.Fatalf("%s raised Syncs by %d, want %d", what, got, wantSyncs)
+		}
+	}
+	for i := 0; i < 5; i++ {
+		key := fmt.Sprintf("key-%d", i)
+		step("Put "+key, func() error { return l.Put(key, []byte(key)) }, 1)
+		step("overwrite "+key, func() error { return l.Put(key, nil) }, 1)
+	}
+	for i := 0; i < 5; i++ {
+		key := fmt.Sprintf("key-%d", i)
+		step("Delete "+key, func() error { return l.Delete(key) }, 1)
+	}
+	step("Delete absent", func() error { return l.Delete("key-0") }, 0)
+	if st := l.Stats(); st.Rotations != 0 {
+		t.Fatalf("%d rotations: their syncs would blur the count", st.Rotations)
+	}
+}
+
 func TestRotationAndReplayAcrossSegments(t *testing.T) {
 	dir := t.TempDir()
 	l := mustOpen(t, dir, Options{SegmentBytes: 256, NoAutoCompact: true})

@@ -24,14 +24,20 @@ go test -race ./internal/jsr/ ./internal/sim/ ./internal/guard/ ./internal/fault
 echo "== go test -race ./..."
 go test -race ./...
 
+# Each fuzz stage caps the minimization of a new interesting input at
+# 200 runs: the default 60 s minimization uses up a whole time box, and
+# the stage then logs 0 execs/sec until the box closes.
 echo "== fuzz DecodeRequest against encoding/json (time-boxed)"
-go test ./internal/api -run '^$' -fuzz '^FuzzDecodeRequest$' -fuzztime 20s
+go test ./internal/api -run '^$' -fuzz '^FuzzDecodeRequest$' -fuzztime 20s \
+    -fuzzminimizetime 200x
 
 echo "== fuzz the n = 9 kernels against the generic loops (time-boxed)"
-go test ./internal/mat -run '^$' -fuzz '^FuzzKernel9$' -fuzztime 10s
+go test ./internal/mat -run '^$' -fuzz '^FuzzKernel9$' -fuzztime 10s \
+    -fuzzminimizetime 200x
 
 echo "== fuzz the pre-product Frobenius bound against the product's norm bounds (time-boxed)"
-go test ./internal/mat -run '^$' -fuzz '^FuzzProductFroBound$' -fuzztime 10s
+go test ./internal/mat -run '^$' -fuzz '^FuzzProductFroBound$' -fuzztime 10s \
+    -fuzzminimizetime 200x
 
 echo "== bench self-test (bench/ is its own module, so go test ./... never reaches it)"
 (cd bench && go test -short ./...)
