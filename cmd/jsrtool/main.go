@@ -45,10 +45,13 @@ import (
 	"adaptivertc/internal/mat"
 )
 
-// ckptKind/ckptVersion identify jsrtool's checkpoint format.
+// ckptKind/ckptVersion identify jsrtool's checkpoint format. Version 2
+// snapshots name the invariant block they were taken in
+// (GripenbergState.Block); a checkpoint of another version is refused,
+// with no migration.
 const (
 	ckptKind    = "jsrtool/gripenberg"
-	ckptVersion = 1
+	ckptVersion = 2
 )
 
 // ckptPayload is what jsrtool persists: the Gripenberg search state

@@ -35,6 +35,15 @@ import (
 // changes to request semantics bump it; Validate rejects anything else.
 const RequestVersion = 1
 
+// EngineVersion names the certificate bytes the engine produces for a
+// request. It is hashed into Key, so a change to the engine that moves
+// any certificate's bits bumps it and orphans the cached certificates
+// of the old engine instead of serving them as the new engine's. It is
+// not part of the wire format. 2 is the engine that certifies each
+// invariant block of a set on its own (jsr.EstimateCtx); the engine
+// before it, which certified the set whole, never hashed a version.
+const EngineVersion = 2
+
 // Service guardrails: a public certification endpoint must bound the
 // work a single request can demand. The limits are generous for the
 // paper's workloads (lifted PMSM modes are 9×9, mode tables have ≤ 11
@@ -307,10 +316,12 @@ func bruteWork(k, brute int) int {
 
 // Key content-addresses a normalized, validated request: every field
 // that shapes the computation is absorbed through the frozen
-// inputhash encoding, behind a domain separator and a kind tag so
-// literal-matrix and scenario requests can never collide.
+// inputhash encoding, behind a domain separator, the EngineVersion
+// that computes it, and a kind tag so literal-matrix and scenario
+// requests can never collide.
 func (r *CertifyRequest) Key() inputhash.Sum {
 	d := inputhash.New("adaserved/certify/v1")
+	d.Int(EngineVersion)
 	d.Int(r.Version)
 	d.Bool(r.Raw)
 	d.Float64(r.Delta)

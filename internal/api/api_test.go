@@ -129,8 +129,9 @@ func TestValidateRejectsNonFiniteEntries(t *testing.T) {
 
 // Golden key: the content address of the canonical two-matrix request.
 // If this changes, every persisted cache entry is orphaned — that is
-// only acceptable with a deliberate domain-string bump.
-const goldenRequestKey = "dce04084a118d77988f06f1a7cf9e39d4944b298270ce644648e0d3c6a330343"
+// only acceptable with a deliberate domain-string or EngineVersion
+// bump. Recorded at EngineVersion 2.
+const goldenRequestKey = "5800616203019fc0147c0561809f7a8ab4ac9f8a16606a26add027ad194b090d"
 
 func TestKeyGoldenAndCanonicalization(t *testing.T) {
 	r := normalized(validMatrixReq())

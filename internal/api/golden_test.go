@@ -14,7 +14,8 @@ import (
 )
 
 // TestPMSMScenarioGolden pins the engine at the size the service
-// certifies: the lifted PMSM closed loop of the paper is 9×9, and the
+// certifies: the lifted PMSM closed loop of the paper is 9×9, split by
+// EstimateCtx into invariant blocks of 4 and 5 states, and the
 // byte-for-byte engine references in internal/jsr run on 2×2 and 3×3
 // sets only. Each case resolves a scenario request with the default
 // budgets exactly as the service does and runs jsr.EstimateCtx at
@@ -27,8 +28,8 @@ func TestPMSMScenarioGolden(t *testing.T) {
 		lower, upper uint64
 		witness      []int
 	}{
-		{ns: 2, lower: 0x3fef10a225d17be6, upper: 0x3fef2c25b670c1fd, witness: []int{2, 2, 0, 0}},
-		{ns: 5, lower: 0x3fe8b81830e3b294, upper: 0x3fe8f419123cb7e7, witness: []int{3, 0, 0, 3, 3, 0, 3, 0}},
+		{ns: 2, lower: 0x3fef10a225d17bea, upper: 0x3fef2c25b670c1fe, witness: []int{0, 0, 2, 2}},
+		{ns: 5, lower: 0x3fe8b81830e3b295, upper: 0x3fe8f419123cb7e5, witness: []int{3, 0, 3, 0, 0, 3, 3, 0}},
 	}
 	workers := []int{1, 2, 3, 4, 7, runtime.GOMAXPROCS(0)}
 	for _, tc := range cases {

@@ -2,8 +2,11 @@ package core
 
 import (
 	"context"
+	"errors"
 	"math"
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -11,6 +14,7 @@ import (
 	"adaptivertc/internal/jsr"
 	"adaptivertc/internal/lti"
 	"adaptivertc/internal/mat"
+	"adaptivertc/internal/plants"
 )
 
 // testPlant is a marginally unstable second-order SISO plant.
@@ -515,5 +519,54 @@ func TestSetInputLimitsValidation(t *testing.T) {
 			}()
 			c()
 		}()
+	}
+}
+
+// TestQuickstartCertificateUnchanged pins examples/quickstart's
+// certificate, preconditioned and raw, at several worker counts. Its
+// lifted 5×5 set is irreducible: the union graph of its nonzeros is
+// one strongly connected component, so jsr.EstimateCtx certifies it as
+// one block under the identity permutation, and the bits must be the
+// ones the engine gave before it split sets into invariant blocks. They
+// were recorded on amd64 with FMA; elsewhere the design's math.Exp may
+// move the last bits, so only worker invariance is checked there.
+func TestQuickstartCertificateUnchanged(t *testing.T) {
+	plant := plants.DoubleIntegratorFullState()
+	tm, err := NewTiming(0.020, 5, 0.002, 1.6*0.020)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := control.LQRWeights{Q: mat.Eye(2), R: mat.Diag(0.1)}
+	d, err := NewDesign(plant, tm, func(h float64) (*control.StateSpace, error) {
+		return control.LQGFullInfo(plant, w, h)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	set := d.OmegaSet()
+	cases := []struct {
+		name         string
+		estimate     func(context.Context, []*mat.Dense, int, jsr.GripenbergOptions) (jsr.Bounds, error)
+		lower, upper uint64
+		witness      []int
+	}{
+		{"preconditioned", jsr.EstimateCtx, 0x3fef53e436d993f1, 0x3fefdd784b2f8346, []int{0, 0}},
+		{"raw", jsr.EstimateRawCtx, 0x3fef53e436d993f6, 0x3ff5ce0fa34b163c, []int{0, 0, 0}},
+	}
+	for _, tc := range cases {
+		for _, workers := range []int{1, 2, 3} {
+			b, err := tc.estimate(context.Background(), set, 6, jsr.GripenbergOptions{Delta: 1e-3, MaxNodes: 20_000, Workers: workers})
+			if err != nil && !errors.Is(err, jsr.ErrBudget) {
+				t.Fatalf("%s workers=%d: %v", tc.name, workers, err)
+			}
+			lo, up := math.Float64bits(b.Lower), math.Float64bits(b.Upper)
+			if runtime.GOARCH != "amd64" {
+				tc.lower, tc.upper, tc.witness = lo, up, b.WitnessWord
+			}
+			if lo != tc.lower || up != tc.upper || !slices.Equal(b.WitnessWord, tc.witness) {
+				t.Errorf("%s workers=%d: got lower %#x upper %#x witness %v, want %#x %#x %v",
+					tc.name, workers, lo, up, b.WitnessWord, tc.lower, tc.upper, tc.witness)
+			}
+		}
 	}
 }

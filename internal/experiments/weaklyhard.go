@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"strings"
 
 	"adaptivertc/internal/control"
@@ -59,12 +58,6 @@ func WeaklyHard(ctx context.Context, k int, opt Options) ([]WeaklyHardRow, error
 	if len(setA) != 2 {
 		return nil, fmt.Errorf("experiments: weakly-hard analysis needs exactly 2 modes, got %d", len(setA))
 	}
-	// A simultaneous similarity transform preserves the constrained JSR
-	// exactly (products transform by conjugation), so the Lyapunov
-	// preconditioner tightens the norm-based upper bounds here too.
-	setA, _, _ = jsr.Precondition(setA)
-	setF, _, _ = jsr.Precondition(setF)
-
 	rows := make([]WeaklyHardRow, k+1)
 	gerr := gridParallel(ctx, k+1, opt.Workers, nil, func(m int, publish func(func())) error {
 		g, err := jsr.WeaklyHardGraph(m, k)
@@ -102,27 +95,17 @@ func WeaklyHardString(rows []WeaklyHardRow) string {
 	return b.String()
 }
 
-// constrainedBracket intersects the brute-force sandwich with the
-// branch-and-bound refinement for one graph; opt.Workers reaches both.
+// constrainedBracket certifies set under the switching graph g with
+// jsr.ConstrainedEstimateCtx: the set's invariant blocks, each
+// Lyapunov-preconditioned (a simultaneous similarity preserves the
+// constrained JSR exactly, since products transform by conjugation),
+// bracketed by the brute-force sandwich and the branch-and-bound
+// refinement; opt.Workers reaches both. A spent budget leaves a valid
+// bracket; a deadline is an error.
 func constrainedBracket(ctx context.Context, set []*mat.Dense, g *jsr.Graph, opt Options) (jsr.Bounds, error) {
-	bf, err := jsr.ConstrainedBoundsCtx(ctx, set, g, opt.BruteLen+8, jsr.BruteForceOptions{Workers: opt.Workers})
-	if err != nil {
+	b, err := jsr.ConstrainedEstimateCtx(ctx, set, g, opt.BruteLen+8, jsr.GripenbergOptions{Delta: opt.Delta, MaxDepth: 30, Workers: opt.Workers})
+	if err != nil && (errors.Is(err, jsr.ErrDeadline) || !errors.Is(err, jsr.ErrBudget)) {
 		return jsr.Bounds{}, err
 	}
-	gp, gerr := jsr.ConstrainedGripenbergCtx(ctx, set, g, jsr.GripenbergOptions{Delta: opt.Delta, MaxDepth: 30, Workers: opt.Workers})
-	if gerr != nil && !errors.Is(gerr, jsr.ErrBudget) {
-		return jsr.Bounds{}, gerr
-	}
-	out := jsr.Bounds{
-		Lower:       math.Max(bf.Lower, gp.Lower),
-		Upper:       math.Min(bf.Upper, gp.Upper),
-		WitnessWord: bf.WitnessWord,
-	}
-	if gp.Lower > bf.Lower {
-		out.WitnessWord = gp.WitnessWord
-	}
-	if out.Upper < out.Lower {
-		out.Upper = out.Lower
-	}
-	return out, nil
+	return b, nil
 }

@@ -158,7 +158,8 @@ func WeaklyHardGraph(m, k int) (*Graph, error) {
 // from the norm sandwich over all admissible products of each length.
 // The bounds are bit-identical for every Workers value. On cancellation
 // the sandwich over the fully completed levels is returned together
-// with an error wrapping ErrDeadline, as BruteForceBoundsCtx does.
+// with an error wrapping ErrDeadline, and an inverted sandwich is
+// ErrInverted, as with BruteForceBoundsCtx.
 func ConstrainedBoundsCtx(ctx context.Context, set []*mat.Dense, g *Graph, maxLen int, opt BruteForceOptions) (Bounds, error) {
 	if _, err := validateSet(set); err != nil {
 		return Bounds{}, err
@@ -166,7 +167,7 @@ func ConstrainedBoundsCtx(ctx context.Context, set []*mat.Dense, g *Graph, maxLe
 	if err := g.Validate(len(set)); err != nil {
 		return Bounds{}, err
 	}
-	return bruteForce(ctx, set, g, maxLen, opt)
+	return certified(bruteForce(ctx, set, g, maxLen, opt))
 }
 
 // closes reports whether a walk ending at `node` can immediately return
@@ -208,5 +209,34 @@ func ConstrainedGripenbergCtx(ctx context.Context, set []*mat.Dense, g *Graph, o
 		return Bounds{}, fmt.Errorf("jsr: Snapshot/Resume are not supported by the constrained search")
 	}
 	opt.DisableEllipsoid = true
-	return gripenberg(ctx, set, g, opt)
+	opt, err := opt.withDefaults()
+	if err != nil {
+		return Bounds{}, err
+	}
+	b, _, err := gripenberg(ctx, set, g, opt, 0)
+	return certified(b, err)
+}
+
+// ConstrainedEstimateCtx is EstimateCtx over the walks of g: the set is
+// split into its invariant blocks, each block is preconditioned and
+// bracketed by ConstrainedBoundsCtx's sweep and ConstrainedGripenbergCtx's
+// search under the prune floor, and the brackets combine as
+// EstimateCtx combines them, with the witness replayed on the caller's
+// matrices. The constrained JSR of a block-triangular family is the
+// largest constrained JSR of its diagonal blocks, by the same argument
+// as for arbitrary switching: every admissible product is block
+// triangular, with the admissible products of the blocks on its
+// diagonal. Snapshot/Resume are not supported, as with
+// ConstrainedGripenbergCtx.
+func ConstrainedEstimateCtx(ctx context.Context, set []*mat.Dense, g *Graph, bruteLen int, opt GripenbergOptions) (Bounds, error) {
+	if _, err := validateSet(set); err != nil {
+		return Bounds{}, err
+	}
+	if err := g.Validate(len(set)); err != nil {
+		return Bounds{}, err
+	}
+	if opt.Snapshot != nil || opt.Resume != nil {
+		return Bounds{}, fmt.Errorf("jsr: Snapshot/Resume are not supported by the constrained search")
+	}
+	return estimate(ctx, set, g, bruteLen, opt, true)
 }

@@ -913,13 +913,12 @@ func benchExpandSet(n, k int, seed int64) []*mat.Dense {
 	return set
 }
 
-// benchmarkExpand times one warm depth-4 level. Ungated, it passes -Inf
-// and pays every kernel. Gated, it expands at the seed lower bound and
-// its prune threshold. On this random set nearly every depth-4 child
-// beats the seed bound, so the gated run prices the gates' overhead:
-// the bounds sweep and a Gelfand product that rarely skips anything.
-func benchmarkExpand(b *testing.B, n int, gated bool) {
-	set := benchExpandSet(n, 4, 42)
+// benchmarkExpand times one warm depth-4 level of the random set
+// benchExpandSet(n, 4, seed). Ungated, it passes -Inf and pays every
+// kernel. Gated, it expands at the seed lower bound and its prune
+// threshold, so the run prices the gates against what they skip.
+func benchmarkExpand(b *testing.B, n int, seed int64, gated bool) {
+	set := benchExpandSet(n, 4, seed)
 	// Build a depth-3 frontier outside the pools so expansion never
 	// clobbers its own parents across benchmark iterations.
 	complete := CompleteGraph(len(set))
@@ -948,27 +947,43 @@ func benchmarkExpand(b *testing.B, n int, gated bool) {
 	}
 }
 
+// BenchmarkJSRExpand's n5 rows run at the served block size. Random
+// 4-mode 5×5 sets mostly have one mode whose own spectral radius the
+// depth-4 products cannot beat, and then the gates skip almost the
+// whole level: at n = 5, seed 42 (the n6 row's) multiplies one child of
+// 256. Seed 40 is one where they cannot: 222 of the 256 children are
+// multiplied and 49 raise the bound, so n5-gated prices the gates'
+// bounds sweep, Gram products and Gelfand products against little that
+// they skip.
 func BenchmarkJSRExpand(b *testing.B) {
-	b.Run("n6", func(b *testing.B) { benchmarkExpand(b, 6, false) })
-	b.Run("n9", func(b *testing.B) { benchmarkExpand(b, 9, false) })
-	b.Run("n9-gated", func(b *testing.B) { benchmarkExpand(b, 9, true) })
+	b.Run("n6", func(b *testing.B) { benchmarkExpand(b, 6, 42, false) })
+	b.Run("n5", func(b *testing.B) { benchmarkExpand(b, 5, 40, false) })
+	b.Run("n5-gated", func(b *testing.B) { benchmarkExpand(b, 5, 40, true) })
 }
 
-// BenchmarkBruteForcePMSM times the Eq. 12 sweep EstimateCtx runs on the
-// preconditioned lifted PMSM Ns = 5 set (four 9×9 modes) at the
-// service's default length 6: 5,460 products.
+// BenchmarkBruteForcePMSM times the Eq. 12 sweeps EstimateCtx runs on
+// the lifted PMSM Ns = 5 set (four 9×9 modes): one per invariant block,
+// of 4 and of 5 states, each preconditioned, at the service's default
+// length 6: 5,460 products per block.
 func BenchmarkBruteForcePMSM(b *testing.B) {
-	work, _, ok := Precondition(pmsmLiftedSet(b))
-	if !ok {
-		b.Fatal("precondition failed")
+	set := pmsmLiftedSet(b)
+	var works [][]*mat.Dense
+	for _, blk := range splitBlocks(set) {
+		work, _, ok := Precondition(restrict(set, blk))
+		if !ok {
+			b.Fatalf("precondition of block %v failed", blk)
+		}
+		works = append(works, work)
 	}
 	for _, w := range []int{1, 2} {
 		b.Run(fmt.Sprintf("w%d", w), func(b *testing.B) {
 			opt := BruteForceOptions{Workers: w}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := BruteForceBoundsCtx(context.Background(), work, 6, opt); err != nil {
-					b.Fatal(err)
+				for _, work := range works {
+					if _, err := BruteForceBoundsCtx(context.Background(), work, 6, opt); err != nil {
+						b.Fatal(err)
+					}
 				}
 			}
 		})
@@ -996,7 +1011,8 @@ func BenchmarkEstimatePMSM(b *testing.B) {
 // TestGripenbergAllocsServedSet pins the allocations of one whole
 // search at the served size: GripenbergCtx at workers = 1 over the
 // preconditioned lifted PMSM Ns = 5 set with the service's default
-// depth, δ and node budget, as EstimateCtx runs it. Children the
+// depth, δ and node budget, as EstimateCtx ran it before it searched
+// the set's invariant blocks one at a time. Children the
 // pre-product gate rules out take no product buffer, survivors' words
 // go into two reused slabs, and every pool is per search, so the count
 // is a small constant per search rather than per node: mostly the

@@ -28,8 +28,13 @@
 // WeaklyHardGraph. Only closed walks, which may repeat forever, bound
 // the JSR from below.
 //
-// Both return certified bounds, not estimates: the upper bounds are
-// valid regardless of truncation depth. Both are parallel: independent
+// EstimateCtx, EstimateRawCtx and ConstrainedEstimateCtx combine the
+// two on each invariant block of the set (blocks.go): an exact
+// permutation puts every matrix in one block-triangular form, and the
+// JSR is the largest JSR of the diagonal blocks.
+//
+// All of them return certified bounds, not estimates: the upper bounds
+// are valid regardless of truncation depth. All are parallel: independent
 // subtrees of the product tree are sharded across a worker pool, and
 // the merge is deterministic, so the returned Bounds (including the
 // WitnessWord) are bit-identical for every worker count.
@@ -120,6 +125,40 @@ func (e budgetError) Unwrap() error { return ErrBudget }
 // errors.Is(err, ErrDeadline) and errors.Is(err, context.Canceled) (or
 // context.DeadlineExceeded) hold.
 var ErrDeadline = errors.New("jsr: deadline or cancellation before reaching requested accuracy")
+
+// ErrInverted is returned when a computed bracket has Lower above
+// Upper by more than rounding. The true JSR cannot lie in such a
+// bracket, so one of its certificates is wrong in floating point: an
+// upper bound that came out low, most likely a 2-norm whose power
+// iteration stalled short of the true norm. It is an internal error,
+// never a verdict: the bracket is not returned, and callers must not
+// act on or cache the result.
+var ErrInverted = errors.New("jsr: lower bound above upper bound; a certificate is unsound in floating point")
+
+// invertedTol is the relative excess of Lower over Upper that still
+// counts as rounding where a lower and an upper certificate meet. They
+// meet for a normal product, whose spectral radius is its 2-norm, and
+// the two come out of different kernels; and the eigenvalues of a
+// nearly defective product (a 2×2 scaled permutation squared, say) are
+// accurate only to about √ε ≈ 1.5e-8 of its norm, so a lower bound may
+// overshoot by that much. Such a bracket collapses to [Lower, Lower].
+// The tolerance leaves a margin of about 60 over √ε and is far below
+// any gap the certified sets show (0.35% or more on the PMSM sets) and
+// the −72% inversion of a stalled norm iteration.
+const invertedTol = 1e-6
+
+// certified returns b and err, with Upper raised to Lower when the two
+// cross by rounding, or ErrInverted in place of both when Lower exceeds
+// Upper by more than invertedTol relative.
+func certified(b Bounds, err error) (Bounds, error) {
+	if b.Lower > b.Upper {
+		if b.Lower-b.Upper > invertedTol*b.Lower {
+			return Bounds{}, fmt.Errorf("%w: lower %v, upper %v", ErrInverted, b.Lower, b.Upper)
+		}
+		b.Upper = b.Lower
+	}
+	return b, err
+}
 
 // deadlineErr composes ErrDeadline with the context's cause.
 func deadlineErr(ctx context.Context, cause error) error {
@@ -432,10 +471,6 @@ func bruteFinalize(acc []levelBest, upTo int) Bounds {
 			upper = ub
 		}
 	}
-	if upper < lower {
-		// Round-off at the crossover; collapse to a consistent point.
-		upper = lower
-	}
 	return Bounds{Lower: lower, Upper: upper, WitnessWord: witness}
 }
 
@@ -451,12 +486,13 @@ func bruteFinalize(acc []levelBest, upTo int) Bounds {
 // On cancellation the sandwich over the fully completed levels is
 // returned together with an error wrapping ErrDeadline — partial levels
 // never contribute, because a norm maximum over part of a level is not
-// a valid upper bound.
+// a valid upper bound. A sandwich whose Lower exceeds its Upper is
+// returned as ErrInverted.
 func BruteForceBoundsCtx(ctx context.Context, set []*mat.Dense, maxLen int, opt BruteForceOptions) (Bounds, error) {
 	if _, err := validateSet(set); err != nil {
 		return Bounds{}, err
 	}
-	return bruteForce(ctx, set, CompleteGraph(len(set)), maxLen, opt)
+	return certified(bruteForce(ctx, set, CompleteGraph(len(set)), maxLen, opt))
 }
 
 // bruteForce is the Eq. 12 enumerator behind BruteForceBoundsCtx and
@@ -672,6 +708,11 @@ type GripenbergState struct {
 	Lower    float64 // best certified lower bound so far
 	Witness  []int   // word attaining Lower
 	Frontier [][]int // words of the live branches, in frontier order
+	// Block is the search-order position of the invariant block the
+	// snapshot was taken in (see EstimateCtx); 0 for GripenbergCtx,
+	// which searches its set as one block. Resuming re-runs the earlier
+	// blocks, so the state of only one block is ever stored.
+	Block int
 	// Ellipsoid records whether the snapshotted search ran on the
 	// ellipsoidally preconditioned set. Resume recomputes the (fully
 	// deterministic) preconditioner rather than persisting the
@@ -878,28 +919,41 @@ func (s *gripSearch) mergeSurvivors(frontier []gripNode, children []gripChild, d
 // bracket of the last fully merged level, and signals it with an error
 // wrapping ErrDeadline. The Snapshot hook fires at every level boundary before
 // the cancellation check, so the last persisted snapshot always matches
-// the returned bounds and Resume continues bit-identically.
+// the returned bounds and Resume continues bit-identically. A bracket
+// whose Lower exceeds its Upper is returned as ErrInverted.
 func GripenbergCtx(ctx context.Context, set []*mat.Dense, opt GripenbergOptions) (Bounds, error) {
 	if _, err := validateSet(set); err != nil {
 		return Bounds{}, err
 	}
-	return gripenberg(ctx, set, CompleteGraph(len(set)), opt)
-}
-
-// gripenberg is the search behind GripenbergCtx and
-// ConstrainedGripenbergCtx, over the walks of g: each branch is a walk,
-// its children follow the walk's out-edges, and only children whose
-// walk closes back to its start raise the lower bound. On the complete
-// graph every walk closes and every child list is the whole set in
-// index order, which is the unconstrained search. set and g are
-// validated by the caller; Snapshot and Resume assume the complete
-// graph.
-func gripenberg(ctx context.Context, set []*mat.Dense, g *Graph, opt GripenbergOptions) (Bounds, error) {
 	opt, err := opt.withDefaults()
 	if err != nil {
 		return Bounds{}, err
 	}
+	if opt.Resume != nil && opt.Resume.Block != 0 {
+		return Bounds{}, fmt.Errorf("jsr: resume state is for invariant block %d of an EstimateCtx run; GripenbergCtx searches one block", opt.Resume.Block)
+	}
+	b, _, err := gripenberg(ctx, set, CompleteGraph(len(set)), opt, 0)
+	return certified(b, err)
+}
+
+// gripenberg is the search behind GripenbergCtx,
+// ConstrainedGripenbergCtx and EstimateCtx's blocks, over the walks of
+// g: each branch is a walk, its children follow the walk's out-edges,
+// and only children whose walk closes back to its start raise the
+// lower bound. On the complete graph every walk closes and every child
+// list is the whole set in index order, which is the unconstrained
+// search. set and g are validated and opt has its defaults filled by
+// the caller; Snapshot and Resume assume the complete graph. It also
+// returns the nodes the search counted against MaxNodes.
+//
+// floor ≥ 0 is a prune floor: branches and eigenvalue solves are gated
+// against max(lower, floor) in place of lower. The returned bracket is
+// the search's own, so a caller with a positive floor must raise its
+// Upper to at least floor + δ, where the pruned branches may sit. A
+// floor of 0 changes nothing, since lower ≥ 0.
+func gripenberg(ctx context.Context, set []*mat.Dense, g *Graph, opt GripenbergOptions, floor float64) (Bounds, int, error) {
 	k := len(set)
+	var err error
 
 	// Ellipsoidal pruning: run the whole search on the Lyapunov-
 	// preconditioned set M·A·M⁻¹ (same JSR, far tighter norm
@@ -928,18 +982,18 @@ func gripenberg(ctx context.Context, set []*mat.Dense, g *Graph, opt GripenbergO
 	)
 	if opt.Resume != nil {
 		if opt.Resume.Ellipsoid != ell {
-			return Bounds{}, fmt.Errorf("jsr: resume state has ellipsoid preconditioning %v but this search resolved it to %v; set DisableEllipsoid to match the snapshotting run", opt.Resume.Ellipsoid, ell)
+			return Bounds{}, 0, fmt.Errorf("jsr: resume state has ellipsoid preconditioning %v but this search resolved it to %v; set DisableEllipsoid to match the snapshotting run", opt.Resume.Ellipsoid, ell)
 		}
 		frontier, err = rebuildFrontier(work, opt.Resume)
 		if err != nil {
-			return Bounds{}, err
+			return Bounds{}, 0, err
 		}
 		depth, nodes, lower = opt.Resume.Depth, opt.Resume.Nodes, opt.Resume.Lower
 		witness = append([]int(nil), opt.Resume.Witness...)
 	} else {
 		frontier, lower, witness, err = seedFrontier(work, set, g)
 		if err != nil {
-			return Bounds{}, err
+			return Bounds{}, 0, err
 		}
 		depth, nodes = 1, len(frontier)
 	}
@@ -952,17 +1006,18 @@ func gripenberg(ctx context.Context, set []*mat.Dense, g *Graph, opt GripenbergO
 		// honor cancellation with the best-so-far bracket.
 		if opt.Snapshot != nil {
 			if serr := opt.Snapshot(captureGripState(k, depth, nodes, lower, witness, frontier, ell)); serr != nil {
-				return Bounds{}, fmt.Errorf("jsr: snapshot: %w", serr)
+				return Bounds{}, nodes, fmt.Errorf("jsr: snapshot: %w", serr)
 			}
 		}
 		if cerr := ctx.Err(); cerr != nil {
-			return cutBounds(lower, opt.Delta, witness, frontier), deadlineErr(ctx, cerr)
+			return cutBounds(lower, opt.Delta, witness, frontier), nodes, deadlineErr(ctx, cerr)
 		}
 
-		// Prune against the current lower bound.
+		// Prune against the current lower bound, or the floor above it.
+		gate := math.Max(lower, floor)
 		kept := frontier[:0]
 		for _, nd := range frontier {
-			if nd.cert > lower+opt.Delta {
+			if nd.cert > gate+opt.Delta {
 				kept = append(kept, nd)
 			}
 		}
@@ -984,20 +1039,20 @@ func gripenberg(ctx context.Context, set []*mat.Dense, g *Graph, opt GripenbergO
 			grown += d
 		}
 		if expand == 0 {
-			return cutBounds(lower, opt.Delta, witness, frontier), ErrNodeBudget
+			return cutBounds(lower, opt.Delta, witness, frontier), nodes, ErrNodeBudget
 		}
 
 		depth++
 		exp := 1 / float64(depth)
-		children, err := s.expandLevel(ctx, frontier, expand, depth, opt.Workers, lower, lower+opt.Delta)
+		children, err := s.expandLevel(ctx, frontier, expand, depth, opt.Workers, gate, gate+opt.Delta)
 		if err != nil {
 			if isCtxErr(err) {
 				// Mid-level cut: discard the partial level and report
 				// the bracket of the last fully merged one — exactly
 				// the state the Snapshot hook last persisted.
-				return cutBounds(lower, opt.Delta, witness, frontier), deadlineErr(ctx, err)
+				return cutBounds(lower, opt.Delta, witness, frontier), nodes, deadlineErr(ctx, err)
 			}
-			return Bounds{}, err
+			return Bounds{}, nodes, err
 		}
 		nodes += len(children)
 
@@ -1033,113 +1088,61 @@ func gripenberg(ctx context.Context, set []*mat.Dense, g *Graph, opt GripenbergO
 
 		// Merge pass 2: keep children that survive the final per-level
 		// lower bound.
-		next := s.mergeSurvivors(frontier, children, depth, lower+opt.Delta)
+		next := s.mergeSurvivors(frontier, children, depth, math.Max(lower, floor)+opt.Delta)
 
 		if expand < len(frontier) {
 			// Budget exhausted mid-level: unexpanded nodes stay live, so
 			// their certificates cap the JSR alongside the new children's.
 			upper := math.Max(lower+opt.Delta, math.Max(frontierMax(next), frontierMax(frontier[expand:])))
-			return Bounds{Lower: lower, Upper: upper, WitnessWord: witness}, ErrNodeBudget
+			return Bounds{Lower: lower, Upper: upper, WitnessWord: witness}, nodes, ErrNodeBudget
 		}
 		frontier = next
 	}
 	if len(frontier) == 0 {
-		return Bounds{Lower: lower, Upper: lower + opt.Delta, WitnessWord: witness}, nil
+		return Bounds{Lower: lower, Upper: lower + opt.Delta, WitnessWord: witness}, nodes, nil
 	}
 	// Depth limit hit with live branches: their certificates cap the JSR.
-	return cutBounds(lower, opt.Delta, witness, frontier), ErrDepthCap
+	return cutBounds(lower, opt.Delta, witness, frontier), nodes, ErrDepthCap
 }
 
-// EstimateRawCtx reproduces EstimateCtx's bracket merge without the
-// Lyapunov preconditioning — the -raw mode of jsrtool and the
-// certification service. Budget or deadline cuts from either phase are
-// tolerated: the returned bracket is valid best-so-far and the error
-// joins whatever the phases reported, exactly as EstimateCtx does.
-// Witness replay is unnecessary here because both phases already ran on
-// the caller's matrices.
+// EstimateRawCtx runs EstimateCtx's pipeline without the Lyapunov
+// preconditioning — the -raw mode of jsrtool and the certification
+// service: the invariant blocks are bracketed on the caller's own
+// entries. Budget or deadline cuts are tolerated as EstimateCtx
+// tolerates them, and an inverted bracket is ErrInverted.
 func EstimateRawCtx(ctx context.Context, set []*mat.Dense, bruteLen int, opt GripenbergOptions) (Bounds, error) {
-	// Raw means raw: no preconditioning anywhere in this pipeline.
-	opt.DisableEllipsoid = true
-	bf, bferr := BruteForceBoundsCtx(ctx, set, bruteLen, BruteForceOptions{Workers: opt.Workers})
-	if bferr != nil && !errors.Is(bferr, ErrDeadline) {
-		return Bounds{}, bferr
+	if _, err := validateSet(set); err != nil {
+		return Bounds{}, err
 	}
-	gp, gerr := GripenbergCtx(ctx, set, opt)
-	if gerr != nil && !errors.Is(gerr, ErrBudget) && !errors.Is(gerr, ErrDeadline) {
-		return Bounds{}, gerr
-	}
-	out := Bounds{
-		Lower:       math.Max(bf.Lower, gp.Lower),
-		Upper:       math.Min(bf.Upper, gp.Upper),
-		WitnessWord: bf.WitnessWord,
-	}
-	if gp.Lower > bf.Lower {
-		out.WitnessWord = gp.WitnessWord
-	}
-	return out, errors.Join(bferr, gerr)
+	return estimate(ctx, set, CompleteGraph(len(set)), bruteLen, opt, false)
 }
 
-// EstimateCtx combines both algorithms with Lyapunov preconditioning:
-// the set is first transformed by a simultaneous similarity
-// (JSR-invariant) that tightens the norm certificates, then a shallow
-// brute-force pass provides a lower bound and norm sandwich and
-// Gripenberg refines to the requested accuracy; the intersection of the
-// two brackets is returned. The witness is replayed against the
-// caller's (untransformed) matrices and Lower is set to the rate it
-// actually attains there, so WitnessRate(set, out.WitnessWord)
-// reproduces out.Lower. A non-nil error satisfying errors.Is for
-// ErrBudget or ErrDeadline indicates the bracket is looser than
-// requested but still valid — this holds on the parallel worker paths
-// too, not just the sequential ones. A context deadline covers the
-// whole pipeline; opt.Snapshot/opt.Resume apply to the Gripenberg phase
-// (whose state lives on the preconditioned set — resuming recomputes
-// the same deterministic preconditioner first).
+// EstimateCtx combines both algorithms with Lyapunov preconditioning.
+// The set is first split into its invariant blocks (see blocks.go): an
+// exact permutation puts every matrix in one block-triangular form, and
+// the JSR is the largest JSR of the diagonal blocks. Each block is
+// transformed by a simultaneous similarity (JSR-invariant) that
+// tightens the norm certificates, then a shallow brute-force pass
+// provides a lower bound and norm sandwich and Gripenberg refines to
+// the requested accuracy, searching the blocks largest-first; the
+// intersection of each block's two brackets bounds that block, and the
+// largest block Upper is the Upper returned. Every candidate witness is
+// replayed against the caller's (untransformed, unsplit) matrices and
+// Lower is set to the best rate one actually attains there, so
+// WitnessRate(set, out.WitnessWord) reproduces out.Lower. A non-nil
+// error satisfying errors.Is for ErrBudget or ErrDeadline indicates the
+// bracket is looser than requested but still valid — this holds on the
+// parallel worker paths too, not just the sequential ones. A bracket
+// whose Lower exceeds its Upper is never returned: the error is
+// ErrInverted. A context deadline and opt.MaxNodes cover the whole
+// pipeline, the budget spent block by block in search order.
+// opt.Snapshot/opt.Resume apply to the Gripenberg phase, whose state
+// lives on one preconditioned block and names it in
+// GripenbergState.Block; resuming recomputes the same deterministic
+// split and preconditioners and re-runs the blocks searched before it.
 func EstimateCtx(ctx context.Context, set []*mat.Dense, bruteLen int, opt GripenbergOptions) (Bounds, error) {
-	work, _, _ := Precondition(set)
-	// The whole pipeline already runs on the preconditioned set; a
-	// second transform inside Gripenberg would help nothing and would
-	// make the Gripenberg-phase snapshots depend on a doubly-transformed
-	// set.
-	opt.DisableEllipsoid = true
-	bf, bferr := BruteForceBoundsCtx(ctx, work, bruteLen, BruteForceOptions{Workers: opt.Workers})
-	if bferr != nil && !errors.Is(bferr, ErrDeadline) {
-		return Bounds{}, bferr
+	if _, err := validateSet(set); err != nil {
+		return Bounds{}, err
 	}
-	gp, gerr := GripenbergCtx(ctx, work, opt)
-	if gerr != nil && !errors.Is(gerr, ErrBudget) && !errors.Is(gerr, ErrDeadline) {
-		return Bounds{}, gerr
-	}
-	out := Bounds{
-		Lower:       math.Max(bf.Lower, gp.Lower),
-		Upper:       math.Min(bf.Upper, gp.Upper),
-		WitnessWord: bf.WitnessWord,
-	}
-	if gp.Lower > bf.Lower {
-		out.WitnessWord = gp.WitnessWord
-	}
-	// The bracket above was computed on the transformed set. Similarity
-	// preserves spectral radii exactly in real arithmetic but not in
-	// floating point, so replay both candidate witnesses on the original
-	// matrices and return the best rate actually attained there.
-	bestRate, bestWord := 0.0, out.WitnessWord
-	for _, w := range [][]int{bf.WitnessWord, gp.WitnessWord} {
-		if len(w) == 0 {
-			continue
-		}
-		rate, rerr := WitnessRate(set, w)
-		if rerr != nil {
-			continue
-		}
-		if rate > bestRate {
-			bestRate, bestWord = rate, w
-		}
-	}
-	if bestRate > 0 {
-		out.Lower = bestRate
-		out.WitnessWord = bestWord
-	}
-	if out.Upper < out.Lower {
-		out.Upper = out.Lower
-	}
-	return out, errors.Join(bferr, gerr)
+	return estimate(ctx, set, CompleteGraph(len(set)), bruteLen, opt, true)
 }

@@ -449,3 +449,95 @@ func TestGripenbergResumeOverBudget(t *testing.T) {
 		t.Fatalf("bracket %+v, want Lower = the snapshot's %v", b, last.Lower)
 	}
 }
+
+// TestEstimateResumeAcrossBlocks is the checkpoint/resume acceptance
+// test across invariant blocks: for every worker count, resuming
+// EstimateCtx from any snapshot, in the first block or the second,
+// finishes bit-identical to the uninterrupted run. A resume re-runs the
+// blocks before its snapshot's block without firing the hook.
+func TestEstimateResumeAcrossBlocks(t *testing.T) {
+	set := twoSearchedBlocks()
+	for _, w := range workerSweep() {
+		ref, refErr := EstimateCtx(context.Background(), set, 4, resilienceOpts(w))
+		if refErr != nil && !errors.Is(refErr, ErrBudget) {
+			t.Fatal(refErr)
+		}
+		var states []GripenbergState
+		opt := resilienceOpts(w)
+		opt.Snapshot = func(st GripenbergState) error {
+			states = append(states, st)
+			return nil
+		}
+		b, err := EstimateCtx(context.Background(), set, 4, opt)
+		if !sameBounds(ref, b) || fmt.Sprint(err) != fmt.Sprint(refErr) {
+			t.Fatalf("workers=%d: snapshot hook perturbed the search: %+v (%v) vs %+v (%v)", w, b, err, ref, refErr)
+		}
+		if len(states) == 0 || states[len(states)-1].Block != 1 {
+			t.Fatalf("workers=%d: the second block never snapshotted", w)
+		}
+		for si := range states {
+			ropt := resilienceOpts(w)
+			ropt.Resume = &states[si]
+			ropt.Snapshot = func(st GripenbergState) error {
+				if st.Block < states[si].Block {
+					t.Errorf("workers=%d: resume in block %d fired the hook in block %d", w, states[si].Block, st.Block)
+				}
+				return nil
+			}
+			rb, rerr := EstimateCtx(context.Background(), set, 4, ropt)
+			if !sameBounds(ref, rb) || fmt.Sprint(rerr) != fmt.Sprint(refErr) {
+				t.Fatalf("workers=%d: resume from block %d level %d: %+v (%v), uninterrupted %+v (%v)",
+					w, states[si].Block, states[si].Depth, rb, rerr, ref, refErr)
+			}
+		}
+	}
+}
+
+// TestEstimateInterruptInSecondBlock cancels EstimateCtx from the hook
+// at the second block's third level: the cut bracket is valid and
+// contains the finished one, and resuming from the last snapshot
+// finishes bit-identical to an uninterrupted run.
+func TestEstimateInterruptInSecondBlock(t *testing.T) {
+	set := twoSearchedBlocks()
+	ref, refErr := EstimateCtx(context.Background(), set, 4, resilienceOpts(2))
+	if refErr != nil && !errors.Is(refErr, ErrBudget) {
+		t.Fatal(refErr)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var last GripenbergState
+	second := 0
+	opt := resilienceOpts(2)
+	opt.Snapshot = func(st GripenbergState) error {
+		last = st
+		if st.Block == 1 {
+			if second++; second == 3 {
+				cancel()
+			}
+		}
+		return nil
+	}
+	cut, err := EstimateCtx(ctx, set, 4, opt)
+	if !errors.Is(err, ErrDeadline) || !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want ErrDeadline wrapping context.Canceled", err)
+	}
+	if cut.Lower > ref.Lower || cut.Upper < ref.Upper {
+		t.Fatalf("interrupted bracket %+v does not contain the finished %+v", cut, ref)
+	}
+	ropt := resilienceOpts(2)
+	ropt.Resume = &last
+	rb, rerr := EstimateCtx(context.Background(), set, 4, ropt)
+	if !sameBounds(ref, rb) || fmt.Sprint(rerr) != fmt.Sprint(refErr) {
+		t.Fatalf("resumed %+v (%v), uninterrupted %+v (%v)", rb, rerr, ref, refErr)
+	}
+	// A block index the set does not have, and a block state handed to
+	// GripenbergCtx, are refused.
+	bad := last
+	bad.Block = 2
+	if _, err := EstimateCtx(context.Background(), set, 4, GripenbergOptions{Resume: &bad}); err == nil {
+		t.Error("EstimateCtx accepted a resume state for a block the set does not have")
+	}
+	if _, err := GripenbergCtx(context.Background(), set, GripenbergOptions{Resume: &last}); err == nil {
+		t.Error("GripenbergCtx accepted a resume state of an invariant block")
+	}
+}

@@ -112,15 +112,11 @@ func MulVecInto(dst []float64, a *Dense, x []float64) {
 	if len(dst) != a.rows {
 		panic(fmt.Sprintf("mat: MulVecInto dst of %d for %d rows", len(dst), a.rows))
 	}
-	if a.rows == 9 && a.cols == 9 {
-		mulVec9(dst, a.data, x)
-		return
-	}
 	mulVecGeneric(dst, a, x)
 }
 
-// mulVecGeneric is MulVecInto's loop for every shape without a kernel:
-// each row sum starts at +0 and adds its terms in column order.
+// mulVecGeneric is MulVecInto's loop: each row sum starts at +0 and
+// adds its terms in column order.
 func mulVecGeneric(dst []float64, a *Dense, x []float64) {
 	for i := 0; i < a.rows; i++ {
 		row := a.data[i*a.cols : (i+1)*a.cols]

@@ -1,8 +1,6 @@
 package mat
 
 import (
-	"encoding/binary"
-	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -106,7 +104,7 @@ func sameBits(a, b *Dense) bool {
 
 // TestMulIntoBitIdenticalToNaive drives Mul, MulInto into a fresh
 // destination, and MulInto into a dirty reused destination through all
-// sizes n=1..12 — covering each unrolled kernel (4, 6, 8, 9) and the
+// sizes n=1..12 — covering each unrolled kernel (4, 6, 8) and the
 // generic path — and demands bit-for-bit identity with the naive
 // reference product.
 func TestMulIntoBitIdenticalToNaive(t *testing.T) {
@@ -136,15 +134,12 @@ func TestMulIntoBitIdenticalToNaive(t *testing.T) {
 	}
 }
 
-// TestKernelsMatchGenericDirectly pins each unrolled kernel against
-// the generic loop it replaces without going through dispatch, so a
-// routing bug cannot mask a kernel bug: the products (4, 6, 8, 9)
-// against mulGeneric, gram9 against transposeInto + mulGeneric, and
-// mulVec9 against mulVecGeneric. At n = 9 a second family places −0,
-// subnormals and ±Inf/NaN where the exact-zero skip decides the bits.
+// TestKernelsMatchGenericDirectly pins each unrolled kernel (4, 6, 8)
+// against mulGeneric without going through dispatch, so a routing bug
+// cannot mask a kernel bug.
 func TestKernelsMatchGenericDirectly(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	kernels := map[int]func(c, a, b []float64){4: mul4x4, 6: mul6x6, 8: mul8x8, 9: mul9x9}
+	kernels := map[int]func(c, a, b []float64){4: mul4x4, 6: mul6x6, 8: mul8x8}
 	for n, kern := range kernels {
 		for trial := 0; trial < 50; trial++ {
 			a := sparsifiedRandom(rng, n)
@@ -158,76 +153,6 @@ func TestKernelsMatchGenericDirectly(t *testing.T) {
 			}
 		}
 	}
-	negative := []float64{-1, -2, -3, -4, -5, -6, -7, -8, -9}
-	for trial := 0; trial < 100; trial++ {
-		family := "sparse"
-		a, b := sparsifiedRandom(rng, 9), sparsifiedRandom(rng, 9)
-		x := b.data[:9]
-		if trial%2 == 1 {
-			family = "special"
-			a, b, x = specialNine(rng, true), specialNine(rng, true), negative
-		}
-		checkKernel9(t, fmt.Sprintf("%s trial=%d", family, trial), a, b, x)
-	}
-}
-
-// checkKernel9 compares the three n = 9 kernels bit for bit with the
-// generic loops they replace and with mulNaive.
-func checkKernel9(t *testing.T, name string, a, b *Dense, x []float64) {
-	t.Helper()
-	want := New(9, 9)
-	mulGeneric(want, a, b)
-	got := New(9, 9)
-	mul9x9(got.data, a.data, b.data)
-	if !sameBits(got, want) || !sameBits(got, mulNaive(a, b)) {
-		t.Fatalf("%s: mul9x9 differs from mulGeneric/mulNaive", name)
-	}
-
-	at := New(9, 9)
-	transposeInto(at, a)
-	wantGram := New(9, 9)
-	mulGeneric(wantGram, at, a)
-	gram := New(9, 9)
-	gram9(gram.data, a.data)
-	if !sameBits(gram, wantGram) || !sameBits(gram, mulNaive(at, a)) {
-		t.Fatalf("%s: gram9 differs from transposeInto+mulGeneric/mulNaive", name)
-	}
-
-	wantVec := make([]float64, 9)
-	mulVecGeneric(wantVec, a, x)
-	vec := make([]float64, 9)
-	mulVec9(vec, a.data, x)
-	for i := range vec {
-		if math.Float64bits(vec[i]) != math.Float64bits(wantVec[i]) {
-			t.Fatalf("%s: mulVec9 row %d = %v, mulVecGeneric %v", name, i, vec[i], wantVec[i])
-		}
-	}
-}
-
-// FuzzKernel9 checks the three n = 9 kernels bit for bit against the
-// generic loops and mulNaive on arbitrary operands. The input holds a,
-// b (81 entries each) and x (9 entries) as little-endian float64 bits;
-// missing bytes read as +0, so short inputs exercise the zero skip.
-// Input NaNs are replaced by machineNaN (see there for why).
-func FuzzKernel9(f *testing.F) {
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		vals := make([]float64, 2*81+9)
-		for i := range vals {
-			var word [8]byte
-			if 8*i < len(data) {
-				copy(word[:], data[8*i:])
-			}
-			vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(word[:]))
-			if math.IsNaN(vals[i]) {
-				vals[i] = machineNaN()
-			}
-		}
-		a, b := New(9, 9), New(9, 9)
-		copy(a.data, vals[:81])
-		copy(b.data, vals[81:162])
-		checkKernel9(t, "fuzz", a, b, vals[162:])
-	})
 }
 
 func TestMulIntoRectangular(t *testing.T) {

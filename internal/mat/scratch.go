@@ -59,12 +59,8 @@ func TwoNormScratch(a *Dense, s *Scratch) float64 {
 		// path rather than corrupt buffers.
 		return TwoNorm(a)
 	}
-	if s.n == 9 {
-		gram9(s.ata.data, a.data)
-	} else {
-		transposeInto(s.at, a)
-		MulInto(s.ata, s.at, a)
-	}
+	transposeInto(s.at, a)
+	MulInto(s.ata, s.at, a)
 	return twoNormPower(a, s.ata, s.x, s.y, s.z)
 }
 

@@ -15,9 +15,13 @@ import (
 )
 
 // jobCkptKind/jobCkptVersion identify the per-job checkpoint format.
+// Version 2 keys jobs by the EngineVersion-aware request key and stores
+// snapshots that name their invariant block (GripenbergState.Block).
+// Records of another version are refused, and Recover drops them like
+// corrupt ones: there is no migration.
 const (
 	jobCkptKind    = "adaserved/job"
-	jobCkptVersion = 1
+	jobCkptVersion = 2
 )
 
 // jobCkpt is the persisted job: the full request (so a restarted

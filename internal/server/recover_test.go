@@ -17,6 +17,7 @@ import (
 
 	"adaptivertc/internal/api"
 	"adaptivertc/internal/certcache"
+	"adaptivertc/internal/checkpoint"
 )
 
 // mkJobCkpt writes a valid job checkpoint for a 1×1 request with the
@@ -165,4 +166,49 @@ func TestRecoverCorruptCheckpointBody(t *testing.T) {
 	if resp.StatusCode == http.StatusOK && !strings.Contains(string(body), `"verdict":"stable"`) {
 		t.Fatalf("recomputed verdict wrong: %s", body)
 	}
+}
+
+// TestRecoverDropsOldVersionCheckpoint: a record written in an earlier
+// job checkpoint version (keyed without the engine version, with a
+// snapshot that names no invariant block) is refused and deleted like a
+// corrupt one, and the record of the current version next to it is
+// recovered.
+func TestRecoverDropsOldVersionCheckpoint(t *testing.T) {
+	stateDir := t.TempDir()
+	goodID := mkJobCkpt(t, stateDir, 0.25)
+	oldID, cur := jobCkptFor(t, 0.35)
+	var ck jobCkpt
+	if err := checkpoint.Unmarshal(cur, jobCkptKind, jobCkptVersion, &ck); err != nil {
+		t.Fatal(err)
+	}
+	old, err := checkpoint.Marshal(jobCkptKind, jobCkptVersion-1, ck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	putJobRecord(t, stateDir, oldID, old)
+
+	cache, err := certcache.New(certcache.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(Config{Workers: 1, Cache: cache, StateDir: stateDir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := s.Recover()
+	if err != nil || n != 1 {
+		t.Fatalf("Recover = %d, %v; want the one current-version job", n, err)
+	}
+	if _, ok, gerr := s.jobLog.Get(oldID); gerr != nil || ok {
+		t.Fatalf("old-version checkpoint still in the log (ok=%v, err=%v)", ok, gerr)
+	}
+	if j := s.jobs.get(oldID); j != nil {
+		t.Fatalf("old-version checkpoint produced a job in state %q", j.status().State)
+	}
+	if j := s.jobs.get(goodID); j == nil {
+		t.Fatal("current-version checkpoint was not recovered")
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	s.Shutdown(ctx)
 }

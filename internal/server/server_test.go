@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -302,11 +303,66 @@ func TestCorruptDiskEntryRecomputedByServer(t *testing.T) {
 
 // Checkpoint/resume: a job interrupted mid-search (checkpoint file
 // holding a real Gripenberg frontier) is recovered by a new server and
-// finishes with bytes bit-identical to an uninterrupted run.
+// finishes with bytes bit-identical to an uninterrupted run. The
+// second case is a reducible set whose snapshot is taken in the second
+// of its two searched invariant blocks, so the recovered job re-runs
+// the first block before it resumes.
 func TestJobCheckpointResume(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		body    string
+		capture func(jsr.GripenbergState) bool
+	}{
+		{"paper", `{"version":1,"matrices":[[[0.55,0.55],[0,0.55]],[[0.55,0],[0.55,0.55]]],"delta":1e-6,"depth":25,"brute":3}`,
+			func(st jsr.GripenbergState) bool { return st.Depth >= 5 }},
+		{"second-block", twoBlockRequest(t),
+			func(st jsr.GripenbergState) bool { return st.Block == 1 && st.Depth >= 3 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) { checkJobCheckpointResume(t, tc.body, tc.capture) })
+	}
+}
+
+// twoBlockRequest is a 5-state set with two invariant blocks that
+// EstimateCtx both searches: states {1, 3, 4} carry a 3×3 non-normal
+// pair (JSR ≈ 0.95–0.96), states {0, 2} the golden pair scaled to JSR
+// 0.95, with every entry from the first block into the second at 0.3.
+func twoBlockRequest(t *testing.T) string {
+	t.Helper()
+	a := [][][]float64{
+		{{0.8, 0.3, 0}, {0, 0.7, 0.2}, {0.1, 0, 0.75}},
+		{{0.85, 0, 0.25}, {0.15, 0.65, 0}, {0, 0.1, 0.8}},
+	}
+	c := 0.95 / math.Phi
+	b := [][][]float64{{{c, c}, {0, c}}, {{c, 0}, {c, c}}}
+	perm := []int{3, 0, 4, 2, 1} // state s of the set is state perm[s] of diag(a, b)
+	set := make([][][]float64, 2)
+	for l := range set {
+		set[l] = make([][]float64, 5)
+		for i := range set[l] {
+			set[l][i] = make([]float64, 5)
+			for j := range set[l][i] {
+				pi, pj := perm[i], perm[j]
+				switch {
+				case pi < 3 && pj < 3:
+					set[l][i][j] = a[l][pi][pj]
+				case pi >= 3 && pj >= 3:
+					set[l][i][j] = b[l][pi-3][pj-3]
+				case pi < 3:
+					set[l][i][j] = 0.3
+				}
+			}
+		}
+	}
+	body, err := json.Marshal(api.CertifyRequest{Version: api.RequestVersion, Matrices: set, Delta: 0.02, Depth: 14, Brute: 4, MaxNodes: 50_000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(body)
+}
+
+func checkJobCheckpointResume(t *testing.T, body string, capture func(jsr.GripenbergState) bool) {
 	stateDir := t.TempDir()
-	req, err := api.DecodeRequest(strings.NewReader(
-		`{"version":1,"matrices":[[[0.55,0.55],[0,0.55]],[[0.55,0],[0.55,0.55]]],"delta":1e-6,"depth":25,"brute":3}`))
+	req, err := api.DecodeRequest(strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,9 +375,9 @@ func TestJobCheckpointResume(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Uninterrupted reference run. At delta 1e-6 this search exhausts
-	// the default node budget — a valid "exhausted" bracket, which is
-	// exactly what the server would serve and cache.
+	// Uninterrupted reference run. At delta 1e-6 the paper set's search
+	// exhausts the default node budget — a valid "exhausted" bracket,
+	// which is exactly what the server would serve and cache.
 	refBounds, err := jsr.EstimateCtx(context.Background(), set, req.Brute, req.GripenbergOptions(0))
 	exhausted := errors.Is(err, jsr.ErrBudget)
 	if err != nil && !exhausted {
@@ -339,7 +395,7 @@ func TestJobCheckpointResume(t *testing.T) {
 	var captured *jsr.GripenbergState
 	opt := req.GripenbergOptions(0)
 	opt.Snapshot = func(st jsr.GripenbergState) error {
-		if captured == nil && st.Depth >= req.Brute+2 {
+		if captured == nil && capture(st) {
 			c := st
 			captured = &c
 			cancel()
@@ -535,4 +591,63 @@ func newestSegment(t *testing.T, dir string) string {
 		t.Fatalf("no segment files in %s", dir)
 	}
 	return filepath.Join(dir, newest)
+}
+
+// startOrthogonalRequest is the raw request of ROADMAP item 1's pair:
+// with v, w and x orthonormal in ℝ⁹ and x the power iteration's start
+// direction, A = 1.8·v·wᵀ + 0.5·x·xᵀ and B = 1.8·w·vᵀ + 0.5·x·xᵀ, so
+// JSR ≥ ρ(A·B)^{1/2} = 1.8 while the 2-norm iteration sees only 0.5.
+func startOrthogonalRequest(t *testing.T) string {
+	t.Helper()
+	const n = 9
+	unit := func(x []float64) {
+		s := 0.0
+		for _, v := range x {
+			s += v * v
+		}
+		for i := range x {
+			x[i] /= math.Sqrt(s)
+		}
+	}
+	x := make([]float64, n)
+	for i := range x {
+		x[i] = 1 / math.Sqrt(float64(n)+float64(i))
+	}
+	unit(x)
+	v, w := make([]float64, n), make([]float64, n)
+	v[0], v[1] = x[1], -x[0]
+	unit(v)
+	w[2], w[3] = x[3], -x[2]
+	unit(w)
+	a, b := make([][]float64, n), make([][]float64, n)
+	for i := 0; i < n; i++ {
+		a[i], b[i] = make([]float64, n), make([]float64, n)
+		for j := 0; j < n; j++ {
+			a[i][j] = 1.8*v[i]*w[j] + 0.5*x[i]*x[j]
+			b[i][j] = 1.8*w[i]*v[j] + 0.5*x[i]*x[j]
+		}
+	}
+	body, err := json.Marshal(api.CertifyRequest{Version: api.RequestVersion, Raw: true, Matrices: [][][]float64{a, b}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(body)
+}
+
+// TestInvertedBracketIsNeverCached: a raw request whose 2-norm
+// certificates come out below its spectral radius inverts the bracket.
+// The server answers 500 with jsr.ErrInverted's text, every time, and
+// caches nothing: no false STABLE is ever served.
+func TestInvertedBracketIsNeverCached(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1})
+	body := startOrthogonalRequest(t)
+	for i := 0; i < 2; i++ {
+		resp, out := postCertify(t, ts, body)
+		if resp.StatusCode != http.StatusInternalServerError || !strings.Contains(string(out), "lower bound above upper bound") {
+			t.Fatalf("POST %d: status %d body %s, want 500 with the inverted-bracket error", i, resp.StatusCode, out)
+		}
+	}
+	if st := s.cache.Stats(); st.Misses != 0 || st.Entries != 0 {
+		t.Fatalf("cache stats after two inverted requests: %d misses, %d entries; want none stored", st.Misses, st.Entries)
+	}
 }

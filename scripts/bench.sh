@@ -9,8 +9,14 @@
 # Each benchmark runs -count times and the snapshot records the MINIMUM
 # ns/op across runs: the minimum is the least noisy estimator of the
 # true cost on a shared host (noise only ever adds time). B/op and
-# allocs/op come from -benchmem; the warm expand loop is pinned at zero
-# allocations, so any increase is a regression, not noise.
+# allocs/op come from -benchmem in a second, single -cpu 1 pass: with
+# one OS thread running Go code the runtime's own allocations no longer
+# depend on scheduling, so a row whose engine runs two workers (the w2
+# rows) reads the same count on every run, and bench_compare.sh can
+# gate allocs/op exactly. Rows the -cpu 1 pass skips (BenchmarkJSRWorkers
+# runs only w1 there) keep the first pass's minimum. The
+# warm expand loop is pinned at zero allocations, so any increase is a
+# regression, not noise.
 #
 # The pinned benchtime keeps iteration counts comparable across
 # snapshots; absolute ns/op still depends on the host, which is why the
@@ -31,12 +37,23 @@ pattern='^(BenchmarkJSRWorkers|BenchmarkStabilityCertificate|BenchmarkDesignSynt
 
 raw="$(go test -run '^$' -bench "$pattern" -benchtime "$benchtime" -count "$count" -benchmem . ./internal/jsr)"
 printf '%s\n' "$raw"
+mem="$(go test -run '^$' -bench "$pattern" -benchtime "$benchtime" -count 1 -cpu 1 -benchmem . ./internal/jsr)"
+printf '%s\n' "$mem"
 
-printf '%s\n' "$raw" | awk -v benchtime="$benchtime" -v count="$count" -v goversion="$(go env GOVERSION)" '
+printf '%s\n== cpu1 ==\n%s\n' "$raw" "$mem" | awk -v benchtime="$benchtime" -v count="$count" -v goversion="$(go env GOVERSION)" '
 function jstr(s) { gsub(/\\/, "\\\\", s); gsub(/"/, "\\\"", s); return "\"" s "\"" }
+/^== cpu1 ==$/ { cpu1 = 1; next }
 /^goos:/   { goos = $2 }
 /^goarch:/ { goarch = $2 }
 /^cpu:/    { cpu = $0; sub(/^cpu:[ \t]*/, "", cpu) }
+cpu1 && /^Benchmark/ {
+    # The -cpu 1 pass: names carry no -GOMAXPROCS suffix.
+    for (i = 3; i < NF; i++) {
+        if ($(i+1) == "B/op") memb[$1] = $i
+        else if ($(i+1) == "allocs/op") mema[$1] = $i
+    }
+    next
+}
 /^Benchmark/ {
     # Fields: Name iters X ns/op [Y B/op Z allocs/op]. The -GOMAXPROCS
     # suffix is recorded once and stripped so names stay stable across
@@ -73,6 +90,7 @@ END {
     print "  \"benchmarks\": ["
     for (i = 0; i < n; i++) {
         name = order[i]
+        if (name in mema) { minb[name] = memb[name]; mina[name] = mema[name] }
         row = "    {\"name\": " jstr(name) ", \"iterations\": " iters[name] ", \"ns_per_op\": " minns[name]
         if (minb[name] != "") row = row ", \"b_per_op\": " minb[name]
         if (mina[name] != "") row = row ", \"allocs_per_op\": " mina[name]

@@ -31,10 +31,6 @@ echo "== fuzz DecodeRequest against encoding/json (time-boxed)"
 go test ./internal/api -run '^$' -fuzz '^FuzzDecodeRequest$' -fuzztime 20s \
     -fuzzminimizetime 200x
 
-echo "== fuzz the n = 9 kernels against the generic loops (time-boxed)"
-go test ./internal/mat -run '^$' -fuzz '^FuzzKernel9$' -fuzztime 10s \
-    -fuzzminimizetime 200x
-
 echo "== fuzz the pre-product Frobenius bound against the product's norm bounds (time-boxed)"
 go test ./internal/mat -run '^$' -fuzz '^FuzzProductFroBound$' -fuzztime 10s \
     -fuzzminimizetime 200x
@@ -476,9 +472,9 @@ fi
 
 echo "== overload smoke: a saturated queue sheds 503 with Retry-After"
 # One worker, a one-slot queue, and long-grinding jobs: the lifted
-# PMSM scenario (9×9 modes) at a delta far below what the budget
-# reaches runs for ~a second, and its brute-force work puts it on the
-# async path. The third concurrent job has nowhere to go: 503, with a
+# PMSM scenario (9×9 modes, certified as their 4- and 5-state
+# invariant blocks) at a delta far below what the budget reaches runs
+# for ~a second, and its brute-force work puts it on the async path. The third concurrent job has nowhere to go: 503, with a
 # drain-rate Retry-After.
 "$tmpdir/adaserved" -addr 127.0.0.1:0 -workers 1 -queue 1 -timeout 2s \
     > "$tmpdir/overload.out" 2>&1 &
