@@ -9,9 +9,6 @@ package main
 
 import (
 	"context"
-	"errors"
-	"fmt"
-	"runtime"
 	"testing"
 
 	"adaptivertc/internal/control"
@@ -141,46 +138,6 @@ func BenchmarkStabilityCertificate(b *testing.B) {
 		if _, err := d.StabilityBoundsCtx(context.Background(), 4, jsr.GripenbergOptions{Delta: 0.02, MaxDepth: 15}); err != nil && i == 0 {
 			b.Logf("bracket looser than requested: %v", err)
 		}
-	}
-}
-
-// BenchmarkJSRWorkers sweeps the JSR engine's worker count on the
-// adaptive PMSM Ω-set (brute-force sandwich + Gripenberg, the Table II
-// hot path). Per the engine's determinism contract the sub-benchmarks
-// differ only in wall clock, never in the bounds they compute; the w1
-// row is the sequential baseline for the speedup comparison. Counts
-// above GOMAXPROCS are skipped: they would measure oversubscription,
-// not scaling.
-func BenchmarkJSRWorkers(b *testing.B) {
-	d := pmsmDesign(b, 5)
-	set := d.OmegaSet()
-	var refLo, refHi float64
-	haveRef := false
-	for _, w := range []int{1, 2, 4, 8} {
-		if w > runtime.GOMAXPROCS(0) {
-			break
-		}
-		b.Run(fmt.Sprintf("w%d", w), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := jsr.BruteForceBoundsCtx(context.Background(), set, 5, jsr.BruteForceOptions{Workers: w}); err != nil {
-					b.Fatal(err)
-				}
-				// The raw Ω-set's norm certificates converge slowly, so
-				// cap the node budget: the work per iteration is then
-				// fixed and identical across worker counts, which is
-				// exactly what a scaling comparison needs.
-				gp, err := jsr.GripenbergCtx(context.Background(), set, jsr.GripenbergOptions{Delta: 0.05, MaxDepth: 12, MaxNodes: 100_000, Workers: w})
-				if err != nil && !errors.Is(err, jsr.ErrBudget) {
-					b.Fatal(err)
-				}
-				if w == 1 {
-					refLo, refHi = gp.Lower, gp.Upper
-					haveRef = true
-				} else if haveRef && (gp.Lower != refLo || gp.Upper != refHi) {
-					b.Fatalf("workers=%d bounds %v differ from workers=1 [%v, %v]", w, gp, refLo, refHi)
-				}
-			}
-		})
 	}
 }
 

@@ -1,12 +1,13 @@
 // Package chaos is the service-layer fault harness for adaserved: a
 // set of seed-deterministic injectors that break the service's
-// environment — the cache's disk, the certification workers, the
-// client arrival pattern — while end-to-end tests assert the
-// invariants the service promises to keep anyway:
+// environment — the cache's disk and the certification workers — while
+// end-to-end tests assert the invariants the service promises to keep
+// anyway:
 //
-//   - no dropped work: every request a resilient client submits
-//     eventually certifies, through sheds, worker faults, and
-//     degraded-cache operation;
+//   - no dropped work: every request from a client that honours the
+//     shed contract (sleep for Retry-After on 429/503, follow a 202 to
+//     its job, resubmit a failed job) eventually certifies, through
+//     sheds, worker faults, and degraded-cache operation;
 //   - no false certificates: every answer is byte-identical to the
 //     canonical result a fault-free run produces — faults may slow the
 //     service down, never change its mathematics;
@@ -23,7 +24,6 @@ package chaos
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math/rand"
 	"sync"
 	"time"
@@ -31,8 +31,8 @@ import (
 
 // ErrInjectedWorker is the error a worker-fault hook returns; it fails
 // the certification exactly like an engine error (never cached, job
-// marked failed), which is the transient failure a resilient client
-// must retry through.
+// marked failed), which is the transient failure a client must
+// resubmit through.
 var ErrInjectedWorker = errors.New("chaos: injected worker fault")
 
 // WorkerFaults injects slow and failing certification workers through
@@ -122,32 +122,4 @@ func (w *WorkerFaults) Hook() func(ctx context.Context) error {
 		}
 		return nil
 	}
-}
-
-// BurstPattern draws a length-n client send schedule shaped like the
-// paper's (m, K) weakly-hard constraint, repurposed for load: slot i
-// sends a request iff pattern[i], and every window of K consecutive
-// slots contains at most m sends. The draw is greedy-biased toward
-// bursting — each slot sends whenever the window constraint still
-// allows it with probability burstBias — so the pattern exercises the
-// admission path with maximal legal bursts, yet stays bounded by
-// construction. Deterministic in seed.
-func BurstPattern(seed int64, n, m, k int) ([]bool, error) {
-	if n <= 0 || m < 0 || k < 1 {
-		return nil, fmt.Errorf("chaos: invalid burst pattern (n=%d, m=%d, K=%d)", n, m, k)
-	}
-	const burstBias = 0.9
-	rng := rand.New(rand.NewSource(seed))
-	pattern := make([]bool, n)
-	inWindow := 0 // sends among the last min(i, k-1) slots
-	for i := 0; i < n; i++ {
-		if i >= k && pattern[i-k] {
-			inWindow--
-		}
-		if inWindow < m && rng.Float64() < burstBias {
-			pattern[i] = true
-			inWindow++
-		}
-	}
-	return pattern, nil
 }

@@ -7,8 +7,6 @@ import (
 	"path/filepath"
 	"testing"
 	"time"
-
-	"adaptivertc/internal/sched"
 )
 
 func writeVia(f *FaultyFS, p string, data []byte) error {
@@ -216,57 +214,5 @@ func TestWorkerFaultsSlowRespectsContext(t *testing.T) {
 	}
 	if time.Since(start) > time.Second {
 		t.Fatal("slow fault ignored context cancellation")
-	}
-}
-
-func TestBurstPatternSatisfiesWeaklyHard(t *testing.T) {
-	const period = 1.0
-	for _, tc := range []struct {
-		seed    int64
-		n, m, k int
-	}{
-		{1, 200, 1, 10},
-		{2, 200, 3, 5},
-		{3, 500, 2, 7},
-		{99, 64, 5, 5}, // m == K: every slot may send
-	} {
-		pattern, err := BurstPattern(tc.seed, tc.n, tc.m, tc.k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Map sends to overruns and validate against the repo's own
-		// (m, K) checker: a burst schedule is a weakly-hard sequence.
-		resp := make([]float64, len(pattern))
-		sends := 0
-		for i, send := range pattern {
-			if send {
-				resp[i] = 1.5 * period
-				sends++
-			} else {
-				resp[i] = 0.5 * period
-			}
-		}
-		ok, err := sched.SatisfiesWeaklyHard(resp, period, tc.m, tc.k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			t.Fatalf("seed=%d (m=%d,K=%d): pattern violates its own constraint", tc.seed, tc.m, tc.k)
-		}
-		if tc.m > 0 && sends == 0 {
-			t.Fatalf("seed=%d: pattern never sends", tc.seed)
-		}
-	}
-
-	a, _ := BurstPattern(42, 100, 2, 8)
-	b, _ := BurstPattern(42, 100, 2, 8)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("slot %d differs between equal seeds", i)
-		}
-	}
-
-	if _, err := BurstPattern(1, 0, 1, 1); err == nil {
-		t.Fatal("n=0 should error")
 	}
 }

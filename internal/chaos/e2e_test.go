@@ -1,28 +1,33 @@
 package chaos
 
 // Service-layer chaos tests: a real adaserved instance (httptest) with
-// a faulty disk, faulty workers, and (m, K)-bursty resilient clients.
-// The assertions are the four invariants from the package comment: no
-// dropped work, no false certificates, a bounded queue, and clean
-// recovery once the fault window closes.
+// a faulty disk and faulty workers, driven by concurrent clients that
+// speak plain HTTP and honour the service's shed contract (see
+// certify). The assertions are the four invariants from the package
+// comment: no dropped work, no false certificates, a bounded queue,
+// and clean recovery once the fault window closes.
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"strings"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
 
 	"adaptivertc/internal/api"
 	"adaptivertc/internal/certcache"
-	"adaptivertc/internal/client"
 	"adaptivertc/internal/server"
 )
+
+// httpc bounds every test round trip; it outlasts the server's 30 s
+// ?watch=1 long-poll window.
+var httpc = &http.Client{Timeout: time.Minute}
 
 // chaosRequests returns distinct small certification requests: 1×1
 // systems whose JSR is the matrix entry itself, so each certifies in
@@ -34,6 +39,114 @@ func chaosRequests(n int) []api.CertifyRequest {
 		reqs[i] = api.CertifyRequest{Version: 1, Matrices: [][][]float64{{{rho}}}}
 	}
 	return reqs
+}
+
+// roundTrip performs one request as clientID and returns the status,
+// headers and body.
+func roundTrip(ctx context.Context, method, url, clientID string, body []byte) (int, http.Header, []byte, error) {
+	req, err := http.NewRequestWithContext(ctx, method, url, bytes.NewReader(body))
+	if err != nil {
+		return 0, nil, nil, err
+	}
+	req.Header.Set("X-Client-ID", clientID)
+	req.Header.Set("Content-Type", "application/json")
+	resp, err := httpc.Do(req)
+	if err != nil {
+		return 0, nil, nil, err
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	return resp.StatusCode, resp.Header, raw, err
+}
+
+// certify POSTs req until the service answers 200 and returns that
+// body, honouring the shed contract as any client must. On 202 it
+// long-polls the job with ?watch=1 until the job is done or failed,
+// then re-POSTs: a done job answers from the cache with the canonical
+// bytes, and a failed one is requeued. On 429/503 it sleeps for
+// Retry-After. On 500 it retries. Each shed, 500, failed job and lost
+// job counts against maxRetries; any other status is an error.
+func certify(ctx context.Context, base, clientID string, req api.CertifyRequest, maxRetries int) ([]byte, error) {
+	payload, err := json.Marshal(req)
+	if err != nil {
+		return nil, err
+	}
+	retries := 0
+	retry := func(why string, wait time.Duration) error {
+		if retries++; retries > maxRetries {
+			return fmt.Errorf("gave up after %d retries, last: %s", maxRetries, why)
+		}
+		select {
+		case <-ctx.Done():
+			return ctx.Err()
+		case <-time.After(wait):
+			return nil
+		}
+	}
+	for {
+		code, hdr, body, err := roundTrip(ctx, http.MethodPost, base+"/v1/certify", clientID, payload)
+		if err != nil {
+			return nil, err
+		}
+		switch code {
+		case http.StatusOK:
+			return body, nil
+		case http.StatusAccepted:
+			var ref api.JobRef
+			if err := json.Unmarshal(body, &ref); err != nil || ref.StatusURL == "" {
+				return nil, fmt.Errorf("malformed 202 body %q", body)
+			}
+			state, err := watchJob(ctx, base+ref.StatusURL, clientID)
+			if err != nil {
+				return nil, err
+			}
+			if state != api.JobDone {
+				if err := retry("job "+state, time.Millisecond); err != nil {
+					return nil, err
+				}
+			}
+		case http.StatusTooManyRequests, http.StatusServiceUnavailable:
+			secs, err := strconv.Atoi(hdr.Get("Retry-After"))
+			if err != nil || secs < 1 {
+				return nil, fmt.Errorf("%d without a usable Retry-After (%q)", code, hdr.Get("Retry-After"))
+			}
+			if err := retry(fmt.Sprintf("shed %d", code), time.Duration(secs)*time.Second); err != nil {
+				return nil, err
+			}
+		case http.StatusInternalServerError:
+			if err := retry(fmt.Sprintf("500: %s", body), time.Millisecond); err != nil {
+				return nil, err
+			}
+		default:
+			return nil, fmt.Errorf("POST /v1/certify: %d %s", code, body)
+		}
+	}
+}
+
+// watchJob long-polls the job at statusURL until it is done or failed
+// and returns that state. A 404 reports "lost": a failed job whose
+// requeue was shed is dropped from the store, and a re-POST starts it
+// afresh.
+func watchJob(ctx context.Context, statusURL, clientID string) (string, error) {
+	for {
+		code, _, body, err := roundTrip(ctx, http.MethodGet, statusURL+"?watch=1", clientID, nil)
+		if err != nil {
+			return "", err
+		}
+		if code == http.StatusNotFound {
+			return "lost", nil
+		}
+		if code != http.StatusOK {
+			return "", fmt.Errorf("GET %s: %d %s", statusURL, code, body)
+		}
+		var st api.JobStatus
+		if err := json.Unmarshal(body, &st); err != nil {
+			return "", err
+		}
+		if st.State == api.JobDone || st.State == api.JobFailed {
+			return st.State, nil
+		}
+	}
 }
 
 // referenceBytes certifies every request against a pristine server —
@@ -59,13 +172,9 @@ func referenceBytes(t *testing.T, reqs []api.CertifyRequest) map[int][]byte {
 			t.Errorf("reference shutdown: %v", err)
 		}
 	}()
-	c, err := client.New(client.Options{BaseURL: ts.URL, Seed: 1, PollInterval: 2 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
 	ref := make(map[int][]byte, len(reqs))
 	for i, req := range reqs {
-		body, err := c.CertifyBytes(context.Background(), req)
+		body, err := certify(context.Background(), ts.URL, "reference", req, 0)
 		if err != nil {
 			t.Fatalf("reference certify %d: %v", i, err)
 		}
@@ -103,8 +212,12 @@ func runChaos(t *testing.T, workers int) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Each distinct request draws once per computation, so the mix must
+	// fail one of the first six draws or the workers never fault: at
+	// seed 1 those are 0.60, 0.94, 0.66, 0.44, 0.42, 0.69, and a 0.3
+	// fail probability only ever slowed two of them.
 	wf := NewWorkerFaults(1)
-	wf.Configure(0.3, 0.2, time.Millisecond)
+	wf.Configure(0.5, 0.2, time.Millisecond)
 	srv, err := server.New(server.Config{
 		Workers:     workers,
 		QueueSize:   queueSize,
@@ -143,7 +256,7 @@ func runChaos(t *testing.T, workers int) {
 				return
 			case <-time.After(2 * time.Millisecond):
 			}
-			resp, err := http.Get(ts.URL + "/healthz")
+			resp, err := httpc.Get(ts.URL + "/healthz")
 			if err != nil {
 				continue
 			}
@@ -159,8 +272,8 @@ func runChaos(t *testing.T, workers int) {
 		}
 	}()
 
-	// Invariants 1 and 2: every bursty client converges on every
-	// request, and every answer matches the pristine reference bytes.
+	// Invariants 1 and 2: every client converges on every request, and
+	// every answer matches the pristine reference bytes.
 	type result struct {
 		client, req int
 		body        []byte
@@ -173,50 +286,12 @@ func runChaos(t *testing.T, workers int) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			cl, err := client.New(client.Options{
-				BaseURL:      ts.URL,
-				ClientID:     fmt.Sprintf("chaos-%d", ci),
-				Seed:         int64(100 + ci),
-				MaxAttempts:  60,
-				BaseBackoff:  2 * time.Millisecond,
-				MaxBackoff:   20 * time.Millisecond,
-				PollInterval: 2 * time.Millisecond,
-				// The storm makes real faults: keep the breaker wide so
-				// convergence, not fail-fast, is what we measure.
-				BreakerThreshold: 1000,
-			})
-			if err != nil {
-				results <- result{client: ci, err: err}
-				return
-			}
-			// (m, K)-shaped arrivals: at most 2 sends per 4 slots.
-			pattern, err := BurstPattern(int64(ci+1), 4*nRequests, 2, 4)
-			if err != nil {
-				results <- result{client: ci, err: err}
-				return
-			}
-			next := 0
-			for _, send := range pattern {
-				if !send {
-					time.Sleep(time.Millisecond)
-					continue
-				}
-				if next >= nRequests {
-					break
-				}
-				ri := next
-				next++
+			id := fmt.Sprintf("chaos-%d", ci)
+			for ri := range reqs {
 				ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-				body, err := cl.CertifyBytes(ctx, reqs[ri])
+				body, err := certify(ctx, ts.URL, id, reqs[ri], 60)
 				cancel()
 				results <- result{client: ci, req: ri, body: body, err: err}
-			}
-			// Drain any requests the pattern's length didn't reach.
-			for ; next < nRequests; next++ {
-				ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-				body, err := cl.CertifyBytes(ctx, reqs[next])
-				cancel()
-				results <- result{client: ci, req: next, body: body, err: err}
 			}
 		}()
 	}
@@ -247,6 +322,9 @@ func runChaos(t *testing.T, workers int) {
 	// The storm must actually have stormed, or the test proves nothing.
 	if wFailed, _, _ := ffs.Injected(); wFailed == 0 {
 		t.Error("faulty fs never fired")
+	}
+	if failed, _ := wf.Injected(); failed == 0 {
+		t.Error("worker faults never failed a computation")
 	}
 	if degraded, _ := cache.Degraded(); !degraded {
 		t.Error("cache never demoted to memory-only despite a broken disk")
@@ -280,13 +358,9 @@ func runChaos(t *testing.T, workers int) {
 	}
 
 	// And a fresh post-storm request certifies clean, first try.
-	cl, err := client.New(client.Options{BaseURL: ts.URL, Seed: 9, MaxAttempts: 3, PollInterval: 2 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	body, err := cl.CertifyBytes(ctx, reqs[0])
+	body, err := certify(ctx, ts.URL, "post-storm", reqs[0], 0)
 	if err != nil {
 		t.Fatalf("post-storm certify: %v", err)
 	}
@@ -296,8 +370,8 @@ func runChaos(t *testing.T, workers int) {
 }
 
 // TestShedCarriesRetryAfter drives a server with a one-token bucket and
-// asserts the shed contract the resilient client depends on: 429 with
-// a Retry-After header and a matching JSON hint.
+// asserts the shed contract every client relies on: 429 with a
+// Retry-After header and a matching JSON hint.
 func TestShedCarriesRetryAfter(t *testing.T) {
 	cache, err := certcache.New(certcache.Options{})
 	if err != nil {
@@ -318,34 +392,22 @@ func TestShedCarriesRetryAfter(t *testing.T) {
 		}
 	}()
 
-	body := `{"version":1,"matrices":[[[0.5]]]}`
-	do := func() (*http.Response, []byte) {
-		req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/certify", strings.NewReader(body))
+	body := []byte(`{"version":1,"matrices":[[[0.5]]]}`)
+	do := func() (int, http.Header, []byte) {
+		code, hdr, raw, err := roundTrip(context.Background(), http.MethodPost, ts.URL+"/v1/certify", "shed-test", body)
 		if err != nil {
 			t.Fatal(err)
 		}
-		req.Header.Set("X-Client-ID", "shed-test")
-		req.Header.Set("Content-Type", "application/json")
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		raw, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return resp, raw
+		return code, hdr, raw
 	}
-	resp1, _ := do()
-	if resp1.StatusCode != http.StatusOK {
-		t.Fatalf("first request: %d", resp1.StatusCode)
+	if code, _, _ := do(); code != http.StatusOK {
+		t.Fatalf("first request: %d", code)
 	}
-	resp2, raw := do()
-	if resp2.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("second request: %d, want 429", resp2.StatusCode)
+	code, hdr, raw := do()
+	if code != http.StatusTooManyRequests {
+		t.Fatalf("second request: %d, want 429", code)
 	}
-	if resp2.Header.Get("Retry-After") == "" {
+	if hdr.Get("Retry-After") == "" {
 		t.Fatal("429 without Retry-After header")
 	}
 	var er api.ErrorResponse

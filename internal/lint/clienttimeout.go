@@ -22,9 +22,9 @@ import (
 //
 // The fix is mechanical: give the client literal a Timeout, or build
 // the request with http.NewRequestWithContext against a client whose
-// Timeout is set (internal/client is the module's reference
-// implementation). A literal that deliberately relies on per-request
-// contexts can say so with //lint:ignore clienttimeout <why>.
+// Timeout is set, as the benchmark's load generator (bench/load.go)
+// does. A literal that deliberately relies on per-request contexts can
+// say so with //lint:ignore clienttimeout <why>.
 var ClientTimeout = &Check{
 	Name: "clienttimeout",
 	Doc:  "http.Client literal without Timeout, or http.Get/Post/PostForm/Head on the timeout-less DefaultClient",

@@ -24,7 +24,7 @@ type LU struct {
 
 // FactorLU computes the LU factorization of a square matrix with partial
 // pivoting. The factorization itself always completes; singularity is
-// reported by the solve/inverse methods (and by Singular).
+// reported by the solve/inverse methods.
 func FactorLU(a *Dense) *LU {
 	mustSquare("FactorLU", a)
 	n := a.rows
@@ -71,9 +71,6 @@ func FactorLU(a *Dense) *LU {
 	}
 	return f
 }
-
-// Singular reports whether a zero pivot was hit.
-func (f *LU) Singular() bool { return f.fail }
 
 // Det returns the determinant of the factored matrix.
 func (f *LU) Det() float64 {

@@ -1,10 +1,11 @@
 #!/bin/sh
-# JSR benchmark snapshot: runs the pinned JSR-path benchmarks (worker
-# sweep, certificate hot path, the zero-alloc expand kernel, the served
-# EstimateCtx call and its brute-force pre-pass on the lifted PMSM set,
-# and the weakly-hard analysis, whose constrained searches run on the
-# same engines) and rewrites BENCH_jsr.json, the committed record of the
-# engine's throughput and allocation behavior.
+# JSR benchmark snapshot: runs the pinned JSR-path benchmarks (design
+# synthesis, certificate hot path, the zero-alloc expand kernel, the
+# served EstimateCtx call and its brute-force pre-pass on the lifted
+# PMSM set at one and two workers, and the weakly-hard analysis, whose
+# constrained searches run on the same engines) and rewrites
+# BENCH_jsr.json, the committed record of the engine's throughput and
+# allocation behavior.
 #
 # Each benchmark runs -count times and the snapshot records the MINIMUM
 # ns/op across runs: the minimum is the least noisy estimator of the
@@ -13,16 +14,14 @@
 # one OS thread running Go code the runtime's own allocations no longer
 # depend on scheduling, so a row whose engine runs two workers (the w2
 # rows) reads the same count on every run, and bench_compare.sh can
-# gate allocs/op exactly. Rows the -cpu 1 pass skips (BenchmarkJSRWorkers
-# runs only w1 there) keep the first pass's minimum. The
-# warm expand loop is pinned at zero allocations, so any increase is a
-# regression, not noise.
+# gate allocs/op exactly. A row the -cpu 1 pass does not report keeps
+# the first pass's minimum. The warm expand loop is pinned at zero
+# allocations, so any increase is a regression, not noise.
 #
 # The pinned benchtime keeps iteration counts comparable across
 # snapshots; absolute ns/op still depends on the host, which is why the
 # host fields (goos/goarch/cpu, GOMAXPROCS, go version) are part of the
-# record. The worker sweep stops at GOMAXPROCS, so a host with fewer
-# cores records fewer BenchmarkJSRWorkers rows.
+# record.
 #
 # Usage: scripts/bench.sh [output.json]
 #   BENCHTIME=2x COUNT=1 scripts/bench.sh   # override the pins
@@ -33,7 +32,7 @@ cd "$(dirname "$0")/.."
 out="${1:-BENCH_jsr.json}"
 benchtime="${BENCHTIME:-5x}"
 count="${COUNT:-3}"
-pattern='^(BenchmarkJSRWorkers|BenchmarkStabilityCertificate|BenchmarkDesignSynthesis|BenchmarkJSRExpand|BenchmarkBruteForcePMSM|BenchmarkEstimatePMSM|BenchmarkWeaklyHard)$'
+pattern='^(BenchmarkStabilityCertificate|BenchmarkDesignSynthesis|BenchmarkJSRExpand|BenchmarkBruteForcePMSM|BenchmarkEstimatePMSM|BenchmarkWeaklyHard)$'
 
 raw="$(go test -run '^$' -bench "$pattern" -benchtime "$benchtime" -count "$count" -benchmem . ./internal/jsr)"
 printf '%s\n' "$raw"

@@ -6,7 +6,9 @@ set -eu
 cd "$(dirname "$0")/.."
 
 tmpdir="$(mktemp -d)"
-trap 'rm -rf "$tmpdir"' EXIT
+# On any exit, stop a server a failed stage left running, then clean up.
+served_pid=""
+trap 'if [ -n "$served_pid" ]; then kill "$served_pid" 2>/dev/null || true; fi; rm -rf "$tmpdir"' EXIT
 
 echo "== go build ./..."
 go build ./...
@@ -140,35 +142,41 @@ if grep -q 'jitter/Ts' "$tmpdir/jitter.out"; then
     exit 1
 fi
 
+# start_served LOG FLAGS... runs adaserved on a free loopback port with
+# its output in LOG, waits for the "listening on" line, and sets
+# served_pid and base. The EXIT trap stops a server a failed check
+# leaves running.
+start_served() {
+    log="$1"
+    shift
+    "$tmpdir/adaserved" -addr 127.0.0.1:0 "$@" > "$log" 2>&1 &
+    served_pid=$!
+    port=""
+    for _ in $(seq 1 100); do
+        port="$(sed -n 's/^listening on .*:\([0-9][0-9]*\).*$/\1/p' "$log")"
+        [ -n "$port" ] && break
+        sleep 0.1
+    done
+    if [ -z "$port" ]; then
+        echo "error: adaserved never reported its listen address:" >&2
+        cat "$log" >&2
+        exit 1
+    fi
+    base="http://127.0.0.1:$port"
+}
+
 echo "== service smoke: adaserved certifies the paper example, matches jsrtool, caches, and shuts down cleanly"
 go build -o "$tmpdir/adaserved" ./cmd/adaserved
 cat > "$tmpdir/req.json" <<'EOF'
 {"version":1,"matrices":[[[0.55,0.55],[0,0.55]],[[0.55,0],[0.55,0.55]]]}
 EOF
-"$tmpdir/adaserved" -addr 127.0.0.1:0 -cache-dir "$tmpdir/servecache" \
-    > "$tmpdir/served.out" 2>&1 &
-served_pid=$!
-# Wait for the listen line and extract the chosen port.
-port=""
-for _ in $(seq 1 100); do
-    port="$(sed -n 's/^listening on .*:\([0-9][0-9]*\).*$/\1/p' "$tmpdir/served.out")"
-    [ -n "$port" ] && break
-    sleep 0.1
-done
-if [ -z "$port" ]; then
-    echo "error: adaserved never reported its listen address:" >&2
-    cat "$tmpdir/served.out" >&2
-    kill "$served_pid" 2>/dev/null || true
-    exit 1
-fi
-base="http://127.0.0.1:$port"
+start_served "$tmpdir/served.out" -cache-dir "$tmpdir/servecache"
 # First POST: computed fresh.
 curl -sS -D "$tmpdir/h1" -o "$tmpdir/r1.json" \
     -X POST --data @"$tmpdir/req.json" "$base/v1/certify"
 grep -qi '^X-Cache: miss' "$tmpdir/h1" || {
     echo "error: first certify was not a cache miss:" >&2
     cat "$tmpdir/h1" "$tmpdir/r1.json" >&2
-    kill "$served_pid" 2>/dev/null || true
     exit 1
 }
 # The served verdict and bracket must match a fresh jsrtool run on the
@@ -178,13 +186,11 @@ tool_bracket="$(sed -n 's/^JSR in \(\[[^]]*\]\).*/\1/p' "$tmpdir/tool.out")"
 served_bracket="$(sed -n 's/.*"bracket":"\([^"]*\)".*/\1/p' "$tmpdir/r1.json")"
 if [ -z "$tool_bracket" ] || [ "$tool_bracket" != "$served_bracket" ]; then
     echo "error: served bracket '$served_bracket' != jsrtool bracket '$tool_bracket'" >&2
-    kill "$served_pid" 2>/dev/null || true
     exit 1
 fi
 grep -q '"verdict":"stable"' "$tmpdir/r1.json" || {
     echo "error: service verdict is not stable:" >&2
     cat "$tmpdir/r1.json" >&2
-    kill "$served_pid" 2>/dev/null || true
     exit 1
 }
 # Second POST: served from the cache, byte-identical body.
@@ -193,23 +199,19 @@ curl -sS -D "$tmpdir/h2" -o "$tmpdir/r2.json" \
 grep -qi '^X-Cache: hit' "$tmpdir/h2" || {
     echo "error: second certify was not a cache hit:" >&2
     cat "$tmpdir/h2" >&2
-    kill "$served_pid" 2>/dev/null || true
     exit 1
 }
 cmp -s "$tmpdir/r1.json" "$tmpdir/r2.json" || {
     echo "error: cached response is not byte-identical to the computed one" >&2
-    kill "$served_pid" 2>/dev/null || true
     exit 1
 }
 # Liveness and metrics surfaces.
 curl -sS "$base/healthz" | grep -q '"status":"ok"' || {
     echo "error: /healthz not ok" >&2
-    kill "$served_pid" 2>/dev/null || true
     exit 1
 }
 curl -sS "$base/metrics" | grep -q '^adaserved_cache_misses_total 1$' || {
     echo "error: /metrics does not report exactly one computation" >&2
-    kill "$served_pid" 2>/dev/null || true
     exit 1
 }
 # SIGTERM: graceful drain and clean exit.
@@ -218,6 +220,7 @@ set +e
 wait "$served_pid"
 served_status=$?
 set -e
+served_pid=""
 if [ "$served_status" -ne 0 ]; then
     echo "error: adaserved exited $served_status on SIGTERM, want 0:" >&2
     cat "$tmpdir/served.out" >&2
@@ -228,30 +231,15 @@ grep -q '^bye$' "$tmpdir/served.out" || {
     exit 1
 }
 
-echo "== chaos smoke: disk fault degrades the cache, sheds carry Retry-After, resilient client converges"
-go build -o "$tmpdir/adaclient" ./cmd/adaclient
+echo "== chaos smoke: disk fault degrades the cache, sheds carry Retry-After, a retry after Retry-After converges"
 # -store-segment 32 makes every put after the first rotate the
 # segmented log, so the yanked directory below is felt on the very
 # next record — appends to the already-open segment file descriptor
 # would otherwise keep succeeding against an unlinked file. (A
 # header-only segment is exempt from rotation, hence the priming
 # request before the yank.)
-"$tmpdir/adaserved" -addr 127.0.0.1:0 -cache-dir "$tmpdir/chaoscache" \
-    -store-segment 32 -rate 1 -burst 1 -cache-probe 50ms > "$tmpdir/chaos.out" 2>&1 &
-chaos_pid=$!
-port=""
-for _ in $(seq 1 100); do
-    port="$(sed -n 's/^listening on .*:\([0-9][0-9]*\).*$/\1/p' "$tmpdir/chaos.out")"
-    [ -n "$port" ] && break
-    sleep 0.1
-done
-if [ -z "$port" ]; then
-    echo "error: chaos adaserved never reported its listen address:" >&2
-    cat "$tmpdir/chaos.out" >&2
-    kill "$chaos_pid" 2>/dev/null || true
-    exit 1
-fi
-base="http://127.0.0.1:$port"
+start_served "$tmpdir/chaos.out" -cache-dir "$tmpdir/chaoscache" \
+    -store-segment 32 -rate 1 -burst 1 -cache-probe 50ms
 # Prime one record into the active segment. Rotation skips a segment
 # holding nothing but its header (rotating an empty segment would spin
 # forever), so the put after the yank needs a non-empty active segment
@@ -261,7 +249,6 @@ curl -sS -o "$tmpdir/chprime.json" -H 'X-Client-ID: primer' \
 grep -q '"verdict":' "$tmpdir/chprime.json" || {
     echo "error: priming certify before the disk yank failed:" >&2
     cat "$tmpdir/chprime.json" >&2
-    kill "$chaos_pid" 2>/dev/null || true
     exit 1
 }
 # Yank the disk out from under the certificate cache: a plain file
@@ -277,17 +264,14 @@ curl -sS -D "$tmpdir/chh1" -o "$tmpdir/chr1.json" -H 'X-Client-ID: smoke' \
 grep -q '"verdict":"stable"' "$tmpdir/chr1.json" || {
     echo "error: certify on a broken disk did not still certify:" >&2
     cat "$tmpdir/chr1.json" >&2
-    kill "$chaos_pid" 2>/dev/null || true
     exit 1
 }
 curl -sS "$base/healthz" | grep -q '"cache_degraded":true' || {
     echo "error: /healthz does not report the degraded cache" >&2
-    kill "$chaos_pid" 2>/dev/null || true
     exit 1
 }
 curl -sS "$base/metrics" | grep -q '^adaserved_cache_demotions_total [1-9]' || {
     echo "error: /metrics does not count the cache demotion" >&2
-    kill "$chaos_pid" 2>/dev/null || true
     exit 1
 }
 # An immediate second request outruns the 1-token bucket: an honest 429
@@ -296,43 +280,40 @@ shed_status="$(curl -sS -D "$tmpdir/chh2" -o "$tmpdir/chr2.json" -w '%{http_code
     -H 'X-Client-ID: smoke' -X POST --data @"$tmpdir/req.json" "$base/v1/certify")"
 if [ "$shed_status" != 429 ]; then
     echo "error: burst POST got $shed_status, want 429" >&2
-    kill "$chaos_pid" 2>/dev/null || true
     exit 1
 fi
 grep -qi '^Retry-After: [0-9]' "$tmpdir/chh2" || {
     echo "error: 429 shed does not carry a Retry-After header:" >&2
     cat "$tmpdir/chh2" >&2
-    kill "$chaos_pid" 2>/dev/null || true
     exit 1
 }
 grep -q '"retry_after_seconds":' "$tmpdir/chr2.json" || {
     echo "error: 429 body does not carry retry_after_seconds:" >&2
     cat "$tmpdir/chr2.json" >&2
-    kill "$chaos_pid" 2>/dev/null || true
     exit 1
 }
-# The resilient client rides out the rate limit (it shares the curl
-# client id, so its first attempt is shed) and converges on bytes
-# identical to the degraded miss — and on the bracket of a fresh
-# jsrtool run on the same matrices.
-"$tmpdir/adaclient" -server "$base" -client-id smoke -deadline 60s \
-    -in "$tmpdir/req.json" > "$tmpdir/chclient.json" || {
-    echo "error: adaclient did not converge against the rate-limited server" >&2
-    kill "$chaos_pid" 2>/dev/null || true
-    exit 1
-}
-"$tmpdir/jsrtool" -in "$tmpdir/set.json" > "$tmpdir/chtool.out"
-chaos_tool_bracket="$(sed -n 's/^JSR in \(\[[^]]*\]\).*/\1/p' "$tmpdir/chtool.out")"
-client_bracket="$(sed -n 's/.*"bracket":"\([^"]*\)".*/\1/p' "$tmpdir/chclient.json")"
-if [ -z "$chaos_tool_bracket" ] || [ "$client_bracket" != "$chaos_tool_bracket" ]; then
-    echo "error: client bracket '$client_bracket' != fresh jsrtool bracket '$chaos_tool_bracket'" >&2
-    kill "$chaos_pid" 2>/dev/null || true
+# Honour the shed: sleep for the Retry-After the 429 named and re-POST
+# under the same client id. The retry must land, with bytes identical
+# to the degraded miss and the bracket of a fresh jsrtool run on the
+# same matrices.
+retry_after="$(sed -n 's/^[Rr]etry-[Aa]fter: *\([0-9][0-9]*\).*$/\1/p' "$tmpdir/chh2")"
+sleep "$retry_after"
+retry_status="$(curl -sS -o "$tmpdir/chretry.json" -w '%{http_code}' \
+    -H 'X-Client-ID: smoke' -X POST --data @"$tmpdir/req.json" "$base/v1/certify")"
+if [ "$retry_status" != 200 ]; then
+    echo "error: POST after the ${retry_after}s Retry-After got $retry_status, want 200:" >&2
+    cat "$tmpdir/chretry.json" >&2
     exit 1
 fi
-# adaclient writes the canonical body verbatim.
-cmp -s "$tmpdir/chr1.json" "$tmpdir/chclient.json" || {
-    echo "error: client bytes differ from the server's canonical response" >&2
-    kill "$chaos_pid" 2>/dev/null || true
+"$tmpdir/jsrtool" -in "$tmpdir/set.json" > "$tmpdir/chtool.out"
+chaos_tool_bracket="$(sed -n 's/^JSR in \(\[[^]]*\]\).*/\1/p' "$tmpdir/chtool.out")"
+retry_bracket="$(sed -n 's/.*"bracket":"\([^"]*\)".*/\1/p' "$tmpdir/chretry.json")"
+if [ -z "$chaos_tool_bracket" ] || [ "$retry_bracket" != "$chaos_tool_bracket" ]; then
+    echo "error: retried bracket '$retry_bracket' != fresh jsrtool bracket '$chaos_tool_bracket'" >&2
+    exit 1
+fi
+cmp -s "$tmpdir/chr1.json" "$tmpdir/chretry.json" || {
+    echo "error: retried bytes differ from the server's canonical response" >&2
     exit 1
 }
 # Heal the disk. The next certifications trigger the recovery probe
@@ -352,19 +333,18 @@ done
 if [ -z "$recovered" ]; then
     echo "error: cache never recovered after the disk healed" >&2
     curl -sS "$base/healthz" >&2 || true
-    kill "$chaos_pid" 2>/dev/null || true
     exit 1
 fi
 curl -sS "$base/metrics" | grep -q '^adaserved_cache_recoveries_total [1-9]' || {
     echo "error: /metrics does not count the cache recovery" >&2
-    kill "$chaos_pid" 2>/dev/null || true
     exit 1
 }
-kill -TERM "$chaos_pid"
+kill -TERM "$served_pid"
 set +e
-wait "$chaos_pid"
+wait "$served_pid"
 chaos_status=$?
 set -e
+served_pid=""
 if [ "$chaos_status" -ne 0 ]; then
     echo "error: chaos adaserved exited $chaos_status on SIGTERM, want 0:" >&2
     cat "$tmpdir/chaos.out" >&2
@@ -376,29 +356,13 @@ echo "== crash smoke: SIGKILL mid-load, restart serves acked certificates byte-i
 # inside appends, rotations, and header writes alike; the restarted
 # server must absorb whatever torn state is left and still serve every
 # acknowledged certificate bit-for-bit.
-"$tmpdir/adaserved" -addr 127.0.0.1:0 -cache-dir "$tmpdir/crashcache" \
-    -store-segment 4096 > "$tmpdir/crash1.out" 2>&1 &
-crash_pid=$!
-port=""
-for _ in $(seq 1 100); do
-    port="$(sed -n 's/^listening on .*:\([0-9][0-9]*\).*$/\1/p' "$tmpdir/crash1.out")"
-    [ -n "$port" ] && break
-    sleep 0.1
-done
-if [ -z "$port" ]; then
-    echo "error: crash adaserved never reported its listen address:" >&2
-    cat "$tmpdir/crash1.out" >&2
-    kill "$crash_pid" 2>/dev/null || true
-    exit 1
-fi
-base="http://127.0.0.1:$port"
+start_served "$tmpdir/crash1.out" -cache-dir "$tmpdir/crashcache" -store-segment 4096
 # Certify the paper example first: these bytes are acknowledged (the
 # store fsyncs before the response) and must survive the kill.
 curl -sS -o "$tmpdir/cr1.json" -X POST --data @"$tmpdir/req.json" "$base/v1/certify"
 grep -q '"verdict":"stable"' "$tmpdir/cr1.json" || {
     echo "error: crash-smoke certify failed:" >&2
     cat "$tmpdir/cr1.json" >&2
-    kill "$crash_pid" 2>/dev/null || true
     exit 1
 }
 # Background load: a stream of distinct tiny certifications keeps the
@@ -413,57 +377,39 @@ grep -q '"verdict":"stable"' "$tmpdir/cr1.json" || {
 ) &
 load_pid=$!
 sleep 0.5
-kill -9 "$crash_pid" 2>/dev/null || true
+kill -9 "$served_pid" 2>/dev/null || true
 set +e
-wait "$crash_pid" 2>/dev/null
+wait "$served_pid" 2>/dev/null
 wait "$load_pid" 2>/dev/null
 set -e
 # Restart over the same directory: startup must repair the torn tail,
 # never refuse, and serve the acked certificate from disk unchanged.
-"$tmpdir/adaserved" -addr 127.0.0.1:0 -cache-dir "$tmpdir/crashcache" \
-    > "$tmpdir/crash2.out" 2>&1 &
-crash2_pid=$!
-port=""
-for _ in $(seq 1 100); do
-    port="$(sed -n 's/^listening on .*:\([0-9][0-9]*\).*$/\1/p' "$tmpdir/crash2.out")"
-    [ -n "$port" ] && break
-    sleep 0.1
-done
-if [ -z "$port" ]; then
-    echo "error: adaserved did not come back up after SIGKILL:" >&2
-    cat "$tmpdir/crash2.out" >&2
-    kill "$crash2_pid" 2>/dev/null || true
-    exit 1
-fi
-base="http://127.0.0.1:$port"
+start_served "$tmpdir/crash2.out" -cache-dir "$tmpdir/crashcache"
 curl -sS -D "$tmpdir/crh2" -o "$tmpdir/cr2.json" \
     -X POST --data @"$tmpdir/req.json" "$base/v1/certify"
 grep -qi '^X-Cache: hit' "$tmpdir/crh2" || {
     echo "error: acked certificate was not a cache hit after the crash:" >&2
     cat "$tmpdir/crh2" >&2
-    kill "$crash2_pid" 2>/dev/null || true
     exit 1
 }
 cmp -s "$tmpdir/cr1.json" "$tmpdir/cr2.json" || {
     echo "error: certificate served after the crash differs from the acked bytes" >&2
-    kill "$crash2_pid" 2>/dev/null || true
     exit 1
 }
 curl -sS "$base/healthz" | grep -q '"status":"ok"' || {
     echo "error: /healthz not ok after crash recovery" >&2
-    kill "$crash2_pid" 2>/dev/null || true
     exit 1
 }
 curl -sS "$base/metrics" | grep -q '^adaserved_store_appends_total{store="certs"}' || {
     echo "error: /metrics does not expose the store counters" >&2
-    kill "$crash2_pid" 2>/dev/null || true
     exit 1
 }
-kill -TERM "$crash2_pid"
+kill -TERM "$served_pid"
 set +e
-wait "$crash2_pid"
+wait "$served_pid"
 crash2_status=$?
 set -e
+served_pid=""
 if [ "$crash2_status" -ne 0 ]; then
     echo "error: restarted adaserved exited $crash2_status on SIGTERM, want 0:" >&2
     cat "$tmpdir/crash2.out" >&2
@@ -476,22 +422,7 @@ echo "== overload smoke: a saturated queue sheds 503 with Retry-After"
 # invariant blocks) at a delta far below what the budget reaches runs
 # for ~a second, and its brute-force work puts it on the async path. The third concurrent job has nowhere to go: 503, with a
 # drain-rate Retry-After.
-"$tmpdir/adaserved" -addr 127.0.0.1:0 -workers 1 -queue 1 -timeout 2s \
-    > "$tmpdir/overload.out" 2>&1 &
-over_pid=$!
-port=""
-for _ in $(seq 1 100); do
-    port="$(sed -n 's/^listening on .*:\([0-9][0-9]*\).*$/\1/p' "$tmpdir/overload.out")"
-    [ -n "$port" ] && break
-    sleep 0.1
-done
-if [ -z "$port" ]; then
-    echo "error: overload adaserved never reported its listen address:" >&2
-    cat "$tmpdir/overload.out" >&2
-    kill "$over_pid" 2>/dev/null || true
-    exit 1
-fi
-base="http://127.0.0.1:$port"
+start_served "$tmpdir/overload.out" -workers 1 -queue 1 -timeout 2s
 slow_req() {
     printf '{"version":1,"scenario":{"name":"pmsm"},"delta":%s,"depth":60,"max_nodes":90000000}' "$1"
 }
@@ -511,7 +442,6 @@ for _ in $(seq 1 100); do
 done
 if [ -z "$running" ]; then
     echo "error: first overload job never started running" >&2
-    kill "$over_pid" 2>/dev/null || true
     exit 1
 fi
 curl -sS -o /dev/null -X POST --data @"$tmpdir/ov2.json" "$base/v1/certify"
@@ -519,20 +449,19 @@ over_status="$(curl -sS -D "$tmpdir/ovh3" -o /dev/null -w '%{http_code}' \
     -X POST --data @"$tmpdir/ov3.json" "$base/v1/certify")"
 if [ "$over_status" != 503 ]; then
     echo "error: overflow POST got $over_status, want 503" >&2
-    kill "$over_pid" 2>/dev/null || true
     exit 1
 fi
 grep -qi '^Retry-After: [0-9]' "$tmpdir/ovh3" || {
     echo "error: 503 shed does not carry a Retry-After header:" >&2
     cat "$tmpdir/ovh3" >&2
-    kill "$over_pid" 2>/dev/null || true
     exit 1
 }
-kill -TERM "$over_pid"
+kill -TERM "$served_pid"
 set +e
-wait "$over_pid"
+wait "$served_pid"
 over_exit=$?
 set -e
+served_pid=""
 if [ "$over_exit" -ne 0 ]; then
     echo "error: overload adaserved exited $over_exit on SIGTERM, want 0:" >&2
     cat "$tmpdir/overload.out" >&2
@@ -555,21 +484,7 @@ EOF
 "$tmpdir/jsrtool" -brute 7 -in "$tmpdir/aset.json" > "$tmpdir/atool.out"
 async_tool_bracket="$(sed -n 's/^JSR in \(\[[^]]*\]\).*/\1/p' "$tmpdir/atool.out")"
 
-"$tmpdir/adaserved" -addr 127.0.0.1:0 > "$tmpdir/async.out" 2>&1 &
-async_pid=$!
-port=""
-for _ in $(seq 1 100); do
-    port="$(sed -n 's/^listening on .*:\([0-9][0-9]*\).*$/\1/p' "$tmpdir/async.out")"
-    [ -n "$port" ] && break
-    sleep 0.1
-done
-if [ -z "$port" ]; then
-    echo "error: async adaserved never reported its listen address:" >&2
-    cat "$tmpdir/async.out" >&2
-    kill "$async_pid" 2>/dev/null || true
-    exit 1
-fi
-base="http://127.0.0.1:$port"
+start_served "$tmpdir/async.out"
 # Submit, long-poll the job via ?watch=1 to completion, then re-POST
 # for the canonical cached bytes.
 async_status="$(curl -sS -o "$tmpdir/ajob.json" -w '%{http_code}' \
@@ -578,7 +493,6 @@ jid="$(sed -n 's/.*"job_id":"\([^"]*\)".*/\1/p' "$tmpdir/ajob.json")"
 if [ "$async_status" != 202 ] || [ -z "$jid" ]; then
     echo "error: brute-7 request did not take the async path (HTTP $async_status):" >&2
     cat "$tmpdir/ajob.json" >&2
-    kill "$async_pid" 2>/dev/null || true
     exit 1
 fi
 astate=""
@@ -588,20 +502,17 @@ for _ in $(seq 1 120); do
 done
 if [ "$astate" != done ]; then
     echo "error: async-smoke job ended in state '$astate'" >&2
-    kill "$async_pid" 2>/dev/null || true
     exit 1
 fi
 curl -sS -D "$tmpdir/ajobh" -o "$tmpdir/ares.json" -X POST --data @"$tmpdir/areq.json" "$base/v1/certify"
 grep -qi '^X-Cache: hit' "$tmpdir/ajobh" || {
     echo "error: completed job was not served from the cache:" >&2
     cat "$tmpdir/ajobh" >&2
-    kill "$async_pid" 2>/dev/null || true
     exit 1
 }
 async_bracket="$(sed -n 's/.*"bracket":"\([^"]*\)".*/\1/p' "$tmpdir/ares.json")"
 if [ -z "$async_tool_bracket" ] || [ "$async_bracket" != "$async_tool_bracket" ]; then
     echo "error: async bracket '$async_bracket' != jsrtool bracket '$async_tool_bracket'" >&2
-    kill "$async_pid" 2>/dev/null || true
     exit 1
 fi
 # Batch endpoint: three items, two sharing a content key; every item
@@ -612,22 +523,22 @@ curl -sS -o "$tmpdir/abatchr.json" -X POST --data @"$tmpdir/abatch.json" "$base/
 if [ "$(grep -o '"result"' "$tmpdir/abatchr.json" | wc -l)" -ne 3 ] || grep -q '"error"' "$tmpdir/abatchr.json"; then
     echo "error: batch response is not three clean inline results:" >&2
     cat "$tmpdir/abatchr.json" >&2
-    kill "$async_pid" 2>/dev/null || true
     exit 1
 fi
 # SIGTERM: graceful drain and clean exit.
-kill -TERM "$async_pid"
+kill -TERM "$served_pid"
 set +e
-wait "$async_pid"
+wait "$served_pid"
 async_exit=$?
 set -e
+served_pid=""
 if [ "$async_exit" -ne 0 ]; then
     echo "error: async adaserved exited $async_exit on SIGTERM, want 0:" >&2
     cat "$tmpdir/async.out" >&2
     exit 1
 fi
 
-echo "== benchmark smoke: JSR worker sweep"
-go test -run '^$' -bench 'BenchmarkJSRWorkers' -benchtime 1x .
+echo "== benchmark smoke: served-path JSR estimate across worker counts"
+go test -run '^$' -bench '^BenchmarkEstimatePMSM$' -benchtime 1x ./internal/jsr
 
 echo "OK"
