@@ -250,9 +250,9 @@ func finishGrid(err error, ckptPath string, done []bool) error {
 	return err
 }
 
-// writeFileAtomic writes a derived artifact (CSV, report) via temp-file
-// + rename so an interrupted run never leaves a truncated file, and
-// propagates close/sync errors.
+// writeFileAtomic writes a derived artifact (CSV, report, export) via
+// temp-file + rename so an interrupted run never leaves a truncated
+// file, and propagates close/sync errors.
 func writeFileAtomic(path string, write func(io.Writer) error) error {
 	return checkpoint.WriteFileAtomic(path, write)
 }
@@ -477,7 +477,10 @@ func runExport(args []string) error {
 		_, err = os.Stdout.Write(data)
 		return err
 	}
-	return os.WriteFile(*out, data, 0o644)
+	return writeFileAtomic(*out, func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	})
 }
 
 // runRTA demonstrates the analysis producing the Rmax that the adaptive

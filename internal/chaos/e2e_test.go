@@ -197,8 +197,15 @@ func runChaos(t *testing.T, workers int) {
 		nRequests = 6
 		queueSize = 4
 		nClients  = 3
+		// nBurst more distinct requests arrive at once after the storm,
+		// while every worker is held: more than the queue and the workers
+		// can take, so the queue must fill and shed.
+		nBurst = 12
 	)
-	reqs := chaosRequests(nRequests)
+	if nBurst <= queueSize+workers {
+		t.Fatalf("a burst of %d cannot overflow %d queue slots and %d workers", nBurst, queueSize, workers)
+	}
+	reqs := chaosRequests(nRequests + nBurst)
 	ref := referenceBytes(t, reqs)
 
 	// Service under test: faulty disk from the start, faulty workers
@@ -218,13 +225,22 @@ func runChaos(t *testing.T, workers int) {
 	// fail probability only ever slowed two of them.
 	wf := NewWorkerFaults(1)
 	wf.Configure(0.5, 0.2, time.Millisecond)
+	faults := wf.Hook()
+	// hold is write-locked while the burst arrives: every computation
+	// then waits at its start, so no admitted job finishes and frees a
+	// slot.
+	var hold sync.RWMutex
 	srv, err := server.New(server.Config{
 		Workers:     workers,
 		QueueSize:   queueSize,
 		Cache:       cache,
 		MaxSyncWork: -1, // force every request through the bounded queue
 		MaxInflight: 16,
-		FaultHook:   wf.Hook(),
+		FaultHook: func(ctx context.Context) error {
+			hold.RLock()
+			hold.RUnlock()
+			return faults(ctx)
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -279,7 +295,7 @@ func runChaos(t *testing.T, workers int) {
 		body        []byte
 		err         error
 	}
-	results := make(chan result, nClients*nRequests)
+	results := make(chan result, nClients*nRequests+nBurst)
 	var wg sync.WaitGroup
 	for ci := 0; ci < nClients; ci++ {
 		ci := ci
@@ -287,7 +303,7 @@ func runChaos(t *testing.T, workers int) {
 		go func() {
 			defer wg.Done()
 			id := fmt.Sprintf("chaos-%d", ci)
-			for ri := range reqs {
+			for ri := range reqs[:nRequests] {
 				ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 				body, err := certify(ctx, ts.URL, id, reqs[ri], 60)
 				cancel()
@@ -295,6 +311,62 @@ func runChaos(t *testing.T, workers int) {
 			}
 		}()
 	}
+	wg.Wait()
+
+	// Invariant 3 under pressure: the burst's requests are each sent
+	// once while the workers are held, so at most queueSize + workers
+	// are admitted and the rest must be shed with 503 + Retry-After.
+	// Then the workers go, and every burst client honours its answer
+	// and converges like the storm's. The storm's finished jobs keep
+	// the drain estimate, and so each Retry-After, near one second.
+	type answer struct {
+		code, retryAfter int
+		err              error
+	}
+	answers := make(chan answer, nBurst)
+	released := make(chan struct{})
+	hold.Lock()
+	for bi := 0; bi < nBurst; bi++ {
+		ci, ri := nClients+bi, nRequests+bi
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			id := fmt.Sprintf("burst-%d", bi)
+			payload, err := json.Marshal(reqs[ri])
+			a := answer{err: err}
+			if err == nil {
+				var hdr http.Header
+				a.code, hdr, _, a.err = roundTrip(context.Background(), http.MethodPost, ts.URL+"/v1/certify", id, payload)
+				a.retryAfter, _ = strconv.Atoi(hdr.Get("Retry-After"))
+			}
+			answers <- a
+			<-released
+			if a.code == http.StatusServiceUnavailable {
+				time.Sleep(time.Duration(a.retryAfter) * time.Second)
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			body, err := certify(ctx, ts.URL, id, reqs[ri], 60)
+			cancel()
+			results <- result{client: ci, req: ri, body: body, err: err}
+		}()
+	}
+	shed := 0
+	for range nBurst {
+		switch a := <-answers; {
+		case a.err != nil:
+			t.Errorf("burst POST: %v", a.err)
+		case a.code == http.StatusServiceUnavailable && a.retryAfter >= 1:
+			shed++
+		case a.code != http.StatusAccepted:
+			t.Errorf("burst POST answered %d with Retry-After %d, want 202, or 503 with Retry-After ≥ 1", a.code, a.retryAfter)
+		}
+	}
+	hold.Unlock()
+	close(released)
+	if want := nBurst - queueSize - workers; shed < want {
+		t.Errorf("%d of %d burst requests were shed, want at least %d: the queue admitted more than its capacity", shed, nBurst, want)
+	}
+
 	wg.Wait()
 	close(results)
 	close(stopHealth)
@@ -312,7 +384,7 @@ func runChaos(t *testing.T, workers int) {
 				r.client, r.req, r.body, ref[r.req])
 		}
 	}
-	if want := nClients * nRequests; delivered != want {
+	if want := nClients*nRequests + nBurst; delivered != want {
 		t.Errorf("delivered %d results, want %d (no dropped work)", delivered, want)
 	}
 	if maxQueueDepth > queueSize {

@@ -124,9 +124,8 @@ func (d *Design) OmegaSet() []*mat.Dense {
 // bracket is valid but looser than requested; cancellation or an
 // expired context deadline returns the valid best-so-far bracket with
 // an error wrapping jsr.ErrDeadline. opt is passed through to
-// jsr.EstimateCtx, which preconditions the set once itself (so
-// opt.DisableEllipsoid has no further effect here) and honours the
-// snapshot/resume options.
+// jsr.EstimateCtx, which preconditions each invariant block of the set
+// and honours the snapshot/resume options.
 func (d *Design) StabilityBoundsCtx(ctx context.Context, bruteLen int, opt jsr.GripenbergOptions) (jsr.Bounds, error) {
 	return jsr.EstimateCtx(ctx, d.OmegaSet(), bruteLen, opt)
 }

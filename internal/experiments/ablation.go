@@ -152,9 +152,7 @@ func AblationJSR(ctx context.Context, opt Options) ([]AblationJSRRow, error) {
 		row.PreTime = time.Since(t0)
 
 		t0 = time.Now()
-		// DisableEllipsoid: work is already preconditioned, and the row
-		// is meant to isolate exactly one transform per column.
-		row.PreGrip, err = jsr.GripenbergCtx(ctx, work, jsr.GripenbergOptions{Delta: opt.Delta, MaxDepth: 30, Workers: opt.Workers, DisableEllipsoid: true})
+		row.PreGrip, err = jsr.GripenbergCtx(ctx, work, jsr.GripenbergOptions{Delta: opt.Delta, MaxDepth: 30, Workers: opt.Workers})
 		if err != nil && !errors.Is(err, jsr.ErrBudget) {
 			return err
 		}

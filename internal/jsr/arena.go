@@ -9,7 +9,7 @@ import (
 )
 
 // This file holds the zero-allocation expansion engine behind
-// GripenbergCtx and ConstrainedGripenbergCtx. The expand loop is the
+// every Gripenberg search (gripenberg in jsr.go). The expand loop is the
 // hot path of every certification job: each node costs at most one
 // small matrix multiply (the child is Ω(h)·parent, with the parent
 // product cached on the frontier entry), at most one spectral radius,

@@ -156,9 +156,6 @@ type blockRun struct {
 // Block without the hook and resumes that one. set and g are validated
 // by the caller.
 func estimate(ctx context.Context, set []*mat.Dense, g *Graph, bruteLen int, opt GripenbergOptions, precondition bool) (Bounds, error) {
-	// A second, in-search transform would help nothing: the blocks are
-	// preconditioned already, or the caller asked for the raw set.
-	opt.DisableEllipsoid = true
 	opt, err := opt.withDefaults()
 	if err != nil {
 		return Bounds{}, err

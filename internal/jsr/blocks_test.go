@@ -255,8 +255,8 @@ func TestInvertedBracketIsAnError(t *testing.T) {
 	if b, err := BruteForceBoundsCtx(ctx, set, 6, BruteForceOptions{}); !errors.Is(err, ErrInverted) {
 		t.Errorf("BruteForceBoundsCtx = %v, %v; want ErrInverted", b, err)
 	}
-	if b, err := ConstrainedBoundsCtx(ctx, set, CompleteGraph(len(set)), 6, BruteForceOptions{}); !errors.Is(err, ErrInverted) {
-		t.Errorf("ConstrainedBoundsCtx = %v, %v; want ErrInverted", b, err)
+	if b, err := certified(bruteForce(ctx, set, CompleteGraph(len(set)), 6, BruteForceOptions{})); !errors.Is(err, ErrInverted) {
+		t.Errorf("bruteForce on the complete graph = %v, %v; want ErrInverted", b, err)
 	}
 	// Rounding where the certificates meet is not an inversion: the
 	// bracket collapses onto Lower.
@@ -278,7 +278,7 @@ func TestInvertedBracketIsAnError(t *testing.T) {
 func TestPruneFloorUpper(t *testing.T) {
 	const jsr, floor, delta = 0.96, 0.955, 0.02
 	set := scaleSet(goldenPair(), jsr/math.Phi)
-	opt, err := GripenbergOptions{Delta: delta, MaxDepth: 20, DisableEllipsoid: true}.withDefaults()
+	opt, err := GripenbergOptions{Delta: delta, MaxDepth: 20}.withDefaults()
 	if err != nil {
 		t.Fatal(err)
 	}

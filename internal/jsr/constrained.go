@@ -15,9 +15,9 @@ import (
 // interval can follow any other), which is the complete graph; the
 // constrained variant connects the tool to the weakly-hard literature
 // it compares against ([16]–[18]), where overrun patterns are limited
-// to at most m overruns in any window of K jobs. Both estimators run on
-// the same engines as their unconstrained forms (bruteForce and
-// gripenberg in jsr.go): the entry points here only validate the graph.
+// to at most m overruns in any window of K jobs. ConstrainedEstimateCtx
+// runs the same engines as the unconstrained estimators (bruteForce and
+// gripenberg in jsr.go) over the graph's walks.
 
 // Graph is a switching constraint: Nodes[i] labels node i with a matrix
 // index into the analyzed set, and Next[i] lists the admissible
@@ -51,9 +51,8 @@ func (g *Graph) Validate(k int) error {
 
 // CompleteGraph returns the unconstrained graph over k matrices: node i
 // carries label i, and every matrix may follow every other. It is the
-// graph BruteForceBoundsCtx and GripenbergCtx search, so on it
-// ConstrainedBoundsCtx and ConstrainedGripenbergCtx return exactly
-// their bounds.
+// graph BruteForceBoundsCtx, GripenbergCtx and EstimateCtx search, so
+// on it ConstrainedEstimateCtx returns exactly EstimateCtx's bounds.
 func CompleteGraph(k int) *Graph {
 	g := &Graph{Nodes: make([]int, k), Next: make([][]int, k)}
 	for i := 0; i < k; i++ {
@@ -150,26 +149,6 @@ func WeaklyHardGraph(m, k int) (*Graph, error) {
 	return g, nil
 }
 
-// ConstrainedBoundsCtx brackets the constrained joint spectral radius:
-// the largest asymptotic growth rate over switching sequences admitted
-// by the graph. It runs BruteForceBoundsCtx's streamed Eq. 12 sweep over
-// the walks of g of length 1..maxLen: lower bounds come from the
-// spectral radii of products along closed walks (cycles), upper bounds
-// from the norm sandwich over all admissible products of each length.
-// The bounds are bit-identical for every Workers value. On cancellation
-// the sandwich over the fully completed levels is returned together
-// with an error wrapping ErrDeadline, and an inverted sandwich is
-// ErrInverted, as with BruteForceBoundsCtx.
-func ConstrainedBoundsCtx(ctx context.Context, set []*mat.Dense, g *Graph, maxLen int, opt BruteForceOptions) (Bounds, error) {
-	if _, err := validateSet(set); err != nil {
-		return Bounds{}, err
-	}
-	if err := g.Validate(len(set)); err != nil {
-		return Bounds{}, err
-	}
-	return certified(bruteForce(ctx, set, g, maxLen, opt))
-}
-
 // closes reports whether a walk ending at `node` can immediately return
 // to `start` (so the walk is a cycle when extended by that edge — we
 // treat walks whose end links back to their start as repeatable).
@@ -182,52 +161,19 @@ func closes(g *Graph, node, start int) bool {
 	return false
 }
 
-// ConstrainedGripenbergCtx runs GripenbergCtx's branch-and-bound on a
-// switching graph: the branches are the graph's walks, and lower bounds
-// come only from closable walks (whose periodic repetition is
-// admissible). Pruning, budgets, worker sharding and the deterministic
-// merge are GripenbergCtx's, so the result is identical for every
-// Workers value; combine with ConstrainedBoundsCtx via the caller.
-// ErrBudget signals a valid but looser-than-requested bracket: as
-// ErrNodeBudget only after the remaining node budget has been spent on
-// a partial level, as ErrDepthCap when MaxDepth ends the search.
-// Cancellation and an expired context deadline cut the search at a
-// level boundary with the last fully merged bracket and an error
-// wrapping ErrDeadline. The search runs on the set as given:
-// DisableEllipsoid is implied (precondition the set first, as the
-// weakly-hard experiment does). Snapshot/Resume are not supported (the
-// frontier carries graph positions, not just words); setting either is
-// an error.
-func ConstrainedGripenbergCtx(ctx context.Context, set []*mat.Dense, g *Graph, opt GripenbergOptions) (Bounds, error) {
-	if _, err := validateSet(set); err != nil {
-		return Bounds{}, err
-	}
-	if err := g.Validate(len(set)); err != nil {
-		return Bounds{}, err
-	}
-	if opt.Snapshot != nil || opt.Resume != nil {
-		return Bounds{}, fmt.Errorf("jsr: Snapshot/Resume are not supported by the constrained search")
-	}
-	opt.DisableEllipsoid = true
-	opt, err := opt.withDefaults()
-	if err != nil {
-		return Bounds{}, err
-	}
-	b, _, err := gripenberg(ctx, set, g, opt, 0)
-	return certified(b, err)
-}
-
 // ConstrainedEstimateCtx is EstimateCtx over the walks of g: the set is
 // split into its invariant blocks, each block is preconditioned and
-// bracketed by ConstrainedBoundsCtx's sweep and ConstrainedGripenbergCtx's
-// search under the prune floor, and the brackets combine as
-// EstimateCtx combines them, with the witness replayed on the caller's
-// matrices. The constrained JSR of a block-triangular family is the
+// bracketed by the Eq. 12 sweep and the Gripenberg search over the
+// block's admissible walks, the search under the prune floor, and the
+// brackets combine as EstimateCtx combines them, with the witness
+// replayed on the caller's matrices. Lower bounds come only from walks
+// that close back to their start, whose periodic repetition is
+// admissible. The constrained JSR of a block-triangular family is the
 // largest constrained JSR of its diagonal blocks, by the same argument
 // as for arbitrary switching: every admissible product is block
 // triangular, with the admissible products of the blocks on its
-// diagonal. Snapshot/Resume are not supported, as with
-// ConstrainedGripenbergCtx.
+// diagonal. Snapshot/Resume are not supported (the frontier carries
+// graph positions, not just words); setting either is an error.
 func ConstrainedEstimateCtx(ctx context.Context, set []*mat.Dense, g *Graph, bruteLen int, opt GripenbergOptions) (Bounds, error) {
 	if _, err := validateSet(set); err != nil {
 		return Bounds{}, err

@@ -3,12 +3,26 @@ package jsr
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"runtime"
 	"testing"
 
 	"adaptivertc/internal/mat"
 )
+
+// constrainedGripenberg runs the Gripenberg search over the walks of
+// g, certified, on the set as given and with no prune floor: the
+// search the estimators run on each invariant block. g must be valid
+// for set.
+func constrainedGripenberg(ctx context.Context, set []*mat.Dense, g *Graph, opt GripenbergOptions) (Bounds, error) {
+	opt, err := opt.withDefaults()
+	if err != nil {
+		return Bounds{}, err
+	}
+	b, _, err := gripenberg(ctx, set, g, opt, 0)
+	return certified(b, err)
+}
 
 func TestCompleteGraphMatchesUnconstrained(t *testing.T) {
 	set := []*mat.Dense{
@@ -19,7 +33,7 @@ func TestCompleteGraphMatchesUnconstrained(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	con, err := ConstrainedBoundsCtx(context.Background(), set, CompleteGraph(2), 6, BruteForceOptions{})
+	con, err := certified(bruteForce(context.Background(), set, CompleteGraph(2), 6, BruteForceOptions{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +57,7 @@ func TestConstraintForbiddingAlternationLowersJSR(t *testing.T) {
 		Nodes: []int{0, 1},
 		Next:  [][]int{{0}, {1}},
 	}
-	b, err := ConstrainedBoundsCtx(context.Background(), set, frozen, 10, BruteForceOptions{})
+	b, err := certified(bruteForce(context.Background(), set, frozen, 10, BruteForceOptions{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +140,7 @@ func TestWeaklyHardInterpolatesBetweenExtremes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := ConstrainedBoundsCtx(context.Background(), set, g, 8, BruteForceOptions{})
+		b, err := certified(bruteForce(context.Background(), set, g, 8, BruteForceOptions{}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -153,20 +167,16 @@ func TestWeaklyHardInterpolatesBetweenExtremes(t *testing.T) {
 	}
 }
 
+// TestConstrainedBoundsValidation checks that the constrained estimator
+// rejects the inputs its Eq. 12 sweep cannot run on: an empty set and a
+// sweep length below 1.
 func TestConstrainedBoundsValidation(t *testing.T) {
-	set := []*mat.Dense{mat.Eye(2)}
-	if _, err := ConstrainedBoundsCtx(context.Background(), nil, CompleteGraph(1), 3, BruteForceOptions{}); err == nil {
+	ctx := context.Background()
+	if _, err := ConstrainedEstimateCtx(ctx, nil, CompleteGraph(1), 3, GripenbergOptions{}); err == nil {
 		t.Fatal("empty set accepted")
 	}
-	if _, err := ConstrainedBoundsCtx(context.Background(), set, &Graph{}, 3, BruteForceOptions{}); err == nil {
-		t.Fatal("empty graph accepted")
-	}
-	if _, err := ConstrainedBoundsCtx(context.Background(), set, CompleteGraph(1), 0, BruteForceOptions{}); err == nil {
-		t.Fatal("maxLen 0 accepted")
-	}
-	bad := &Graph{Nodes: []int{5}, Next: [][]int{{0}}}
-	if _, err := ConstrainedBoundsCtx(context.Background(), set, bad, 3, BruteForceOptions{}); err == nil {
-		t.Fatal("out-of-range label accepted")
+	if _, err := ConstrainedEstimateCtx(ctx, []*mat.Dense{mat.Eye(2)}, CompleteGraph(1), 0, GripenbergOptions{}); err == nil {
+		t.Fatal("bruteLen 0 accepted")
 	}
 }
 
@@ -205,7 +215,7 @@ func TestConstrainedBoundsMemoryFlatInWalks(t *testing.T) {
 	allocated := func(maxLen int) uint64 {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		if _, err := ConstrainedBoundsCtx(context.Background(), set, g, maxLen, BruteForceOptions{Workers: 1}); err != nil {
+		if _, err := certified(bruteForce(context.Background(), set, g, maxLen, BruteForceOptions{Workers: 1})); err != nil {
 			t.Fatal(err)
 		}
 		runtime.ReadMemStats(&after)
@@ -229,11 +239,11 @@ func TestConstrainedGripenbergMatchesBruteForce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bf, err := ConstrainedBoundsCtx(context.Background(), set, g, 9, BruteForceOptions{})
+	bf, err := certified(bruteForce(context.Background(), set, g, 9, BruteForceOptions{}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	gp, err := ConstrainedGripenbergCtx(context.Background(), set, g, GripenbergOptions{Delta: 0.02, MaxDepth: 18})
+	gp, err := constrainedGripenberg(context.Background(), set, g, GripenbergOptions{Delta: 0.02, MaxDepth: 18})
 	if err != nil && !errors.Is(err, ErrBudget) {
 		t.Fatal(err)
 	}
@@ -253,7 +263,7 @@ func TestConstrainedGripenbergUnconstrainedEqualsFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	con, err := ConstrainedGripenbergCtx(context.Background(), set, CompleteGraph(2), GripenbergOptions{Delta: 0.01})
+	con, err := constrainedGripenberg(context.Background(), set, CompleteGraph(2), GripenbergOptions{Delta: 0.01})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,16 +272,69 @@ func TestConstrainedGripenbergUnconstrainedEqualsFree(t *testing.T) {
 	}
 }
 
+// TestConstrainedGripenbergValidation checks that the constrained
+// estimator rejects a Gripenberg option it cannot search with: a negative
+// delta.
 func TestConstrainedGripenbergValidation(t *testing.T) {
-	if _, err := ConstrainedGripenbergCtx(context.Background(), nil, CompleteGraph(1), GripenbergOptions{}); err == nil {
-		t.Fatal("empty set accepted")
-	}
-	if _, err := ConstrainedGripenbergCtx(context.Background(), []*mat.Dense{mat.Eye(2)}, &Graph{}, GripenbergOptions{}); err == nil {
-		t.Fatal("empty graph accepted")
-	}
-	if _, err := ConstrainedGripenbergCtx(context.Background(), []*mat.Dense{mat.Eye(2)}, CompleteGraph(1), GripenbergOptions{Delta: -1}); err == nil {
+	if _, err := ConstrainedEstimateCtx(context.Background(), []*mat.Dense{mat.Eye(2)}, CompleteGraph(1), 3, GripenbergOptions{Delta: -1}); err == nil {
 		t.Fatal("negative delta accepted")
 	}
+}
+
+// TestConstrainedEstimateCtx checks the constrained estimator's own
+// contract: a bad graph is rejected before any search, Snapshot and
+// Resume are rejected, and on the complete graph it returns
+// EstimateCtx's bounds, witness and error byte for byte, on the paper's
+// lifted PMSM set (two invariant blocks) and on an irreducible set.
+func TestConstrainedEstimateCtx(t *testing.T) {
+	ctx := context.Background()
+	opt := GripenbergOptions{Delta: 1e-3, MaxDepth: 30}
+	eye := []*mat.Dense{mat.Eye(2)}
+	t.Run("bad-graph", func(t *testing.T) {
+		for _, tc := range []struct {
+			name string
+			g    *Graph
+		}{
+			{"empty-graph", &Graph{}},
+			{"missing-adjacency", &Graph{Nodes: []int{0}}},
+			{"label-out-of-range", &Graph{Nodes: []int{5}, Next: [][]int{{0}}}},
+			{"successor-out-of-range", &Graph{Nodes: []int{0}, Next: [][]int{{1}}}},
+		} {
+			if b, err := ConstrainedEstimateCtx(ctx, eye, tc.g, 3, opt); err == nil {
+				t.Errorf("%s: accepted with bounds %+v", tc.name, b)
+			}
+		}
+	})
+	t.Run("snapshot-resume", func(t *testing.T) {
+		snap := opt
+		snap.Snapshot = func(GripenbergState) error {
+			t.Error("Snapshot fired on a constrained search")
+			return nil
+		}
+		resume := opt
+		resume.Resume = &GripenbergState{K: 1, Depth: 1, Frontier: [][]int{{0}}}
+		for name, o := range map[string]GripenbergOptions{"snapshot": snap, "resume": resume} {
+			if b, err := ConstrainedEstimateCtx(ctx, eye, CompleteGraph(1), 3, o); err == nil {
+				t.Errorf("%s: accepted with bounds %+v", name, b)
+			}
+		}
+	})
+	t.Run("complete-graph", func(t *testing.T) {
+		for _, tc := range []struct {
+			name   string
+			set    []*mat.Dense
+			blocks int
+		}{{"pmsm-ns5", pmsmLiftedSet(t), 2}, {"golden", goldenPair(), 1}} {
+			if n := len(splitBlocks(tc.set)); n != tc.blocks {
+				t.Fatalf("%s: %d invariant blocks, want %d", tc.name, n, tc.blocks)
+			}
+			want, werr := EstimateCtx(ctx, tc.set, 6, opt)
+			got, gerr := ConstrainedEstimateCtx(ctx, tc.set, CompleteGraph(len(tc.set)), 6, opt)
+			if !sameBounds(got, want) || fmt.Sprint(gerr) != fmt.Sprint(werr) {
+				t.Errorf("%s: ConstrainedEstimateCtx %+v (%v) != EstimateCtx %+v (%v)", tc.name, got, gerr, want, werr)
+			}
+		}
+	})
 }
 
 // refConstrainedGripenberg is a deliberately naive sequential
@@ -414,7 +477,7 @@ func TestConstrainedEngineMatchesReferenceByteForByte(t *testing.T) {
 			}
 			want := refConstrainedGripenberg(t, tc.set, g, tc.delta, tc.maxDepth, tc.maxNodes)
 			for _, w := range workerSweep() {
-				got, err := ConstrainedGripenbergCtx(context.Background(), tc.set, g, GripenbergOptions{
+				got, err := constrainedGripenberg(context.Background(), tc.set, g, GripenbergOptions{
 					Delta: tc.delta, MaxDepth: tc.maxDepth, MaxNodes: tc.maxNodes, Workers: w,
 				})
 				if err != nil && !errors.Is(err, ErrBudget) {

@@ -72,7 +72,7 @@ func refFrontierMax(fr []refNode) float64 {
 
 // refGripenberg is a deliberately naive sequential Gripenberg: every
 // child is a fresh mat.Mul, every certificate a fresh mat.TwoNorm /
-// mat.SpectralRadius, no pools, no worker sharding, no ellipsoid. It
+// mat.SpectralRadius, no pools, no worker sharding. It
 // mirrors the engine's merge and budget semantics exactly.
 func refGripenberg(t *testing.T, set []*mat.Dense, delta float64, maxDepth, maxNodes int) Bounds {
 	t.Helper()
@@ -238,7 +238,7 @@ func TestEngineMatchesReferenceByteForByte(t *testing.T) {
 			for _, w := range workers {
 				opt := GripenbergOptions{
 					Delta: tc.delta, MaxDepth: tc.maxDepth, MaxNodes: tc.maxNodes,
-					Workers: w, DisableEllipsoid: true,
+					Workers: w,
 				}
 				got, err := GripenbergCtx(context.Background(), tc.set, opt)
 				if err != nil && !errors.Is(err, ErrBudget) {
@@ -249,7 +249,7 @@ func TestEngineMatchesReferenceByteForByte(t *testing.T) {
 				}
 				// On the complete graph the constrained search visits the
 				// same children in the same order.
-				con, err := ConstrainedGripenbergCtx(context.Background(), tc.set, CompleteGraph(len(tc.set)), opt)
+				con, err := constrainedGripenberg(context.Background(), tc.set, CompleteGraph(len(tc.set)), opt)
 				if err != nil && !errors.Is(err, ErrBudget) {
 					t.Fatalf("w=%d constrained: %v", w, err)
 				}
@@ -344,7 +344,7 @@ func TestBruteForceMatchesReferenceByteForByte(t *testing.T) {
 				}
 				// On the complete graph every walk closes and the levels
 				// hold the same products in the same order.
-				con, err := ConstrainedBoundsCtx(context.Background(), tc.set, complete, tc.maxLen, BruteForceOptions{Workers: w})
+				con, err := certified(bruteForce(context.Background(), tc.set, complete, tc.maxLen, BruteForceOptions{Workers: w}))
 				if err != nil {
 					t.Fatalf("w=%d constrained: %v", w, err)
 				}
@@ -386,7 +386,7 @@ func TestConstrainedBoundsMatchesReferenceByteForByte(t *testing.T) {
 			}
 			want := refBruteForce(t, tc.set, g, tc.maxLen)
 			for _, w := range workerSweep() {
-				got, err := ConstrainedBoundsCtx(context.Background(), tc.set, g, tc.maxLen, BruteForceOptions{Workers: w})
+				got, err := certified(bruteForce(context.Background(), tc.set, g, tc.maxLen, BruteForceOptions{Workers: w}))
 				if err != nil {
 					t.Fatalf("w=%d: %v", w, err)
 				}
@@ -530,135 +530,19 @@ func TestBruteForceMatchesReferenceRandomized(t *testing.T) {
 func TestSerialCutoverBitIdentity(t *testing.T) {
 	defer func(v int) { serialCutoverNodes = v }(serialCutoverNodes)
 	for name, set := range map[string][]*mat.Dense{"pmsm": pmsmLikeSet(), "golden": goldenPair()} {
-		for _, disable := range []bool{false, true} {
-			opt := GripenbergOptions{Delta: 0.02, MaxDepth: 12, MaxNodes: 100_000, Workers: 4, DisableEllipsoid: disable}
+		opt := GripenbergOptions{Delta: 0.02, MaxDepth: 12, MaxNodes: 100_000, Workers: 4}
 
-			serialCutoverNodes = 1 << 30 // force every level serial
-			serial, serr := GripenbergCtx(context.Background(), set, opt)
+		serialCutoverNodes = 1 << 30 // force every level serial
+		serial, serr := GripenbergCtx(context.Background(), set, opt)
 
-			serialCutoverNodes = 0 // force every level through the worker pool
-			parallel, perr := GripenbergCtx(context.Background(), set, opt)
+		serialCutoverNodes = 0 // force every level through the worker pool
+		parallel, perr := GripenbergCtx(context.Background(), set, opt)
 
-			if (serr == nil) != (perr == nil) {
-				t.Fatalf("%s ell=%v: error mismatch: %v vs %v", name, !disable, serr, perr)
-			}
-			if !sameBounds(serial, parallel) {
-				t.Fatalf("%s ell=%v: serial %+v != parallel %+v across cutover boundary", name, !disable, serial, parallel)
-			}
+		if (serr == nil) != (perr == nil) {
+			t.Fatalf("%s: error mismatch: %v vs %v", name, serr, perr)
 		}
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Ellipsoidal pruning: bracket contract unchanged, witness exact.
-
-func TestEllipsoidBracketContract(t *testing.T) {
-	for name, set := range map[string][]*mat.Dense{"pmsm": pmsmLikeSet(), "golden": goldenPair()} {
-		t.Run(name, func(t *testing.T) {
-			g, err := GripenbergCtx(context.Background(), set, GripenbergOptions{Delta: 0.01, MaxDepth: 20, MaxNodes: 200_000})
-			if err != nil && !errors.Is(err, ErrBudget) {
-				t.Fatalf("Gripenberg: %v", err)
-			}
-			if g.Upper < g.Lower {
-				t.Fatalf("inverted bracket %+v", g)
-			}
-			if len(g.WitnessWord) == 0 {
-				t.Fatalf("no witness returned")
-			}
-			// Lower is exactly the rate the witness attains on the raw set.
-			rate, rerr := WitnessRate(set, g.WitnessWord)
-			if rerr != nil {
-				t.Fatalf("WitnessRate: %v", rerr)
-			}
-			if math.Float64bits(rate) != math.Float64bits(g.Lower) {
-				t.Fatalf("WitnessRate = %.17g, Lower = %.17g: not bit-identical", rate, g.Lower)
-			}
-			// The ellipsoid bracket must intersect the raw sandwich.
-			bf, bferr := BruteForceBoundsCtx(context.Background(), set, 6, BruteForceOptions{})
-			if bferr != nil {
-				t.Fatalf("BruteForceBoundsCtx: %v", bferr)
-			}
-			if g.Lower > bf.Upper+1e-9 || bf.Lower > g.Upper+1e-9 {
-				t.Fatalf("ellipsoid bracket %+v does not intersect brute bracket %+v", g, bf)
-			}
-		})
-	}
-}
-
-// TestEllipsoidTightensIllConditionedSet pins the motivating speedup.
-// The raw 2-norm is a poor certificate for badly conditioned sets (like
-// the paper's 9×9 lifted closed loops): here a skewed similarity of the
-// golden pair inflates every product norm by the conditioning of T, so
-// ‖P‖^{1/l} approaches the JSR only at depths far beyond the budget and
-// the raw search returns a wide budget-cut bracket. The ellipsoidal
-// (single-Lyapunov) norm undoes the conditioning and drains the
-// frontier to a δ-tight bracket within a few levels.
-func TestEllipsoidTightensIllConditionedSet(t *testing.T) {
-	tt := mat.FromRows([][]float64{{100, 0}, {3, 0.01}})
-	tinv, err := mat.Inverse(tt)
-	if err != nil {
-		t.Fatalf("Inverse: %v", err)
-	}
-	skew := make([]*mat.Dense, 2)
-	for i, a := range goldenPair() {
-		skew[i] = mat.MulMany(tt, a, tinv)
-	}
-	opt := GripenbergOptions{Delta: 0.05, MaxDepth: 12, MaxNodes: 200_000}
-
-	ell, eerr := GripenbergCtx(context.Background(), skew, opt)
-	if eerr != nil {
-		t.Fatalf("ellipsoid search should drain within depth 12, got %v (bounds %+v)", eerr, ell)
-	}
-	if golden := math.Phi; math.Abs(ell.Lower-golden) > 1e-6 || ell.Gap() > opt.Delta+1e-12 {
-		t.Fatalf("ellipsoid bracket %+v, want Lower≈φ with gap ≤ δ", ell)
-	}
-
-	raw := opt
-	raw.DisableEllipsoid = true
-	rb, rerr := GripenbergCtx(context.Background(), skew, raw)
-	if !errors.Is(rerr, ErrBudget) {
-		t.Fatalf("raw search on the skewed set expected ErrBudget, got %v (bounds %+v)", rerr, rb)
-	}
-	if ell.Gap() >= rb.Gap() {
-		t.Fatalf("ellipsoid gap %v not tighter than raw gap %v", ell.Gap(), rb.Gap())
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Resume across the ellipsoid mode boundary must be rejected.
-
-func TestResumeEllipsoidMismatchRejected(t *testing.T) {
-	set := pmsmLikeSet()
-	if _, _, ok := Precondition(set); !ok {
-		t.Fatalf("preconditioner unexpectedly failed for pmsmLikeSet")
-	}
-	for _, disable := range []bool{false, true} {
-		var snap *GripenbergState
-		opt := GripenbergOptions{
-			Delta: 0.02, MaxDepth: 10, DisableEllipsoid: disable,
-			Snapshot: func(st GripenbergState) error {
-				if snap == nil {
-					snap = &st
-				}
-				return nil
-			},
-		}
-		if _, err := GripenbergCtx(context.Background(), set, opt); err != nil && !errors.Is(err, ErrBudget) {
-			t.Fatalf("disable=%v: %v", disable, err)
-		}
-		if snap == nil {
-			t.Fatalf("disable=%v: no snapshot captured", disable)
-		}
-		if snap.Ellipsoid != !disable {
-			t.Fatalf("disable=%v: snapshot Ellipsoid = %v", disable, snap.Ellipsoid)
-		}
-		// Resuming with the opposite mode must fail loudly, not return a
-		// silently un-bit-identical bracket.
-		_, err := GripenbergCtx(context.Background(), set, GripenbergOptions{
-			Delta: 0.02, MaxDepth: 10, DisableEllipsoid: !disable, Resume: snap,
-		})
-		if err == nil || errors.Is(err, ErrBudget) {
-			t.Fatalf("disable=%v: resume with flipped ellipsoid mode succeeded, want rejection", disable)
+		if !sameBounds(serial, parallel) {
+			t.Fatalf("%s: serial %+v != parallel %+v across cutover boundary", name, serial, parallel)
 		}
 	}
 }
@@ -679,7 +563,7 @@ func TestExpandLevelZeroAllocsWarm(t *testing.T) {
 		g    *Graph
 	}{{"complete", CompleteGraph(len(set))}, {"weakly-hard-2of5", weaklyHard}} {
 		t.Run(tc.name, func(t *testing.T) {
-			frontier, seedLower, _, err := seedFrontier(set, set, tc.g)
+			frontier, seedLower, _, err := seedFrontier(set, tc.g)
 			if err != nil {
 				t.Fatalf("seed: %v", err)
 			}
@@ -725,15 +609,14 @@ func TestExpandLevelZeroAllocsWarm(t *testing.T) {
 func TestExpandLevelSkipsOnlyLosingChildren(t *testing.T) {
 	t.Run("pmsm-like-3x3", func(t *testing.T) {
 		set := pmsmLikeSet()
-		checkExpandGates(t, set, set, 2, false)
+		checkExpandGates(t, set, 2, false)
 	})
 	t.Run("pmsm-lifted-9x9", func(t *testing.T) {
-		raw := pmsmLiftedSet(t)
-		work, _, ok := Precondition(raw)
+		work, _, ok := Precondition(pmsmLiftedSet(t))
 		if !ok {
 			t.Fatal("Precondition found no common quadratic Lyapunov function for the PMSM set")
 		}
-		checkExpandGates(t, work, raw, pmsmGateDepth, true)
+		checkExpandGates(t, work, pmsmGateDepth, true)
 	})
 }
 
@@ -746,11 +629,11 @@ const pmsmGateDepth = 5
 // and checks both gates on the children of the next level.
 // boundBranch demands that some norm skips come from the bound rate
 // alone, below the parent's certificate.
-func checkExpandGates(t *testing.T, work, raw []*mat.Dense, depth int, boundBranch bool) {
+func checkExpandGates(t *testing.T, work []*mat.Dense, depth int, boundBranch bool) {
 	t.Helper()
 	k := len(work)
 	complete := CompleteGraph(k)
-	frontier, _, _, err := seedFrontier(work, raw, complete)
+	frontier, _, _, err := seedFrontier(work, complete)
 	if err != nil {
 		t.Fatalf("seed: %v", err)
 	}
@@ -922,7 +805,7 @@ func benchmarkExpand(b *testing.B, n int, seed int64, gated bool) {
 	// Build a depth-3 frontier outside the pools so expansion never
 	// clobbers its own parents across benchmark iterations.
 	complete := CompleteGraph(len(set))
-	frontier, seedLower, _, err := seedFrontier(set, set, complete)
+	frontier, seedLower, _, err := seedFrontier(set, complete)
 	if err != nil {
 		b.Fatalf("seed: %v", err)
 	}
@@ -1025,7 +908,7 @@ func TestGripenbergAllocsServedSet(t *testing.T) {
 	if !ok {
 		t.Fatal("Precondition found no common quadratic Lyapunov function for the PMSM set")
 	}
-	opt := GripenbergOptions{Delta: 1e-3, MaxDepth: 30, MaxNodes: 2_000_000, Workers: 1, DisableEllipsoid: true}
+	opt := GripenbergOptions{Delta: 1e-3, MaxDepth: 30, MaxNodes: 2_000_000, Workers: 1}
 	allocs := testing.AllocsPerRun(3, func() {
 		if _, err := GripenbergCtx(context.Background(), work, opt); err != nil && !errors.Is(err, ErrBudget) {
 			panic(err)

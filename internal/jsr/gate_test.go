@@ -145,7 +145,7 @@ func gateFrontier(t *testing.T, set []*mat.Dense, depth int) ([]gripNode, float6
 	const delta = 1e-3
 	var st *GripenbergState
 	_, err := GripenbergCtx(context.Background(), set, GripenbergOptions{
-		Delta: delta, MaxDepth: depth, Workers: 1, DisableEllipsoid: true,
+		Delta: delta, MaxDepth: depth, Workers: 1,
 		Snapshot: func(s GripenbergState) error {
 			if s.Depth == depth-1 {
 				st = &s
@@ -158,7 +158,7 @@ func gateFrontier(t *testing.T, set []*mat.Dense, depth int) ([]gripNode, float6
 	}
 	if st == nil {
 		complete := CompleteGraph(len(set))
-		frontier, lower, _, err := seedFrontier(set, set, complete)
+		frontier, lower, _, err := seedFrontier(set, complete)
 		if err != nil {
 			t.Fatal(err)
 		}

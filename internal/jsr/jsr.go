@@ -23,10 +23,9 @@
 //
 // Both run over the walks of a switching graph (Graph): the
 // unconstrained set is the complete graph (CompleteGraph), and
-// ConstrainedBoundsCtx and ConstrainedGripenbergCtx run the same two
-// engines on a caller's graph, such as the weakly-hard automaton of
-// WeaklyHardGraph. Only closed walks, which may repeat forever, bound
-// the JSR from below.
+// ConstrainedEstimateCtx runs the same two engines on a caller's graph,
+// such as the weakly-hard automaton of WeaklyHardGraph. Only closed
+// walks, which may repeat forever, bound the JSR from below.
 //
 // EstimateCtx, EstimateRawCtx and ConstrainedEstimateCtx combine the
 // two on each invariant block of the set (blocks.go): an exact
@@ -496,7 +495,7 @@ func BruteForceBoundsCtx(ctx context.Context, set []*mat.Dense, maxLen int, opt 
 }
 
 // bruteForce is the Eq. 12 enumerator behind BruteForceBoundsCtx and
-// ConstrainedBoundsCtx, over the walks of g of length 1..maxLen in walk
+// the estimators' blocks, over the walks of g of length 1..maxLen in walk
 // order: by start node, then successor by successor in g.Next order. On
 // the complete graph that is lexicographic word order. Every walk's
 // norm bounds Upper; only walks that close back to their start bound
@@ -650,15 +649,9 @@ type GripenbergOptions struct {
 	// Workers is the number of expansion goroutines; ≤ 0 selects
 	// GOMAXPROCS. The returned Bounds are bit-identical for every value.
 	Workers int
-	// DisableEllipsoid turns off the ellipsoidal-norm preconditioning
-	// that GripenbergCtx applies by default: the search runs on the
-	// similarity-transformed set M·A·M⁻¹ (see Precondition), whose
-	// 2-norm is the single-Lyapunov P-weighted norm of A, so branch
-	// certificates are far tighter and the frontier drains much earlier.
-	// Lower bounds are replayed against the caller's untransformed
-	// matrices, so the bracket contract is unchanged. EstimateCtx and
-	// EstimateRawCtx disable it internally (the former preconditions the
-	// whole pipeline itself; the latter documents running raw).
+	// DisableEllipsoid has no effect: every search runs on the set it
+	// is given. It is kept only because bench/tracer sets it, and goes
+	// with ROADMAP item 8.
 	DisableEllipsoid bool
 	// Snapshot, when non-nil, is invoked at every level boundary
 	// (including the seed state) with the serializable search state; a
@@ -713,14 +706,6 @@ type GripenbergState struct {
 	// which searches its set as one block. Resuming re-runs the earlier
 	// blocks, so the state of only one block is ever stored.
 	Block int
-	// Ellipsoid records whether the snapshotted search ran on the
-	// ellipsoidally preconditioned set. Resume recomputes the (fully
-	// deterministic) preconditioner rather than persisting the
-	// transformed matrices, so a resume is only bit-identical when the
-	// resuming options select the same mode; GripenbergCtx rejects a
-	// mismatch. Old snapshots without the field decode to false, which
-	// matches the raw searches that produced them.
-	Ellipsoid bool
 }
 
 // gripNode is a live branch: a walk of the switching graph that
@@ -775,19 +760,14 @@ func cutBounds(lower, delta float64, witness []int, frontier []gripNode) Bounds 
 
 // seedFrontier builds the depth-1 frontier of one-node walks, one per
 // graph node, and the initial lower bound from the nodes with a self
-// loop, lowest index winning ties. The frontier (products and norm
-// certificates) is built from work — the searched, possibly
-// preconditioned set — while the lower-bound spectral radii are taken
-// from raw, the caller's matrices, so the reported Lower is always a
-// rate attained on the caller's set. For unpreconditioned searches work
-// and raw are the same slice.
-func seedFrontier(work, raw []*mat.Dense, g *Graph) ([]gripNode, float64, []int, error) {
+// loop, lowest index winning ties.
+func seedFrontier(set []*mat.Dense, g *Graph) ([]gripNode, float64, []int, error) {
 	lower := 0.0
 	var witness []int
 	frontier := make([]gripNode, 0, len(g.Nodes))
 	for i, lbl := range g.Nodes {
 		if closes(g, i, i) {
-			rho, err := mat.SpectralRadius(raw[lbl])
+			rho, err := mat.SpectralRadius(set[lbl])
 			if err != nil {
 				return nil, 0, nil, err
 			}
@@ -796,23 +776,22 @@ func seedFrontier(work, raw []*mat.Dense, g *Graph) ([]gripNode, float64, []int,
 				witness = []int{lbl}
 			}
 		}
-		a := work[lbl]
+		a := set[lbl]
 		frontier = append(frontier, gripNode{prod: a, word: []int{lbl}, at: i, start: i, cert: norm(a)})
 	}
 	return frontier, lower, witness, nil
 }
 
 // captureGripState deep-copies the loop-top state into a snapshot.
-func captureGripState(k, depth, nodes int, lower float64, witness []int, frontier []gripNode, ellipsoid bool) GripenbergState {
+func captureGripState(k, depth, nodes int, lower float64, witness []int, frontier []gripNode) GripenbergState {
 	words := make([][]int, len(frontier))
 	for i := range frontier {
 		words[i] = append([]int(nil), frontier[i].word...)
 	}
 	return GripenbergState{
 		K: k, Depth: depth, Nodes: nodes, Lower: lower,
-		Witness:   append([]int(nil), witness...),
-		Frontier:  words,
-		Ellipsoid: ellipsoid,
+		Witness:  append([]int(nil), witness...),
+		Frontier: words,
 	}
 }
 
@@ -936,13 +915,13 @@ func GripenbergCtx(ctx context.Context, set []*mat.Dense, opt GripenbergOptions)
 	return certified(b, err)
 }
 
-// gripenberg is the search behind GripenbergCtx,
-// ConstrainedGripenbergCtx and EstimateCtx's blocks, over the walks of
-// g: each branch is a walk, its children follow the walk's out-edges,
-// and only children whose walk closes back to its start raise the
-// lower bound. On the complete graph every walk closes and every child
-// list is the whole set in index order, which is the unconstrained
-// search. set and g are validated and opt has its defaults filled by
+// gripenberg is the search behind GripenbergCtx and the blocks of
+// EstimateCtx, EstimateRawCtx and ConstrainedEstimateCtx, over the
+// walks of g on set as given: each branch is a walk, its children
+// follow the walk's out-edges, and only children whose walk closes back
+// to its start raise the lower bound. On the complete graph every walk
+// closes and every child list is the whole set in index order, which is
+// the unconstrained search. set and g are validated and opt has its defaults filled by
 // the caller; Snapshot and Resume assume the complete graph. It also
 // returns the nodes the search counted against MaxNodes.
 //
@@ -953,27 +932,8 @@ func GripenbergCtx(ctx context.Context, set []*mat.Dense, opt GripenbergOptions)
 // floor of 0 changes nothing, since lower ≥ 0.
 func gripenberg(ctx context.Context, set []*mat.Dense, g *Graph, opt GripenbergOptions, floor float64) (Bounds, int, error) {
 	k := len(set)
-	var err error
-
-	// Ellipsoidal pruning: run the whole search on the Lyapunov-
-	// preconditioned set M·A·M⁻¹ (same JSR, far tighter norm
-	// certificates) and replay every lower-bound candidate on the
-	// caller's raw matrices so the returned Lower is exactly the rate
-	// its WitnessWord attains on the caller's set. Running the entire
-	// certificate chain in the transformed norm — rather than mixing
-	// min(‖·‖₂, ‖·‖_P) per prefix — keeps every prune sound: a branch
-	// certificate is only comparable with bounds computed in the same
-	// norm. Precondition is deterministic, so resumed searches rebuild
-	// the same transformed set.
-	work := set
-	ell := false
-	if !opt.DisableEllipsoid {
-		if t, _, ok := Precondition(set); ok {
-			work, ell = t, true
-		}
-	}
-
 	var (
+		err      error
 		lower    float64
 		witness  []int
 		nodes    int
@@ -981,31 +941,28 @@ func gripenberg(ctx context.Context, set []*mat.Dense, g *Graph, opt GripenbergO
 		depth    int
 	)
 	if opt.Resume != nil {
-		if opt.Resume.Ellipsoid != ell {
-			return Bounds{}, 0, fmt.Errorf("jsr: resume state has ellipsoid preconditioning %v but this search resolved it to %v; set DisableEllipsoid to match the snapshotting run", opt.Resume.Ellipsoid, ell)
-		}
-		frontier, err = rebuildFrontier(work, opt.Resume)
+		frontier, err = rebuildFrontier(set, opt.Resume)
 		if err != nil {
 			return Bounds{}, 0, err
 		}
 		depth, nodes, lower = opt.Resume.Depth, opt.Resume.Nodes, opt.Resume.Lower
 		witness = append([]int(nil), opt.Resume.Witness...)
 	} else {
-		frontier, lower, witness, err = seedFrontier(work, set, g)
+		frontier, lower, witness, err = seedFrontier(set, g)
 		if err != nil {
 			return Bounds{}, 0, err
 		}
 		depth, nodes = 1, len(frontier)
 	}
 
-	s := newGripSearch(work, g, opt.Workers)
+	s := newGripSearch(set, g, opt.Workers)
 
 	for len(frontier) > 0 && depth < opt.MaxDepth {
 		// The loop top is a level boundary: snapshot it first, so even
 		// a cut on this very iteration leaves a resumable state, then
 		// honor cancellation with the best-so-far bracket.
 		if opt.Snapshot != nil {
-			if serr := opt.Snapshot(captureGripState(k, depth, nodes, lower, witness, frontier, ell)); serr != nil {
+			if serr := opt.Snapshot(captureGripState(k, depth, nodes, lower, witness, frontier)); serr != nil {
 				return Bounds{}, nodes, fmt.Errorf("jsr: snapshot: %w", serr)
 			}
 		}
@@ -1058,29 +1015,15 @@ func gripenberg(ctx context.Context, set []*mat.Dense, g *Graph, opt GripenbergO
 
 		// Merge pass 1: raise the lower bound; the scan order makes the
 		// lowest-index maximizer the witness, and the cursor fi tracks
-		// each child's parent. Preconditioned searches replay each
-		// improving candidate on the raw set: similarity preserves
-		// spectral radii exactly in real arithmetic but not in floating
-		// point, and Lower must be the rate the witness attains on the
-		// caller's matrices. The replay keeps Lower a running max, so
-		// interrupted brackets stay nested inside finished ones.
+		// each child's parent.
 		bestIdx, bestParent := -1, 0
 		for ci, fi := 0, 0; ci < len(children); ci++ {
 			for s.offs[fi+1] <= ci {
 				fi++
 			}
-			lb := math.Pow(children[ci].rho, exp)
-			if !(lb > lower) {
-				continue
+			if lb := math.Pow(children[ci].rho, exp); lb > lower {
+				lower, bestIdx, bestParent = lb, ci, fi
 			}
-			if ell {
-				w := childWord(frontier[fi].word, g.Nodes[children[ci].at])
-				if r, rerr := WitnessRate(set, w); rerr == nil && r > lower {
-					lower, witness = r, w
-				}
-				continue
-			}
-			lower, bestIdx, bestParent = lb, ci, fi
 		}
 		if bestIdx >= 0 {
 			witness = childWord(frontier[bestParent].word, g.Nodes[children[bestIdx].at])

@@ -92,7 +92,7 @@ func TestConstrainedGripenbergWorkerInvariance(t *testing.T) {
 	var ref Bounds
 	var refErr error
 	for i, w := range workerSweep() {
-		b, err := ConstrainedGripenbergCtx(context.Background(), set, g, GripenbergOptions{Delta: 0.02, MaxDepth: 12, MaxNodes: 50_000, Workers: w})
+		b, err := constrainedGripenberg(context.Background(), set, g, GripenbergOptions{Delta: 0.02, MaxDepth: 12, MaxNodes: 50_000, Workers: w})
 		if err != nil && !errors.Is(err, ErrBudget) {
 			t.Fatal(err)
 		}
@@ -140,7 +140,7 @@ func TestConstrainedGripenbergPartialBudgetTightensBracket(t *testing.T) {
 	set := goldenPair()
 	g := CompleteGraph(2)
 	phi := (1 + math.Sqrt(5)) / 2
-	b, err := ConstrainedGripenbergCtx(context.Background(), set, g, GripenbergOptions{Delta: 1e-4, MaxDepth: 30, MaxNodes: 4})
+	b, err := constrainedGripenberg(context.Background(), set, g, GripenbergOptions{Delta: 1e-4, MaxDepth: 30, MaxNodes: 4})
 	if !errors.Is(err, ErrBudget) {
 		t.Fatalf("err = %v, want ErrBudget", err)
 	}

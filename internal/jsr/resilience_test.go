@@ -245,7 +245,7 @@ func TestBudgetStopReason(t *testing.T) {
 			tc.opt.Workers = w
 			errs := map[string]error{}
 			_, errs["Gripenberg"] = GripenbergCtx(context.Background(), set, tc.opt)
-			_, errs["ConstrainedGripenberg"] = ConstrainedGripenbergCtx(context.Background(), set, complete, tc.opt)
+			_, errs["ConstrainedGripenberg"] = constrainedGripenberg(context.Background(), set, complete, tc.opt)
 			_, errs["Estimate"] = EstimateCtx(context.Background(), set, 3, tc.opt)
 			for site, err := range errs {
 				if !errors.Is(err, tc.want) || !errors.Is(err, ErrBudget) || errors.Is(err, tc.other) {
@@ -278,7 +278,7 @@ func TestEstimateDeadlineParallel(t *testing.T) {
 	}
 }
 
-// TestConstrainedBoundsDeadline checks ConstrainedBoundsCtx's cut
+// TestConstrainedBoundsDeadline checks the constrained sweep's cut
 // contract on a weakly-hard graph: a context cancelled before the sweep
 // or during it yields errors.Is(ErrDeadline) and the context's cause,
 // with a bracket that contains the uncut sweep's, at one and two
@@ -291,7 +291,7 @@ func TestConstrainedBoundsDeadline(t *testing.T) {
 	}
 	// 18 levels: about 900k walks, far longer than the cancel delay.
 	const maxLen = 18
-	full, err := ConstrainedBoundsCtx(context.Background(), set, g, maxLen, BruteForceOptions{Workers: 1})
+	full, err := certified(bruteForce(context.Background(), set, g, maxLen, BruteForceOptions{Workers: 1}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +303,7 @@ func TestConstrainedBoundsDeadline(t *testing.T) {
 			} else {
 				cancel()
 			}
-			b, err := ConstrainedBoundsCtx(ctx, set, g, maxLen, BruteForceOptions{Workers: w})
+			b, err := certified(bruteForce(ctx, set, g, maxLen, BruteForceOptions{Workers: w}))
 			cancel()
 			if !errors.Is(err, ErrDeadline) || !errors.Is(err, context.Canceled) {
 				t.Fatalf("w=%d mid=%v: err = %v, want ErrDeadline wrapping context.Canceled", w, mid, err)

@@ -206,11 +206,11 @@ cmp -s "$tmpdir/r1.json" "$tmpdir/r2.json" || {
     exit 1
 }
 # Liveness and metrics surfaces.
-curl -sS "$base/healthz" | grep -q '"status":"ok"' || {
+curl -sS -o "$tmpdir/healthz.out" "$base/healthz" && grep -q '"status":"ok"' "$tmpdir/healthz.out" || {
     echo "error: /healthz not ok" >&2
     exit 1
 }
-curl -sS "$base/metrics" | grep -q '^adaserved_cache_misses_total 1$' || {
+curl -sS -o "$tmpdir/metrics.out" "$base/metrics" && grep -q '^adaserved_cache_misses_total 1$' "$tmpdir/metrics.out" || {
     echo "error: /metrics does not report exactly one computation" >&2
     exit 1
 }
@@ -266,11 +266,11 @@ grep -q '"verdict":"stable"' "$tmpdir/chr1.json" || {
     cat "$tmpdir/chr1.json" >&2
     exit 1
 }
-curl -sS "$base/healthz" | grep -q '"cache_degraded":true' || {
+curl -sS -o "$tmpdir/healthz.out" "$base/healthz" && grep -q '"cache_degraded":true' "$tmpdir/healthz.out" || {
     echo "error: /healthz does not report the degraded cache" >&2
     exit 1
 }
-curl -sS "$base/metrics" | grep -q '^adaserved_cache_demotions_total [1-9]' || {
+curl -sS -o "$tmpdir/metrics.out" "$base/metrics" && grep -q '^adaserved_cache_demotions_total [1-9]' "$tmpdir/metrics.out" || {
     echo "error: /metrics does not count the cache demotion" >&2
     exit 1
 }
@@ -325,7 +325,7 @@ for i in 1 2 3 4 5; do
     printf '{"version":1,"matrices":[[[0.3%s]]]}' "$i" > "$tmpdir/chheal.json"
     curl -sS -o /dev/null -H "X-Client-ID: heal$i" \
         -X POST --data @"$tmpdir/chheal.json" "$base/v1/certify"
-    if curl -sS "$base/healthz" | grep -q '"cache_degraded":false'; then
+    if curl -sS -o "$tmpdir/healthz.out" "$base/healthz" && grep -q '"cache_degraded":false' "$tmpdir/healthz.out"; then
         recovered=yes
         break
     fi
@@ -335,7 +335,7 @@ if [ -z "$recovered" ]; then
     curl -sS "$base/healthz" >&2 || true
     exit 1
 fi
-curl -sS "$base/metrics" | grep -q '^adaserved_cache_recoveries_total [1-9]' || {
+curl -sS -o "$tmpdir/metrics.out" "$base/metrics" && grep -q '^adaserved_cache_recoveries_total [1-9]' "$tmpdir/metrics.out" || {
     echo "error: /metrics does not count the cache recovery" >&2
     exit 1
 }
@@ -396,11 +396,11 @@ cmp -s "$tmpdir/cr1.json" "$tmpdir/cr2.json" || {
     echo "error: certificate served after the crash differs from the acked bytes" >&2
     exit 1
 }
-curl -sS "$base/healthz" | grep -q '"status":"ok"' || {
+curl -sS -o "$tmpdir/healthz.out" "$base/healthz" && grep -q '"status":"ok"' "$tmpdir/healthz.out" || {
     echo "error: /healthz not ok after crash recovery" >&2
     exit 1
 }
-curl -sS "$base/metrics" | grep -q '^adaserved_store_appends_total{store="certs"}' || {
+curl -sS -o "$tmpdir/metrics.out" "$base/metrics" && grep -q '^adaserved_store_appends_total{store="certs"}' "$tmpdir/metrics.out" || {
     echo "error: /metrics does not expose the store counters" >&2
     exit 1
 }
@@ -434,7 +434,7 @@ curl -sS -o /dev/null -X POST --data @"$tmpdir/ov1.json" "$base/v1/certify"
 # the second one deterministically occupies the only queue slot.
 running=""
 for _ in $(seq 1 100); do
-    if curl -sS "$base/healthz" | grep -q '"jobs_running":1'; then
+    if curl -sS -o "$tmpdir/healthz.out" "$base/healthz" && grep -q '"jobs_running":1' "$tmpdir/healthz.out"; then
         running=yes
         break
     fi
