@@ -7,15 +7,13 @@
 //
 // Endpoints:
 //
-//	POST /v1/certify        certify a matrix set or named scenario
-//	                        (JSON); small requests answer synchronously,
-//	                        large ones return 202 with a job reference
-//	POST /v1/certify/batch  certify up to 32 requests in one call,
-//	                        answered per item (result, job ref, or error)
-//	GET  /v1/jobs/{id}      poll an asynchronous job; ?watch=1 long-polls
-//	                        until the job changes state
-//	GET  /healthz           liveness, build version, queue/job counters
-//	GET  /metrics           Prometheus text exposition
+//	POST /v1/certify    certify a matrix set or named scenario (JSON);
+//	                    small requests answer synchronously, large ones
+//	                    return 202 with a job reference
+//	GET  /v1/jobs/{id}  poll an asynchronous job; ?watch=1 long-polls
+//	                    until the job changes state
+//	GET  /healthz       liveness, build version, queue/job counters
+//	GET  /metrics       Prometheus text exposition
 //
 // With -cache-dir, certificates persist across restarts and queued or
 // in-flight jobs are checkpointed: a job's frontier at a Gripenberg

@@ -207,6 +207,17 @@ func readSet(path string) ([]*mat.Dense, error) {
 	}
 	set := make([]*mat.Dense, len(rows))
 	for i, m := range rows {
+		if len(m) == 0 {
+			return nil, fmt.Errorf("matrix %d has no rows", i)
+		}
+		for ri, row := range m {
+			switch {
+			case len(row) == 0:
+				return nil, fmt.Errorf("matrix %d row %d is empty", i, ri)
+			case len(row) != len(m[0]):
+				return nil, fmt.Errorf("matrix %d row %d has %d entries, want %d", i, ri, len(row), len(m[0]))
+			}
+		}
 		set[i] = mat.FromRows(m)
 	}
 	return set, nil

@@ -165,7 +165,6 @@ func New(cfg Config) (*Server, error) {
 		s.jobLog = l
 	}
 	s.mux.HandleFunc("POST /v1/certify", s.instrument("/v1/certify", s.handleCertify))
-	s.mux.HandleFunc("POST /v1/certify/batch", s.instrument("/v1/certify/batch", s.handleBatch))
 	s.mux.HandleFunc("GET /v1/jobs/{id}", s.instrument("/v1/jobs/{id}", s.handleJob))
 	s.mux.HandleFunc("GET /healthz", s.instrument("/healthz", s.handleHealth))
 	s.mux.HandleFunc("GET /metrics", s.instrument("/metrics", s.handleMetrics))
@@ -242,9 +241,8 @@ func (s *Server) worker() {
 
 // certify runs one certification of set, the matrix set req resolves
 // to, under ctx and returns the canonical response bytes. It is the
-// single compute function behind the cache: the sync handler, the
-// batch handler and the job workers all land here, so their bytes can
-// never differ. The set is a deterministic function of the request and
+// single compute function behind the cache: the sync handler and the
+// job workers both land here, so their bytes can never differ. The set is a deterministic function of the request and
 // the engine does not mutate it, so a flight stays a pure function of
 // its key whichever caller resolved the set.
 func (s *Server) certify(ctx context.Context, req api.CertifyRequest, set []*mat.Dense, opt jsr.GripenbergOptions) ([]byte, error) {

@@ -128,6 +128,7 @@ func TestSyncCacheHeaders(t *testing.T) {
 func TestBadRequests(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
 	cases := map[string]string{
+		"malformed json":  `{nope`,
 		"unknown field":   `{"version":1,"matrices":[[[0.5]]],"detla":1}`,
 		"no source":       `{"version":1}`,
 		"bad version":     `{"version":9,"matrices":[[[0.5]]]}`,
@@ -218,6 +219,112 @@ func TestAsyncJobFlow(t *testing.T) {
 	resp3, body3 := postCertify(t, ts, `{"version":1,"matrices":[[[0.55,0.55],[0,0.55]],[[0.55,0],[0.55,0.55]]],"max_nodes":3000000}`)
 	if resp3.StatusCode != http.StatusAccepted {
 		t.Fatalf("async variant: status %d body %s", resp3.StatusCode, body3)
+	}
+}
+
+// Every POST body is bounded: the certify endpoint answers 413 — not
+// a JSON parse 400 — when the transport bound fires.
+func TestOversizedBodies413(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	// A syntactically plausible prefix followed by filler well past
+	// MaxRequestBytes; MaxBytesReader must cut it off first.
+	big := `{"version":1,"matrices":[[[` + strings.Repeat("0.123456789,", api.MaxRequestBytes/12) + `0.5]]]}`
+	resp, body := postCertify(t, ts, big)
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized certify: status %d body %.120s, want 413", resp.StatusCode, body)
+	}
+	var e api.ErrorResponse
+	if err := json.Unmarshal(body, &e); err != nil || e.Error == "" {
+		t.Fatalf("413 body %q is not an ErrorResponse", body)
+	}
+}
+
+// ?watch=1 long-polls: the GET blocks while the job runs (gauge up),
+// wakes on the state transition, and reports the terminal status; a
+// watch on an already-terminal job returns immediately.
+func TestJobWatch(t *testing.T) {
+	gate := make(chan struct{})
+	s, ts := newTestServer(t, Config{
+		Workers:     1,
+		MaxSyncWork: -1,
+		FaultHook: func(ctx context.Context) error {
+			select {
+			case <-gate:
+				return nil
+			case <-ctx.Done():
+				return ctx.Err()
+			}
+		},
+	})
+	resp, body := postCertify(t, ts, paperReqJSON)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("status %d body %s, want 202", resp.StatusCode, body)
+	}
+	var ref api.JobRef
+	if err := json.Unmarshal(body, &ref); err != nil {
+		t.Fatal(err)
+	}
+
+	type watchResult struct {
+		st      api.JobStatus
+		elapsed time.Duration
+	}
+	watched := make(chan watchResult, 1)
+	start := time.Now()
+	go func() {
+		resp, err := http.Get(ts.URL + "/v1/jobs/" + ref.JobID + "?watch=1")
+		if err != nil {
+			t.Errorf("watch GET: %v", err)
+			close(watched)
+			return
+		}
+		defer resp.Body.Close()
+		var st api.JobStatus
+		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+			t.Errorf("watch decode: %v", err)
+		}
+		watched <- watchResult{st, time.Since(start)}
+	}()
+
+	// The watcher must be blocked (visible in the gauge) before we let
+	// the job finish.
+	deadline := time.Now().Add(10 * time.Second)
+	for s.metrics.watchers.Load() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("watcher gauge never rose")
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	held := 50 * time.Millisecond
+	time.Sleep(held) // prove the poll is actually parked, not spinning through
+	close(gate)
+
+	res, ok := <-watched
+	if !ok {
+		t.Fatal("watch goroutine failed")
+	}
+	if res.st.State != api.JobDone || res.st.Result == nil {
+		t.Fatalf("watched status %+v, want done with result", res.st)
+	}
+	if res.elapsed < held {
+		t.Fatalf("watch returned after %v, before the job could have finished", res.elapsed)
+	}
+	if s.metrics.watchers.Load() != 0 {
+		t.Fatalf("watcher gauge %d after the poll returned, want 0", s.metrics.watchers.Load())
+	}
+
+	// Terminal job: watch answers immediately with the same status.
+	resp2, err := http.Get(ts.URL + "/v1/jobs/" + ref.JobID + "?watch=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp2.Body.Close()
+	var st2 api.JobStatus
+	if err := json.NewDecoder(resp2.Body).Decode(&st2); err != nil {
+		t.Fatal(err)
+	}
+	if st2.State != api.JobDone {
+		t.Fatalf("terminal watch state %q, want done", st2.State)
 	}
 }
 
