@@ -6,25 +6,33 @@
 //
 // Usage:
 //
-//	adactl table1 [-sequences N] [-jobs M] [-seed S] [-workers W]
-//	adactl table2 [-sequences N] [-jobs M] [-seed S] [-delta D] [-brute L] [-workers W]
+//	adactl table1   [-sequences N] [-jobs M] [-seed S] [-workers W] [-csv F]
+//	adactl table2   [-sequences N] [-jobs M] [-seed S] [-delta D] [-brute L] [-workers W] [-csv F]
 //	adactl fig1
-//	adactl sweep  [-ns 1,2,4,5,8,10]
+//	adactl sweep    [-ns 1,2,4,5,8,10] [experiment flags] [-csv F]
 //	adactl ablation [pi|jsr|lqr|all]
 //	adactl rta
+//	adactl export   [-scenario pmsm|unstable|quickstart] [-format c|json] [-o F]
+//	adactl certify  [-scenario pmsm|unstable|quickstart] [-delta D] [-workers W]
+//	adactl burst    [experiment flags]
+//	adactl weaklyhard [-k K] [-brute L] [-workers W]
+//	adactl drift    [-jobs M]
+//	adactl jitter   [-runs N] [-jobs M] [-seed S]
+//	adactl quantize [-delta D] [-workers W]
+//	adactl observer [experiment flags]
+//	adactl report   [experiment flags] [-o REPORT.md]
 //
 // Pass -paper to table1/table2 for the paper's full 50 000-sequence
 // protocol (slower).
 //
 // The long-running commands (table1, table2, sweep, ablation, certify,
-// burst, weaklyhard, quantize, observer, faultsim, report) are
+// burst, weaklyhard, jitter, quantize, observer, report) are
 // interruptible: SIGINT/SIGTERM stops them at the next boundary and the
-// process exits 5 (report then writes no file). On table1, table2,
-// sweep and faultsim -timeout also caps wall-clock time; an interrupted
-// table1, table2 or sweep reports the rows it completed. With
-// -checkpoint the per-row grid state is persisted atomically after
-// every finished row, and -resume restarts the grid without recomputing
-// finished rows.
+// process exits 5 (report then writes no file). On table1, table2 and
+// sweep -timeout also caps wall-clock time, and an interrupted run
+// reports the rows it completed. With -checkpoint the per-row grid
+// state is persisted atomically after every finished row, and -resume
+// restarts the grid without recomputing finished rows.
 package main
 
 import (
@@ -43,10 +51,7 @@ import (
 	"adaptivertc/internal/api"
 	"adaptivertc/internal/buildinfo"
 	"adaptivertc/internal/checkpoint"
-	"adaptivertc/internal/core"
 	"adaptivertc/internal/experiments"
-	"adaptivertc/internal/faults"
-	"adaptivertc/internal/guard"
 	"adaptivertc/internal/inputhash"
 	"adaptivertc/internal/jsr"
 	"adaptivertc/internal/sched"
@@ -91,8 +96,6 @@ func main() {
 		err = runQuantize(ctx, args)
 	case "observer":
 		err = runObserver(ctx, args)
-	case "faultsim":
-		err = runFaultSim(ctx, args)
 	case "report":
 		err = runReport(ctx, args)
 	case "version", "-version", "--version":
@@ -137,7 +140,6 @@ commands:
   jitter     robustness to sensor-grid jitter (PMSM)
   quantize   fixed-point table width vs certified stability (PMSM)
   observer   full-information vs Kalman-observer LQG (PMSM)
-  faultsim   fault-injected Monte-Carlo under the certified runtime guard
   report     regenerate every experiment into one markdown file`)
 }
 
@@ -523,7 +525,7 @@ func runCertify(ctx context.Context, args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	design, err := buildScenario(*scenario, *rmaxFactor, *ns)
+	design, err := api.BuildScenario(*scenario, *rmaxFactor, *ns)
 	if err != nil {
 		return err
 	}
@@ -537,12 +539,6 @@ func runCertify(ctx context.Context, args []string) error {
 		fmt.Printf("  deployment with Rmax = %.2f·T covered: %v\n", *check, cert.CoversDeployment(actual))
 	}
 	return nil
-}
-
-// buildScenario constructs the named demo design (shared by export,
-// certify, faultsim, and the certification service).
-func buildScenario(scenario string, rmaxFactor float64, ns int) (*core.Design, error) {
-	return api.BuildScenario(scenario, rmaxFactor, ns)
 }
 
 // runBurst compares independent and bursty overrun patterns with the
@@ -655,112 +651,6 @@ func runObserver(ctx context.Context, args []string) error {
 	fmt.Println("Observer-based LQG — current sensors only, per-mode Kalman predictor (§IV-B)")
 	fmt.Println()
 	fmt.Print(experiments.ObserverString(rows))
-	return nil
-}
-
-// runFaultSim certifies the degradation ladder for a scenario, then
-// runs a fault-injected Monte-Carlo under the runtime guard: response
-// times escape the certified Rmax, sensors drop/stick/noise, actuators
-// miss latches and releases jitter, while the monitor escalates
-// Nominal → Clamp → SafeMode and recovers with hysteresis.
-func runFaultSim(ctx context.Context, args []string) error {
-	fs := flag.NewFlagSet("faultsim", flag.ExitOnError)
-	scenario := fs.String("scenario", "pmsm", "pmsm | unstable | quickstart")
-	timeout := fs.Duration("timeout", 0, "wall-clock budget; an interrupted run exits 5 (0 = none)")
-	rmaxFactor := fs.Float64("rmax-factor", 1.6, "Rmax as a multiple of T")
-	ns := fs.Int("ns", 5, "sensor oversampling factor")
-	sequences := fs.Int("sequences", 2000, "random fault-injected sequences")
-	jobs := fs.Int("jobs", 50, "jobs per sequence")
-	seed := fs.Int64("seed", 1, "base RNG seed")
-	workers := fs.Int("workers", 0, "worker goroutines (0 = all cores); results are identical for every value")
-	// Fault mix.
-	excursion := fs.Float64("excursion", 0.05, "P(response time beyond the certified Rmax) per job")
-	excFactor := fs.Float64("excursion-factor", 1.5, "excursion ceiling as a multiple of Rmax")
-	drop := fs.Float64("drop", 0.02, "P(sensor sample lost) per job")
-	dropZero := fs.Bool("drop-zero", false, "lost samples read zero instead of holding the last value")
-	stuck := fs.Float64("stuck", 0.005, "P(transducer freezes) per job")
-	stuckLen := fs.Int("stuck-len", 5, "jobs a stuck fault persists")
-	noise := fs.Float64("noise", 0.02, "P(noisy sample) per job")
-	noiseAmp := fs.Float64("noise-amp", 0.05, "uniform per-channel noise amplitude")
-	actHold := fs.Float64("act-hold", 0.01, "P(actuator misses a latch) per job")
-	jitterAmp := fs.Float64("jitter", 0.1, "release jitter amplitude as a fraction of Ts")
-	// Deployment contract.
-	whM := fs.Int("wh-m", 2, "weakly-hard budget: at most m overruns …")
-	whK := fs.Int("wh-k", 5, "… in any K consecutive jobs")
-	recover := fs.Int("recover", 5, "clean jobs before de-escalating one tier")
-	fallback := fs.String("fallback", "zero", "SafeMode actuator policy: zero | hold")
-	diverge := fs.Float64("diverge", 1e6, "lifted-state ∞-norm forcing SafeMode (0 disables)")
-	// Certification.
-	extra := fs.Int("extra", 2, "excursion sensor periods covered by the degraded certificates")
-	delta := fs.Float64("delta", 1e-3, "Gripenberg target accuracy (shared default with jsrtool)")
-	brute := fs.Int("brute", 4, "brute-force JSR product depth")
-	nodes := fs.Int("nodes", 200_000, "Gripenberg node budget per tier (degraded tiers sit near ρ = 1, where the full default budget is slow)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	var fb guard.Fallback
-	switch *fallback {
-	case "zero":
-		fb = guard.FallbackZero
-	case "hold":
-		fb = guard.FallbackHold
-	default:
-		return fmt.Errorf("unknown fallback %q (want zero or hold)", *fallback)
-	}
-	design, err := buildScenario(*scenario, *rmaxFactor, *ns)
-	if err != nil {
-		return err
-	}
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-		defer cancel()
-	}
-
-	start := time.Now()
-	ladder, err := guard.CertifyLadderCtx(ctx, design, guard.CertifyOptions{
-		BruteLen:   *brute,
-		Grip:       jsr.GripenbergOptions{Delta: *delta, MaxDepth: 30, MaxNodes: *nodes, Workers: *workers},
-		ExtraSteps: *extra,
-		Fallback:   fb,
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Print(ladder.Report())
-	fmt.Println()
-
-	x0 := make([]float64, design.Plant.StateDim())
-	x0[0] = 1
-	tm := design.Timing
-	metrics, err := sim.FaultMonteCarloCtx(ctx, design, x0,
-		sim.SporadicResponse{Rmin: tm.Rmin, T: tm.T, Rmax: tm.Rmax, OverrunProb: 0.3},
-		sim.ErrorCost(),
-		sim.FaultOptions{
-			MonteCarloOptions: sim.MonteCarloOptions{
-				Sequences: *sequences, Jobs: *jobs, Seed: *seed, Workers: *workers,
-			},
-			Profile: faults.Profile{
-				Excursion: *excursion, ExcursionFactor: *excFactor,
-				Drop: *drop, DropZero: *dropZero,
-				Stuck: *stuck, StuckLen: *stuckLen,
-				Noise: *noise, NoiseAmp: *noiseAmp,
-				ActHold: *actHold, JitterAmp: *jitterAmp,
-			},
-			Contract: guard.Contract{
-				M: *whM, K: *whK,
-				DivergeLimit: *diverge,
-				RecoverAfter: *recover,
-				Fallback:     fb,
-			},
-		})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("Fault-injected Monte-Carlo — %s, guarded runtime (%d sequences × %d jobs)\n\n",
-		*scenario, *sequences, *jobs)
-	fmt.Println(metrics)
-	fmt.Printf("\nelapsed: %s\n", time.Since(start).Round(time.Millisecond))
 	return nil
 }
 

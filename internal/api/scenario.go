@@ -11,7 +11,7 @@ import (
 )
 
 // BuildScenario constructs one of the named demo designs. It is the
-// single definition shared by the adactl export/certify/faultsim
+// single definition shared by the adactl export and certify
 // commands and the certification service's scenario requests, so a
 // scenario certified over HTTP is exactly the design the CLI exports.
 func BuildScenario(scenario string, rmaxFactor float64, ns int) (*core.Design, error) {

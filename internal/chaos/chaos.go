@@ -16,9 +16,8 @@
 //   - clean recovery: when the fault window closes, the cache
 //     re-promotes its disk layer and /healthz returns to "ok".
 //
-// The injectors mirror the repo's simulation-level fault philosophy
-// (internal/faults): all randomness is drawn from explicitly seeded
-// RNGs, so a failing chaos run reproduces from its seed.
+// All randomness is drawn from explicitly seeded RNGs, so a failing
+// chaos run reproduces from its seed.
 package chaos
 
 import (

@@ -44,31 +44,6 @@ func TestIntervalIndexChecked(t *testing.T) {
 	}
 }
 
-// TestGridInterval checks the unclamped release rule used by the guard
-// to evolve the plant through excursions.
-func TestGridInterval(t *testing.T) {
-	tm := MustTiming(0.1, 5, 0.01, 0.16)
-	cases := []struct{ r, want float64 }{
-		{0.05, 0.1},
-		{0.1, 0.1},
-		{0.13, 0.14},
-		{0.16, 0.16},
-		{0.17, 0.18}, // beyond Rmax: keeps following the sensor grid
-		{0.25, 0.26},
-	}
-	for _, tc := range cases {
-		if got := tm.GridInterval(tc.r); math.Abs(got-tc.want) > 1e-12 {
-			t.Errorf("GridInterval(%g) = %g, want %g", tc.r, got, tc.want)
-		}
-	}
-	// Inside the envelope GridInterval and IntervalFor agree.
-	for _, r := range []float64{0.02, 0.1, 0.11, 0.145, 0.16} {
-		if g, f := tm.GridInterval(r), tm.IntervalFor(r); math.Abs(g-f) > 1e-12 {
-			t.Errorf("GridInterval(%g) = %g disagrees with IntervalFor = %g", r, g, f)
-		}
-	}
-}
-
 // TestTimingCoversGridBoundary exercises the §V-B coverage condition at
 // the values where a naive comparison goes wrong: exactly on a sensor
 // tick, one ulp above it, and past Rmax.
@@ -216,129 +191,6 @@ func TestStepJitteredCacheEquivalence(t *testing.T) {
 	for j := range xa {
 		if xa[j] != xb[j] {
 			t.Fatalf("cached jittered steps diverged: %v vs %v", xa, xb)
-		}
-	}
-}
-
-// TestStepFallback pins the SafeMode runtime semantics for both
-// actuator policies.
-func TestStepFallback(t *testing.T) {
-	d := testDesign(t)
-	x0 := []float64{1, -1}
-
-	zero, err := NewLoop(d, x0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := zero.StepFallback(d.Timing.T, false); err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range zero.Applied() {
-		if v != 0 {
-			t.Errorf("zero fallback: applied[%d] = %g, want 0", i, v)
-		}
-	}
-	// With u forced to zero the plant must evolve open loop: x⁺ = Φ x.
-	disc := d.Modes[0].Disc
-	want := make([]float64, len(x0))
-	for i := 0; i < disc.Phi.Rows(); i++ {
-		for j := 0; j < disc.Phi.Cols(); j++ {
-			want[i] += disc.Phi.At(i, j) * x0[j]
-		}
-	}
-	for i, v := range zero.State() {
-		if math.Abs(v-want[i]) > 1e-12 {
-			t.Errorf("zero fallback: x[%d] = %g, want %g", i, v, want[i])
-		}
-	}
-
-	hold, err := NewLoop(d, x0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	held := hold.Applied()
-	if err := hold.StepFallback(d.Timing.T, true); err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range hold.Applied() {
-		if v != held[i] {
-			t.Errorf("hold fallback: applied[%d] = %g, want held %g", i, v, held[i])
-		}
-	}
-	// Both policies clear the controller pipeline in the lifted state:
-	// ξ = [x; z~; u~; u] with z~ and u~ zeroed.
-	lifted := zero.Lifted()
-	n := d.Plant.StateDim()
-	r := d.Plant.InputDim()
-	for i := n; i < len(lifted)-r; i++ {
-		if lifted[i] != 0 {
-			t.Errorf("fallback must clear controller state and pending command, lifted[%d] = %g", i, lifted[i])
-		}
-	}
-	if err := zero.StepFallback(0, false); err == nil {
-		t.Error("StepFallback with non-positive interval must error")
-	}
-}
-
-// TestLoopHooks verifies the fault-injection hooks: the sensor hook
-// rewrites the sampled output before the error forms, and the actuator
-// hook suppresses the latch so the old command stays applied.
-func TestLoopHooks(t *testing.T) {
-	d := testDesign(t)
-	plain, err := NewLoop(d, []float64{1, 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hooked, err := NewLoop(d, []float64{1, 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var jobsSeen []int
-	hooked.SetSensorHook(func(job int, y []float64) {
-		jobsSeen = append(jobsSeen, job)
-		for i := range y {
-			y[i] = 0 // controller sees a zeroed measurement
-		}
-	})
-	plain.Step(0)
-	hooked.Step(0)
-	// The plant state after one step is hook-independent (the hook only
-	// affects the command computed for the NEXT interval)…
-	xp, xh := plain.State(), hooked.State()
-	for i := range xp {
-		if xp[i] != xh[i] {
-			t.Fatalf("sensor hook must not affect the already-elapsed interval")
-		}
-	}
-	// …but the freshly computed command differs: zero measurement means
-	// zero error-feedback command for a static full-state design.
-	changed := false
-	lp, lh := plain.Lifted(), hooked.Lifted()
-	for i := range lp {
-		if lp[i] != lh[i] {
-			changed = true
-		}
-	}
-	if !changed {
-		t.Error("sensor hook had no effect on the computed command")
-	}
-	if len(jobsSeen) != 1 || jobsSeen[0] != 1 {
-		t.Errorf("sensor hook fired for jobs %v, want [1]", jobsSeen)
-	}
-
-	// Actuator hold: the applied command must survive the release.
-	heldLoop, err := NewLoop(d, []float64{1, 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	heldLoop.Step(0) // one nominal step so a nonzero command is latched
-	before := heldLoop.Applied()
-	heldLoop.SetActuatorHook(func(job int) bool { return true })
-	heldLoop.Step(0)
-	after := heldLoop.Applied()
-	for i := range before {
-		if before[i] != after[i] {
-			t.Errorf("actuator hold: applied[%d] changed %g → %g", i, before[i], after[i])
 		}
 	}
 }

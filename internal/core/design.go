@@ -87,9 +87,6 @@ func (d *Design) ModeFor(r float64) Mode {
 	return d.Modes[d.Timing.IntervalIndex(r)]
 }
 
-// ModeByIndex returns the i-th mode.
-func (d *Design) ModeByIndex(i int) Mode { return d.Modes[i] }
-
 // NumModes returns #H.
 func (d *Design) NumModes() int { return len(d.Modes) }
 

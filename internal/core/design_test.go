@@ -436,6 +436,35 @@ func TestStepJitteredValidation(t *testing.T) {
 	}
 }
 
+// TestLoopStepZeroAllocs pins the allocation-free hot path: a grid step
+// and an off-grid step whose interval is already in the discretization
+// cache touch only the loop's preallocated buffers.
+func TestLoopStepZeroAllocs(t *testing.T) {
+	d := testDesign(t)
+	loop, err := NewLoop(d, []float64{1, -0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := 0
+	if got := testing.AllocsPerRun(100, func() {
+		loop.Step(k % d.NumModes())
+		k++
+	}); got != 0 {
+		t.Errorf("Step: %v allocs per run, want 0", got)
+	}
+	h := d.Modes[1].H * 1.03
+	if err := loop.StepJittered(1, h); err != nil { // warm the cache
+		t.Fatal(err)
+	}
+	if got := testing.AllocsPerRun(100, func() {
+		if err := loop.StepJittered(1, h); err != nil {
+			t.Fatal(err)
+		}
+	}); got != 0 {
+		t.Errorf("warm StepJittered: %v allocs per run, want 0", got)
+	}
+}
+
 func TestSetInputLimitsSaturatesCommands(t *testing.T) {
 	d := testDesign(t)
 	// The test plant is open-loop unstable, so the initial deviation

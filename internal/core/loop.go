@@ -35,12 +35,8 @@ type Loop struct {
 	// actuator saturation limits; nil = unconstrained
 	uLo, uHi []float64
 
-	// fault-injection hooks; nil = nominal operation
-	sensorHook   func(job int, y []float64)
-	actuatorHook func(job int) bool
-
 	// discretizations computed on demand for off-grid intervals
-	// (StepJittered, StepFallback), keyed by the exact float interval
+	// (StepJittered), keyed by the exact float interval
 	discCache map[float64]*lti.Discrete
 
 	// scratch buffers keeping the hot path allocation-free
@@ -117,21 +113,6 @@ func (l *Loop) SetInputLimits(lo, hi []float64) {
 	}
 }
 
-// SetSensorHook installs a measurement-fault hook: f is called with the
-// job index and the freshly sampled output y (mutable, in place) before
-// the error e = r - y is formed, letting fault injectors substitute
-// dropped, stuck or noisy samples. Job 0's sample is taken inside
-// NewLoop, so a hook installed afterwards first fires at job 1. Pass
-// nil to restore nominal sensing.
-func (l *Loop) SetSensorHook(f func(job int, y []float64)) { l.sensorHook = f }
-
-// SetActuatorHook installs an actuator-fault hook: at each release, f
-// reports whether the actuator fails to latch the pending command. On a
-// hold fault the previously applied command stays on the plant and the
-// pending command is lost — the physical failure mode of a zero-order
-// hold that misses its update. Pass nil to restore nominal actuation.
-func (l *Loop) SetActuatorHook(f func(job int) bool) { l.actuatorHook = f }
-
 // compute runs the control job that selects mode index idx: it samples
 // e = r - Cx and produces the next command and controller state. With
 // saturation limits set, the command is clamped and — conditional
@@ -140,9 +121,6 @@ func (l *Loop) SetActuatorHook(f func(job int) bool) { l.actuatorHook = f }
 func (l *Loop) compute(idx int) {
 	m := l.d.Modes[idx]
 	mat.MulVecInto(l.eTmp, m.Disc.C, l.x)
-	if l.sensorHook != nil {
-		l.sensorHook(l.k, l.eTmp)
-	}
 	for i, v := range l.eTmp {
 		l.eTmp[i] = l.ref[i] - v
 	}
@@ -166,9 +144,7 @@ func (l *Loop) compute(idx int) {
 
 // advance evolves the plant over [a_k, a_k + h_k) with discretization
 // disc under the held command, then performs the release a_{k+1}: the
-// job counter increments and the actuator latches the pending command —
-// unless an actuator hook reports a hold fault, in which case the old
-// command stays on the plant and the pending one is lost
+// job counter increments and the actuator latches the pending command
 // (double-buffered so compute can overwrite the retired buffer).
 func (l *Loop) advance(disc *lti.Discrete) {
 	mat.MulVecInto(l.xTmp, disc.Phi, l.x)
@@ -178,17 +154,14 @@ func (l *Loop) advance(disc *lti.Discrete) {
 	}
 	l.x, l.xTmp = l.xTmp, l.x
 	l.k++
-	if l.actuatorHook == nil || !l.actuatorHook(l.k) {
-		l.uApp, l.uNext = l.uNext, l.uApp
-	}
+	l.uApp, l.uNext = l.uNext, l.uApp
 }
 
 // TryStep advances the loop across one interval given the index of
 // h_k in H (0 = nominal period, i = i extra sensor periods), returning
 // an error on an out-of-range index. Library callers that assemble
-// indices dynamically (runtime monitors, fault injectors) use this;
-// Step is the panicking wrapper for call sites that draw indices from
-// the design's own interval set.
+// indices dynamically use this; Step is the panicking wrapper for call
+// sites that draw indices from the design's own interval set.
 func (l *Loop) TryStep(idx int) error {
 	if idx < 0 || idx >= len(l.d.Modes) {
 		return fmt.Errorf("core: interval index %d out of range [0,%d)", idx, len(l.d.Modes))
@@ -224,9 +197,9 @@ func (l *Loop) StepResponseChecked(r float64) (violated bool) {
 }
 
 // discretizeCached returns the plant discretization for an off-grid
-// interval, memoized on the exact float64 value: jitter sweeps and the
-// guard's excursion handling revisit a small set of intervals, so the
-// cache turns a per-step matrix exponential into a map lookup.
+// interval, memoized on the exact float64 value: jitter sweeps revisit
+// a small set of intervals, so the cache turns a per-step matrix
+// exponential into a map lookup.
 func (l *Loop) discretizeCached(h float64) (*lti.Discrete, error) {
 	if d, ok := l.discCache[h]; ok {
 		return d, nil
@@ -246,9 +219,8 @@ func (l *Loop) discretizeCached(h float64) (*lti.Discrete, error) {
 // deviates from the grid: the plant evolves for actualH seconds while
 // the controller believes interval index idx elapsed (the paper's
 // negligible-jitter assumption, violated by actualH - H(idx)). Used to
-// quantify how much sensor/release jitter the design tolerates, and by
-// the runtime guard to evolve the plant faithfully through R > Rmax
-// excursions. Discretizations are cached per distinct actualH.
+// quantify how much sensor/release jitter the design tolerates.
+// Discretizations are cached per distinct actualH.
 func (l *Loop) StepJittered(idx int, actualH float64) error {
 	if idx < 0 || idx >= len(l.d.Modes) {
 		return fmt.Errorf("core: interval index %d out of range [0,%d)", idx, len(l.d.Modes))
@@ -262,42 +234,6 @@ func (l *Loop) StepJittered(idx int, actualH float64) error {
 	}
 	l.advance(disc)
 	l.compute(idx)
-	return nil
-}
-
-// StepFallback advances the plant across an interval of actualH seconds
-// under the safe-mode actuator policy instead of running a control job:
-// with hold the currently applied command stays latched, otherwise the
-// input is zeroed. The controller state and the pending command are
-// cleared so a later return to closed-loop operation restarts from
-// rest. This is the runtime of the degradation ladder's SafeMode tier;
-// its lifted dynamics are certified by guard.CertifyLadderCtx.
-func (l *Loop) StepFallback(actualH float64, hold bool) error {
-	if actualH <= 0 {
-		return fmt.Errorf("core: non-positive fallback interval %g", actualH)
-	}
-	disc, err := l.discretizeCached(actualH)
-	if err != nil {
-		return err
-	}
-	if !hold {
-		for i := range l.uApp {
-			l.uApp[i] = 0
-		}
-	}
-	mat.MulVecInto(l.xTmp, disc.Phi, l.x)
-	mat.MulVecInto(l.guTmp, disc.Gamma, l.uApp)
-	for i := range l.xTmp {
-		l.xTmp[i] += l.guTmp[i]
-	}
-	l.x, l.xTmp = l.xTmp, l.x
-	l.k++
-	for i := range l.uNext {
-		l.uNext[i] = 0
-	}
-	for i := range l.z {
-		l.z[i] = 0
-	}
 	return nil
 }
 

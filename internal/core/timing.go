@@ -137,20 +137,6 @@ func (tm Timing) IntervalFor(r float64) float64 {
 	return tm.T + float64(tm.IntervalIndex(r))*tm.Ts()
 }
 
-// GridInterval returns the inter-release interval the adaptation rule
-// would produce for response time r WITHOUT clamping to H: the first
-// sensor tick at or after max(r, T). For r ≤ Rmax it agrees with
-// IntervalFor; beyond Rmax it keeps growing with r, leaving the
-// certified set H. The runtime guard uses it to evolve the plant
-// faithfully through an R > Rmax excursion while the controller is
-// clamped to the largest certified mode.
-func (tm Timing) GridInterval(r float64) float64 {
-	if r <= tm.T*(1+relTol) {
-		return tm.T
-	}
-	return float64(ceilGrid(r, tm.Ts())) * tm.Ts()
-}
-
 // NextRelease implements the paper's period-adaptation rule (§IV-A):
 // given the release a_k of a job and its finishing time f_k, the next
 // job is released at

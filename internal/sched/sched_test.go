@@ -496,109 +496,6 @@ func TestBurstExecDegenerateRates(t *testing.T) {
 	}
 }
 
-func TestAnalyzeOverruns(t *testing.T) {
-	// Period 1; overruns at indices 1, 2, 5.
-	rs := []float64{0.5, 1.2, 1.5, 0.9, 0.4, 1.1, 0.3}
-	st, err := AnalyzeOverruns(rs, 1, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Jobs != 7 || st.Overruns != 3 {
-		t.Fatalf("stats = %+v", st)
-	}
-	if st.MaxConsecutive != 2 {
-		t.Fatalf("max consecutive = %d", st.MaxConsecutive)
-	}
-	if st.MaxResponse != 1.5 {
-		t.Fatalf("max response = %v", st.MaxResponse)
-	}
-	// Window sizes 1..4: worst counts 1, 2, 2, 2.
-	want := []int{1, 2, 2, 2}
-	for i, w := range want {
-		if st.WorstWindow[i] != w {
-			t.Fatalf("WorstWindow = %v, want %v", st.WorstWindow, want)
-		}
-	}
-}
-
-func TestAnalyzeOverrunsValidation(t *testing.T) {
-	if _, err := AnalyzeOverruns([]float64{1}, 0, 1); err == nil {
-		t.Fatal("zero period accepted")
-	}
-	st, err := AnalyzeOverruns(nil, 1, 5)
-	if err != nil || st.Jobs != 0 {
-		t.Fatalf("empty sequence: %+v (err %v)", st, err)
-	}
-}
-
-func TestSatisfiesWeaklyHard(t *testing.T) {
-	rs := []float64{0.5, 1.2, 1.5, 0.9, 0.4, 1.1, 0.3}
-	ok, err := SatisfiesWeaklyHard(rs, 1, 2, 3)
-	if err != nil || !ok {
-		t.Fatalf("(2,3) should hold: %v (err %v)", ok, err)
-	}
-	ok, err = SatisfiesWeaklyHard(rs, 1, 1, 3)
-	if err != nil || ok {
-		t.Fatalf("(1,3) should fail (two consecutive overruns): %v", ok)
-	}
-	ok, err = SatisfiesWeaklyHard(nil, 1, 0, 4)
-	if err != nil || !ok {
-		t.Fatal("empty sequence trivially satisfies any constraint")
-	}
-	if _, err := SatisfiesWeaklyHard(rs, 1, -1, 3); err == nil {
-		t.Fatal("negative m accepted")
-	}
-	if _, err := SatisfiesWeaklyHard(rs, 1, 1, 0); err == nil {
-		t.Fatal("zero K accepted")
-	}
-}
-
-func TestWeaklyHardAgainstSimulatedSchedule(t *testing.T) {
-	// A bursty control task: the empirical (m,K) profile derived from
-	// AnalyzeOverruns must be the tightest constraint the simulated
-	// sequence satisfies.
-	tm := func(prev, finish float64) float64 {
-		if finish <= prev+1 {
-			return prev + 1
-		}
-		return prev + math.Ceil((finish-prev)/0.25)*0.25
-	}
-	tasks := []*Task{{
-		Name: "ctl", Period: 1, Priority: 1,
-		Exec: &BurstExec{
-			Calm:   UniformExec{Lo: 0.3, Hi: 0.7},
-			Burst:  UniformExec{Lo: 1.0, Hi: 1.4},
-			PEnter: 0.1, PExit: 0.5,
-		},
-		Release: tm,
-	}}
-	res, err := Simulate(tasks, Options{Horizon: 400, Seed: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rs := res.ResponseTimes("ctl")
-	st, err := AnalyzeOverruns(rs, 1, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Overruns == 0 {
-		t.Fatal("burst model produced no overruns; test vacuous")
-	}
-	for k := 1; k <= 5; k++ {
-		m := st.WorstWindow[k-1]
-		ok, err := SatisfiesWeaklyHard(rs, 1, m, k)
-		if err != nil || !ok {
-			t.Fatalf("sequence must satisfy its own (m=%d, K=%d) profile", m, k)
-		}
-		if m > 0 {
-			ok, err = SatisfiesWeaklyHard(rs, 1, m-1, k)
-			if err != nil || ok {
-				t.Fatalf("(m-1=%d, K=%d) must fail by construction", m-1, k)
-			}
-		}
-	}
-}
-
 func TestSimulateReleaseRuleInvariant(t *testing.T) {
 	// Property: for an adaptive task simulated with core-style release
 	// rules, every inter-release interval exceeds neither rule output

@@ -55,19 +55,6 @@ func TestCostDistributionCtxCancelled(t *testing.T) {
 	}
 }
 
-func TestFaultMonteCarloCtxCancelled(t *testing.T) {
-	d := testDesign(t)
-	base := UniformResponse{Rmin: d.Timing.Rmin, Rmax: d.Timing.Rmax}
-	_, err := FaultMonteCarloCtx(cancelledCtx(), d, []float64{1, 0}, base, ErrorCost(), FaultOptions{
-		MonteCarloOptions: MonteCarloOptions{Sequences: 100, Jobs: 20, Seed: 1, Workers: 2},
-		Profile:           faultProfile(),
-		Contract:          faultContract(),
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-}
-
 // TestRefineWorstCtxCancelled: coordinate ascent only ever improves on
 // its starting sequence, so cancellation returns the partial refinement
 // (still a valid worst-case estimate) alongside the context error.
